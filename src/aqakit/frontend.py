@@ -211,7 +211,7 @@ class PatchEncoder:
 
     weight: np.ndarray  # (patch_values, d_audio)
     bias: np.ndarray  # (d_audio,)
-    pos_offsets: np.ndarray | None = None  # (time_patches, freq_patches, d_audio)
+    pos_offsets: np.ndarray  # (time_patches, freq_patches, d_audio)
 
     @property
     def d_audio(self) -> int:
@@ -220,13 +220,11 @@ class PatchEncoder:
     @classmethod
     def create(cls, d_audio: int = 64, patch_values: int = PATCH_SIDE * PATCH_SIDE,
                grid_shape: tuple[int, int] = (64, 8), seed: int = 0,
-               with_positions: bool = True, init_scale: float = 0.02) -> "PatchEncoder":
+               init_scale: float = 0.02) -> "PatchEncoder":
         rng = np.random.default_rng(seed)
         weight = rng.normal(0.0, init_scale, size=(patch_values, d_audio))
         bias = np.zeros(d_audio)
-        pos = None
-        if with_positions:
-            pos = rng.normal(0.0, init_scale, size=(*grid_shape, d_audio))
+        pos = rng.normal(0.0, init_scale, size=(*grid_shape, d_audio))
         return cls(weight=weight, bias=bias, pos_offsets=pos)
 
 
@@ -238,14 +236,12 @@ def encode_patches(g: PatchGrid, enc: PatchEncoder) -> np.ndarray:
             f"input dim {enc.weight.shape[0]}"
         )
     emb = g.patches @ enc.weight + enc.bias
-    if enc.pos_offsets is not None:
-        if enc.pos_offsets.shape != emb.shape:
-            raise ValueError(
-                f"positional offsets shape {enc.pos_offsets.shape} does not "
-                f"match embedding grid {emb.shape}"
-            )
-        emb = emb + enc.pos_offsets
-    return emb
+    if enc.pos_offsets.shape != emb.shape:
+        raise ValueError(
+            f"positional offsets shape {enc.pos_offsets.shape} does not "
+            f"match embedding grid {emb.shape}"
+        )
+    return emb + enc.pos_offsets
 
 
 def pool_tokens(e: np.ndarray) -> AudioTokenSequence:

@@ -7,11 +7,9 @@ from .decoder import (
     DecoderConfig,
     TrainingExample,
     count_lora_params,
-    decoder_forward,
     llama_7b_geometry,
 )
 from .gradcheck import finite_diff_check
-from .lora import LoraLinear, lora_forward
 from .losses import AlignmentBatch, alignment_losses, next_token_loss
 from .sampling import (
     GenerationConfig,
@@ -32,8 +30,8 @@ from .tokenizer import (
 
 __all__ = [
     "AudioTextLm", "DecoderConfig", "TrainingExample", "count_lora_params",
-    "decoder_forward", "llama_7b_geometry", "finite_diff_check", "LoraLinear",
-    "lora_forward", "AlignmentBatch", "alignment_losses", "next_token_loss",
+    "llama_7b_geometry", "finite_diff_check", "AlignmentBatch",
+    "alignment_losses", "next_token_loss",
     "GenerationConfig", "generate", "sample_next_id",
     "truncated_distribution", "save_checkpoint", "load_checkpoint",
     "load_lora_into", "BOS_ID", "EOS_ID", "PAD_ID", "SEP_ID", "VOCAB_SIZE",

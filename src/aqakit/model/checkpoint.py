@@ -4,6 +4,7 @@ independently of the base weights."""
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,7 @@ def _collect_tensors(model: AudioTextLm, lora_only: bool) -> dict[str, np.ndarra
     if not lora_only:
         tensors["audio.enc.weight"] = model.patch_encoder.weight
         tensors["audio.enc.bias"] = model.patch_encoder.bias
-        if model.patch_encoder.pos_offsets is not None:
-            tensors["audio.enc.pos"] = model.patch_encoder.pos_offsets
+        tensors["audio.enc.pos"] = model.patch_encoder.pos_offsets
         tensors["audio.proj.weight"] = model.projection.weight
         tensors["audio.proj.bias"] = model.projection.bias
     return tensors
@@ -96,30 +96,20 @@ def load_checkpoint(path: str | Path) -> AudioTextLm:
     config, tensors = _read_tensors(path)
     if config.get("lora_only") == "1":
         raise ValueError(f"{path} holds only LoRA adapters, not a full model")
+    defaults = {f.name: f.default for f in fields(DecoderConfig)}
     cfg = DecoderConfig(
-        n_layers=int(config["config.n_layers"]),
-        n_heads=int(config["config.n_heads"]),
-        d_model=int(config["config.d_model"]),
-        vocab_size=int(config["config.vocab_size"]),
-        max_seq_len=int(config["config.max_seq_len"]),
         lora_targets=tuple(config["config.lora_targets"].split(",")),
-        lora_rank=int(config["config.lora_rank"]),
-        lora_alpha=float(config["config.lora_alpha"]),
-        d_audio=int(config["config.d_audio"]),
-        n_audio_tokens=int(config["config.n_audio_tokens"]),
-        mlp_ratio=int(config["config.mlp_ratio"]),
-    )
+        **{f: type(defaults[f])(config["config." + f]) for f in _CONFIG_FIELDS})
     model = AudioTextLm(cfg)
     for name, arr in tensors.items():
         if name.startswith("base."):
             model.base[name[len("base."):]] = arr
         elif name.startswith("lora."):
             model.lora[name[len("lora."):]] = arr
-    pos = tensors.get("audio.enc.pos")
     model.patch_encoder = PatchEncoder(
         weight=tensors["audio.enc.weight"],
         bias=tensors["audio.enc.bias"],
-        pos_offsets=pos,
+        pos_offsets=tensors["audio.enc.pos"],
     )
     model.projection = ProjectionLayer(
         weight=tensors["audio.proj.weight"],

@@ -1,5 +1,7 @@
 """Toy autoregressive decoder with a frozen base and LoRA adapters on the
-key/query projections, conditioned on 32 audio tokens.
+key/query projections, conditioned on 32 audio tokens. The audio input is
+always a clip's PatchGrid: the patch encoder, token pooling and projection
+run inside forward, so gradients reach every audio parameter.
 
 Everything runs in float64 with a hand-written backward pass so gradients
 can be audited against central finite differences. The frozen base (token
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..frontend import (
-    AudioTokenSequence,
     PatchEncoder,
     PatchGrid,
     ProjectionLayer,
@@ -26,6 +27,8 @@ from .lora import lora_apply_rows
 from .tokenizer import VOCAB_SIZE
 
 LN_EPS = 1e-5
+# frozen base weight of each projection an adapter may attach to
+_LORA_WEIGHTS = {"query": "attn.wq", "key": "attn.wk"}
 
 
 @dataclass
@@ -70,12 +73,11 @@ def count_lora_params(geom: DecoderConfig) -> int:
 class TrainingExample:
     """One supervised row: audio conditioning plus a masked text sequence.
 
-    audio_tokens may be a PatchGrid (the patch encoder then sits inside the
-    differentiable path) or a precomputed AudioTokenSequence of width
-    d_audio (gradient reaches the projection only).
+    audio_tokens is the clip's PatchGrid; the patch encoder, pooling and
+    projection all sit inside the differentiable path.
     """
 
-    audio_tokens: PatchGrid | AudioTokenSequence
+    audio_tokens: PatchGrid
     text_tokens: np.ndarray
     loss_mask: np.ndarray
 
@@ -138,43 +140,33 @@ class AudioTextLm:
         params = dict(self.lora)
         params["audio.enc.weight"] = self.patch_encoder.weight
         params["audio.enc.bias"] = self.patch_encoder.bias
-        if self.patch_encoder.pos_offsets is not None:
-            params["audio.enc.pos"] = self.patch_encoder.pos_offsets
+        params["audio.enc.pos"] = self.patch_encoder.pos_offsets
         params["audio.proj.weight"] = self.projection.weight
         params["audio.proj.bias"] = self.projection.bias
         return params
-
-    def frozen_parameters(self) -> dict[str, np.ndarray]:
-        return dict(self.base)
 
     def lora_scale(self) -> float:
         return self.cfg.lora_alpha / self.cfg.lora_rank
 
     # -- audio path ------------------------------------------------------
 
-    def _audio_rows(self, audio) -> tuple[np.ndarray, dict]:
-        """Project the conditioning audio to d_model rows, keeping the
-        intermediates needed to push gradients back into the encoder."""
-        cache: dict = {"from_patches": isinstance(audio, PatchGrid)}
-        if isinstance(audio, PatchGrid):
-            emb = encode_patches(audio, self.patch_encoder)
-            seq = pool_tokens(emb)
-            cache["patches"] = audio.patches
-            cache["grid_shape"] = emb.shape
-        elif isinstance(audio, AudioTokenSequence):
-            seq = audio
-        else:
-            raise TypeError("audio must be a PatchGrid or AudioTokenSequence")
-        tokens = seq.tokens
+    def _audio_rows(self, audio: PatchGrid) -> tuple[np.ndarray, dict]:
+        """Encode, pool and project the clip's patches to d_model rows,
+        keeping the intermediates needed to push gradients back into the
+        encoder."""
+        if not isinstance(audio, PatchGrid):
+            raise TypeError(f"audio must be a PatchGrid, got {type(audio).__name__}")
+        emb = encode_patches(audio, self.patch_encoder)
+        tokens = pool_tokens(emb).tokens
         if tokens.shape[0] != self.cfg.n_audio_tokens:
             raise ValueError(
                 f"expected {self.cfg.n_audio_tokens} audio tokens, got {tokens.shape[0]}")
         if tokens.shape[1] != self.cfg.d_audio:
             raise ValueError(
                 f"audio token width {tokens.shape[1]} != d_audio {self.cfg.d_audio}")
-        cache["tokens"] = tokens
         rows = tokens @ self.projection.weight + self.projection.bias
-        return rows, cache
+        return rows, {"patches": audio.patches, "grid_shape": emb.shape,
+                      "tokens": tokens}
 
     # -- forward ---------------------------------------------------------
 
@@ -209,16 +201,15 @@ class AudioTextLm:
             x_in = x
             h1, ln1_cache = _ln_forward(x_in, self.base[p + "ln1.gamma"],
                                         self.base[p + "ln1.beta"])
-            q, uq = lora_apply_rows(h1, self.base[p + "attn.wq"],
-                                    self.lora.get(p + "attn.query.lora_A"),
-                                    self.lora.get(p + "attn.query.lora_B"),
-                                    scale) if "query" in c.lora_targets else (
-                h1 @ self.base[p + "attn.wq"].T, None)
-            k, uk = lora_apply_rows(h1, self.base[p + "attn.wk"],
-                                    self.lora.get(p + "attn.key.lora_A"),
-                                    self.lora.get(p + "attn.key.lora_B"),
-                                    scale) if "key" in c.lora_targets else (
-                h1 @ self.base[p + "attn.wk"].T, None)
+            qk, u = {}, {}
+            for target, w in _LORA_WEIGHTS.items():
+                if target in c.lora_targets:
+                    qk[target], u[target] = lora_apply_rows(
+                        h1, self.base[p + w], self.lora[p + f"attn.{target}.lora_A"],
+                        self.lora[p + f"attn.{target}.lora_B"], scale)
+                else:
+                    qk[target] = h1 @ self.base[p + w].T
+            q, k = qk["query"], qk["key"]
             v = h1 @ self.base[p + "attn.wv"].T
 
             qh = q.reshape(total, c.n_heads, c.d_head).transpose(1, 0, 2)
@@ -241,7 +232,7 @@ class AudioTextLm:
             if want_cache:
                 layer_caches.append({
                     "x_in": x_in, "h1": h1, "ln1": ln1_cache,
-                    "uq": uq, "uk": uk, "qh": qh, "kh": kh, "vh": vh,
+                    "u": u, "qh": qh, "kh": kh, "vh": vh,
                     "probs": probs, "ctx_flat": ctx_flat,
                     "x_mid": x_mid, "h2": h2, "ln2": ln2_cache, "t": t,
                 })
@@ -321,42 +312,34 @@ class AudioTextLm:
             dh1 = dv @ self.base[p + "attn.wv"]
             dh1 = dh1 + dq @ self.base[p + "attn.wq"]
             dh1 = dh1 + dk @ self.base[p + "attn.wk"]
-            if "query" in c.lora_targets:
-                a_name, b_name = p + "attn.query.lora_A", p + "attn.query.lora_B"
-                B = self.lora[b_name]
-                du = scale * (dq @ B)
-                grads[b_name] = scale * (dq.T @ lc["uq"])
-                grads[a_name] = du.T @ h1
-                dh1 = dh1 + du @ self.lora[a_name]
-            if "key" in c.lora_targets:
-                a_name, b_name = p + "attn.key.lora_A", p + "attn.key.lora_B"
-                B = self.lora[b_name]
-                du = scale * (dk @ B)
-                grads[b_name] = scale * (dk.T @ lc["uk"])
-                grads[a_name] = du.T @ h1
-                dh1 = dh1 + du @ self.lora[a_name]
+            # adapter terms after the base ones, query before key
+            for target, dy in (("query", dq), ("key", dk)):
+                if target in c.lora_targets:
+                    a_name = p + f"attn.{target}.lora_A"
+                    b_name = p + f"attn.{target}.lora_B"
+                    du = scale * (dy @ self.lora[b_name])
+                    grads[b_name] = scale * (dy.T @ lc["u"][target])
+                    grads[a_name] = du.T @ h1
+                    dh1 = dh1 + du @ self.lora[a_name]
 
             dx = dx_mid + _ln_backward(dh1, lc["ln1"], self.base[p + "ln1.gamma"])
 
         # embedding layer: audio rows are trainable, text rows are frozen
         da = dx[:na]
         ac = cache["audio"]
-        tokens = ac["tokens"]
-        grads["audio.proj.weight"] = tokens.T @ da
+        grads["audio.proj.weight"] = ac["tokens"].T @ da
         grads["audio.proj.bias"] = da.sum(axis=0)
-        if ac["from_patches"]:
-            dtokens = da @ self.projection.weight.T
-            # pooling spread: each token averaged over 2 time rows x n_freq cells
-            _, n_freq, _ = ac["grid_shape"]
-            demb = np.repeat(dtokens[:, None, :], 2 * n_freq, axis=1) / (2 * n_freq)
-            demb = demb.reshape(2 * na, n_freq, c.d_audio)
-            patches = ac["patches"]
-            flat_p = patches.reshape(-1, patches.shape[2])
-            flat_d = demb.reshape(-1, c.d_audio)
-            grads["audio.enc.weight"] = flat_p.T @ flat_d
-            grads["audio.enc.bias"] = flat_d.sum(axis=0)
-            if self.patch_encoder.pos_offsets is not None:
-                grads["audio.enc.pos"] = demb.copy()
+        dtokens = da @ self.projection.weight.T
+        # pooling spread: each token averaged over 2 time rows x n_freq cells
+        _, n_freq, _ = ac["grid_shape"]
+        demb = np.repeat(dtokens[:, None, :], 2 * n_freq, axis=1) / (2 * n_freq)
+        demb = demb.reshape(2 * na, n_freq, c.d_audio)
+        patches = ac["patches"]
+        flat_p = patches.reshape(-1, patches.shape[2])
+        flat_d = demb.reshape(-1, c.d_audio)
+        grads["audio.enc.weight"] = flat_p.T @ flat_d
+        grads["audio.enc.bias"] = flat_d.sum(axis=0)
+        grads["audio.enc.pos"] = demb
         return grads
 
     def sgd_step(self, grads: dict[str, np.ndarray], lr: float,
@@ -367,11 +350,6 @@ class AudioTextLm:
             if allowed is not None and name not in allowed:
                 continue
             params[name] -= lr * g
-
-
-def decoder_forward(model: AudioTextLm, audio, text_ids) -> np.ndarray:
-    """Logits for every text position given audio conditioning."""
-    return model.forward(audio, text_ids)
 
 
 def _ln_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):

@@ -4,55 +4,7 @@ model because B initializes to zero."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class LoraLinear:
-    """y = W x + (alpha / r) * B (A x); W frozen, A and B trainable."""
-
-    W: np.ndarray  # (d_out, d_in), frozen
-    A: np.ndarray  # (r, d_in)
-    B: np.ndarray  # (d_out, r)
-    r: int = 8
-    alpha: float = 16.0
-
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError("rank must be >= 1")
-        d_out, d_in = self.W.shape
-        if self.A.shape != (self.r, d_in):
-            raise ValueError(f"A must be ({self.r}, {d_in}), got {self.A.shape}")
-        if self.B.shape != (d_out, self.r):
-            raise ValueError(f"B must be ({d_out}, {self.r}), got {self.B.shape}")
-
-    @property
-    def scale(self) -> float:
-        return self.alpha / self.r
-
-    @classmethod
-    def create(cls, d_out: int, d_in: int, r: int = 8, alpha: float = 16.0,
-               seed: int = 0, w_scale: float = 0.1, a_scale: float = 0.01) -> "LoraLinear":
-        rng = np.random.default_rng(seed)
-        return cls(
-            W=rng.normal(0.0, w_scale, size=(d_out, d_in)),
-            A=rng.normal(0.0, a_scale, size=(r, d_in)),
-            B=np.zeros((d_out, r)),
-            r=r,
-            alpha=alpha,
-        )
-
-
-def lora_forward(x: np.ndarray, layer: LoraLinear) -> np.ndarray:
-    """Apply the adapted map to one vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (layer.W.shape[1],):
-        raise ValueError(
-            f"input dim {x.shape} does not match layer input dim {layer.W.shape[1]}"
-        )
-    return layer.W @ x + layer.scale * (layer.B @ (layer.A @ x))
 
 
 def lora_apply_rows(x: np.ndarray, W: np.ndarray, A: np.ndarray, B: np.ndarray,

@@ -17,6 +17,13 @@ def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
 def next_token_loss(logits: np.ndarray, targets: np.ndarray,
                     mask: np.ndarray) -> float:
     """Mean negative log-likelihood of targets at masked-in positions."""
+    return masked_nll_and_dlogits(logits, targets, mask)[0]
+
+
+def masked_nll_and_dlogits(logits: np.ndarray, targets: np.ndarray,
+                           mask: np.ndarray) -> tuple[float, np.ndarray]:
+    """next_token_loss plus its gradient w.r.t. the logits (zero on the
+    masked-out rows)."""
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
@@ -25,25 +32,12 @@ def next_token_loss(logits: np.ndarray, targets: np.ndarray,
     if not mask.any():
         raise ValueError("empty loss mask")
     logp = _log_softmax_rows(logits[mask])
-    picked = logp[np.arange(logp.shape[0]), targets[mask]]
-    return float(-picked.mean())
-
-
-def masked_nll_and_dlogits(logits: np.ndarray, targets: np.ndarray,
-                           mask: np.ndarray) -> tuple[float, np.ndarray]:
-    """next_token_loss plus its gradient w.r.t. the logits."""
-    logits = np.asarray(logits, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.int64)
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ValueError("empty loss mask")
-    n = int(mask.sum())
-    logp = _log_softmax_rows(logits)
-    loss = float(-logp[mask][np.arange(n), targets[mask]].mean())
+    rows, picked = np.arange(logp.shape[0]), targets[mask]
+    loss = float(-logp[rows, picked].mean())
+    probs = np.exp(logp)
+    probs[rows, picked] -= 1.0
     dlogits = np.zeros_like(logits)
-    probs = np.exp(logp[mask])
-    probs[np.arange(n), targets[mask]] -= 1.0
-    dlogits[mask] = probs / n
+    dlogits[mask] = probs / rows.size
     return loss, dlogits
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import ceil
 from pathlib import Path
 
@@ -66,13 +66,6 @@ class StageReport:
     epoch_mean_losses: list[float] = field(default_factory=list)
     wall_time_s: float = 0.0
     aborted: bool = False
-
-
-def report_to_dict(r: StageReport) -> dict:
-    return {"stage": r.stage, "steps": r.steps,
-            "initial_loss": r.initial_loss, "final_loss": r.final_loss,
-            "epoch_mean_losses": r.epoch_mean_losses,
-            "wall_time_s": r.wall_time_s, "aborted": r.aborted}
 
 
 def make_example(item: CorpusItem, text_cutoff: int) -> TrainingExample:
@@ -156,7 +149,7 @@ def run_curriculum(model, corpus: list[CorpusItem],
         reports.append(report)
         if report_path is not None:
             with open(report_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(report_to_dict(report)) + "\n")
+                fh.write(json.dumps(asdict(report)) + "\n")
         if checkpoint_root is not None and not report.aborted:
             save_checkpoint(Path(checkpoint_root) / f"stage{stage.stage}",
                             model)

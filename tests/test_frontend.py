@@ -160,11 +160,12 @@ def test_patchify_tiles_are_contiguous_blocks() -> None:
 
 def test_encode_shapes_and_identity_weight() -> None:
     grid = PatchGrid(np.full((64, 8, 256), 2.0))
-    enc = PatchEncoder.create(d_audio=16, seed=0, with_positions=False)
+    enc = PatchEncoder.create(d_audio=16, seed=0)
     emb = encode_patches(grid, enc)
     assert emb.shape == (64, 8, 16)
 
-    ident = PatchEncoder(weight=np.eye(256)[:, :16], bias=np.zeros(16), pos_offsets=None)
+    ident = PatchEncoder(weight=np.eye(256)[:, :16], bias=np.zeros(16),
+                         pos_offsets=np.zeros((64, 8, 16)))
     emb = encode_patches(grid, ident)
     assert np.all(emb == 2.0)
 
@@ -173,13 +174,14 @@ def test_encode_identical_patches_identical_embeddings() -> None:
     rng = np.random.default_rng(3)
     patches = rng.normal(size=(64, 8, 256))
     patches[10, 3] = patches[50, 7]
-    enc = PatchEncoder.create(d_audio=32, seed=1, with_positions=False)
+    enc = PatchEncoder.create(d_audio=32, seed=1)
+    enc.pos_offsets[:] = 0.0
     emb = encode_patches(PatchGrid(patches), enc)
     assert np.array_equal(emb[10, 3], emb[50, 7])
 
 
 def test_encode_rejects_dim_mismatch() -> None:
-    enc = PatchEncoder.create(d_audio=8, patch_values=64, with_positions=False)
+    enc = PatchEncoder.create(d_audio=8, patch_values=64)
     with pytest.raises(ValueError):
         encode_patches(PatchGrid(np.zeros((64, 8, 256))), enc)
 

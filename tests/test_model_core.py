@@ -8,12 +8,11 @@ import math
 import numpy as np
 import pytest
 
-from aqakit.frontend import AudioTokenSequence, PatchGrid
+from aqakit.frontend import PatchGrid
 from aqakit.model import (
     AlignmentBatch,
     AudioTextLm,
     DecoderConfig,
-    LoraLinear,
     TrainingExample,
     alignment_losses,
     build_qa_ids,
@@ -24,10 +23,10 @@ from aqakit.model import (
     llama_7b_geometry,
     load_checkpoint,
     load_lora_into,
-    lora_forward,
     next_token_loss,
     save_checkpoint,
 )
+from aqakit.model.lora import lora_apply_rows
 from aqakit.model.losses import masked_nll_and_dlogits
 from aqakit.model.tokenizer import BOS_ID, EOS_ID, SEP_ID
 
@@ -37,20 +36,15 @@ def tiny_cfg() -> DecoderConfig:
                          d_audio=8)
 
 
-def random_audio(cfg: DecoderConfig, seed: int = 0) -> AudioTokenSequence:
+def random_audio(cfg: DecoderConfig, seed: int = 0) -> PatchGrid:
     rng = np.random.default_rng(seed)
-    return AudioTokenSequence(rng.normal(size=(cfg.n_audio_tokens, cfg.d_audio)))
+    return PatchGrid(rng.normal(size=(2 * cfg.n_audio_tokens, 8, 256)))
 
 
-def random_example(cfg: DecoderConfig, seed: int = 0,
-                   from_patches: bool = False) -> TrainingExample:
-    rng = np.random.default_rng(seed)
+def random_example(cfg: DecoderConfig, seed: int = 0) -> TrainingExample:
     ids, mask = build_qa_ids("what is it", "a dog")
-    if from_patches:
-        audio = PatchGrid(rng.normal(size=(2 * cfg.n_audio_tokens, 8, 256)))
-    else:
-        audio = random_audio(cfg, seed + 1)
-    return TrainingExample(audio_tokens=audio, text_tokens=ids, loss_mask=mask)
+    return TrainingExample(audio_tokens=random_audio(cfg, seed), text_tokens=ids,
+                           loss_mask=mask)
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -72,26 +66,23 @@ def test_qa_layout_and_mask() -> None:
 
 def test_lora_zero_b_is_frozen_map() -> None:
     rng = np.random.default_rng(0)
-    layer = LoraLinear(W=rng.normal(size=(4, 4)), A=rng.normal(size=(2, 4)),
-                       B=np.zeros((4, 2)), r=2, alpha=16.0)
-    x = rng.normal(size=4)
-    np.testing.assert_array_equal(lora_forward(x, layer), layer.W @ x)
+    W, A = rng.normal(size=(4, 4)), rng.normal(size=(2, 4))
+    x = rng.normal(size=(1, 4))
+    y, _ = lora_apply_rows(x, W, A, np.zeros((4, 2)), scale=16.0 / 2)
+    np.testing.assert_array_equal(y, x @ W.T)
 
 
 def test_lora_hand_case() -> None:
-    layer = LoraLinear(W=np.eye(2), A=np.array([[1.0, 1.0]]),
-                       B=np.array([[1.0], [0.0]]), r=1, alpha=1.0)
-    np.testing.assert_array_equal(lora_forward(np.array([2.0, 3.0]), layer),
-                                  np.array([7.0, 3.0]))
+    y, u = lora_apply_rows(np.array([[2.0, 3.0]]), np.eye(2), np.array([[1.0, 1.0]]),
+                           np.array([[1.0], [0.0]]), scale=1.0)
+    np.testing.assert_array_equal(u, np.array([[5.0]]))
+    np.testing.assert_array_equal(y, np.array([[7.0, 3.0]]))
 
 
 def test_lora_scale_and_validation() -> None:
-    layer = LoraLinear.create(d_out=6, d_in=6, r=8, alpha=16.0)
-    assert layer.scale == 2.0
+    assert AudioTextLm(DecoderConfig()).lora_scale() == 2.0
     with pytest.raises(ValueError):
-        LoraLinear(W=np.eye(2), A=np.zeros((1, 3)), B=np.zeros((2, 1)), r=1)
-    with pytest.raises(ValueError):
-        lora_forward(np.zeros(5), LoraLinear.create(d_out=4, d_in=4))
+        DecoderConfig(lora_targets=("value",))
 
 
 def test_count_lora_params_llama_and_toy() -> None:
@@ -139,12 +130,13 @@ def test_decoder_causality_all_positions() -> None:
 def test_decoder_audio_permutation_changes_logits() -> None:
     cfg = tiny_cfg()
     model = AudioTextLm(cfg, seed=4)
-    tokens = np.random.default_rng(5).normal(size=(cfg.n_audio_tokens, cfg.d_audio))
-    swapped = tokens.copy()
-    swapped[[0, 1]] = swapped[[1, 0]]
+    patches = random_audio(cfg, 5).patches
+    # grid rows 2t and 2t+1 pool into audio token t: swap tokens 0 and 1
+    swapped = patches.copy()
+    swapped[[0, 1, 2, 3]] = swapped[[2, 3, 0, 1]]
     ids = np.array([BOS_ID, 97, 98])
-    a = model.forward(AudioTokenSequence(tokens), ids)
-    b = model.forward(AudioTokenSequence(swapped), ids)
+    a = model.forward(PatchGrid(patches), ids)
+    b = model.forward(PatchGrid(swapped), ids)
     assert not np.array_equal(a, b)
 
 
@@ -223,6 +215,16 @@ def test_loss_gradient_matches_probability_identity() -> None:
     np.testing.assert_allclose(dlogits[mask].sum(axis=1), 0.0, atol=1e-12)
 
 
+def test_loss_rejects_length_mismatch() -> None:
+    logits = np.zeros((4, 6))
+    for targets, mask in [(np.zeros(3, dtype=int), np.ones(3, dtype=bool)),
+                          (np.zeros(4, dtype=int), np.ones(5, dtype=bool))]:
+        with pytest.raises(ValueError):
+            masked_nll_and_dlogits(logits, targets, mask)
+        with pytest.raises(ValueError):
+            next_token_loss(logits, targets, mask)
+
+
 # -- alignment losses --------------------------------------------------------
 
 def test_alignment_identical_embeddings_zero_mse() -> None:
@@ -272,8 +274,34 @@ def test_alignment_rejects_degenerate() -> None:
 def test_finite_diff_small_model_full_audio_path() -> None:
     cfg = tiny_cfg()
     model = AudioTextLm(cfg, seed=21)
-    ex = random_example(cfg, seed=22, from_patches=True)
+    ex = random_example(cfg, seed=22)
     err = finite_diff_check(model, ex, epsilon=1e-5, samples_per_tensor=6, seed=0)
+    assert err < 1e-4
+
+
+@pytest.mark.parametrize("target", ["query", "key"])
+def test_single_lora_target(target: str) -> None:
+    cfg = DecoderConfig(n_layers=2, n_heads=2, d_model=16, max_seq_len=96,
+                        d_audio=8, lora_targets=(target,))
+    model = AudioTextLm(cfg, seed=27)
+    assert sorted(model.lora) == sorted(
+        f"layers.{i}.attn.{target}.lora_{m}" for i in range(2) for m in "AB")
+    audio = random_audio(cfg, 28)
+    ids = np.array([BOS_ID, 104, 105, 106])
+    ref = model.forward(audio, ids)
+    # scrambling A with B still zero must not move a single bit
+    rng = np.random.default_rng(29)
+    for name in model.lora:
+        if name.endswith("lora_A"):
+            model.lora[name] = rng.normal(size=model.lora[name].shape)
+    np.testing.assert_array_equal(model.forward(audio, ids), ref)
+
+    for name in model.lora:
+        if name.endswith("lora_B"):
+            model.lora[name] = rng.normal(0.0, 0.05, size=model.lora[name].shape)
+    assert not np.array_equal(model.forward(audio, ids), ref)
+    err = finite_diff_check(model, random_example(cfg, seed=22), epsilon=1e-5,
+                            samples_per_tensor=6, seed=0)
     assert err < 1e-4
 
 
@@ -291,7 +319,7 @@ def test_gradcheck_rejects_nonfinite_loss() -> None:
     model = AudioTextLm(cfg, seed=25)
     model.projection.weight[:] = np.inf
     with pytest.raises(ValueError):
-        finite_diff_check(model, random_example(cfg, 26, from_patches=True))
+        finite_diff_check(model, random_example(cfg, 26))
 
 
 # -- checkpoints -------------------------------------------------------------
