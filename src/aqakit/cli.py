@@ -9,13 +9,14 @@ plus rename) and input files are never mutated.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from .files import atomic_write, read_jsonl
 
 __all__ = ["main"]
 
@@ -34,45 +35,11 @@ def _eprint(*args):
     print(*args, file=sys.stderr)
 
 
-def _atomic_write(path: str | Path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
-        _atomic_write(out, text if text.endswith("\n") else text + "\n")
+        atomic_write(out, text if text.endswith("\n") else text + "\n")
     else:
         print(text)
-
-
-def _read_jsonl(path: str) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: bad JSON: {exc}") from exc
-    return rows
-
-
-def _manifest_text(pairs) -> str:
-    from .forge import qa_to_dict
-    return "".join(json.dumps(qa_to_dict(p), ensure_ascii=False) + "\n"
-                   for p in pairs)
 
 
 def _make_llm_client(args, mock_kind: str = "synth"):
@@ -106,33 +73,26 @@ def _make_provider(args):
 # -- subcommands -----------------------------------------------------------------
 
 def _cmd_forge_closed(args) -> int:
-    from .forge import (gen_acoustic_feature_qa, gen_caption_qa,
-                        gen_classification_qa, gen_temporal_qa,
-                        load_feature_bank, read_meta_jsonl)
+    from .forge import (gen_closed_qa, load_feature_bank, read_meta_jsonl,
+                        write_manifest)
     metas = read_meta_jsonl(args.meta)
     bank = load_feature_bank(args.feature_bank) if args.feature_bank else None
     pairs = []
-    skipped = 0
     for i, meta in enumerate(metas):
-        rng = np.random.default_rng([args.seed, i])
-        pairs.append(gen_classification_qa(meta, None, rng))
-        try:
-            pairs.append(gen_acoustic_feature_qa(meta, rng, feature_bank=bank))
-        except ValueError:
-            skipped += 1
-        pairs.extend(gen_caption_qa(meta, rng))
-        pairs.extend(gen_temporal_qa(meta, rng))
+        pairs.extend(gen_closed_qa(meta, np.random.default_rng([args.seed, i]),
+                                   feature_bank=bank))
+    skipped = len(metas) - sum(p.task == "acoustic_features" for p in pairs)
     if skipped:
         _eprint(f"forge-closed: no acoustic features for {skipped} clips "
                 f"(pass --feature-bank to cover them)")
-    _atomic_write(args.out, _manifest_text(pairs))
+    write_manifest(args.out, pairs)
     _eprint(f"forge-closed: wrote {len(pairs)} pairs "
             f"from {len(metas)} clips to {args.out}")
     return 0
 
 
 def _cmd_forge_open(args) -> int:
-    from .forge import gen_open_ended_qa, read_meta_jsonl
+    from .forge import gen_open_ended_qa, read_meta_jsonl, write_manifest
     metas = read_meta_jsonl(args.meta)
     client = _make_llm_client(args)
     by_audio = {}
@@ -143,7 +103,7 @@ def _cmd_forge_open(args) -> int:
     pairs = []
     for audio_id in sorted(by_audio):
         pairs.extend(by_audio[audio_id])
-    _atomic_write(args.out, _manifest_text(pairs))
+    write_manifest(args.out, pairs)
     _eprint(f"forge-open: wrote {len(pairs)} pairs to {args.out}")
     return 0
 
@@ -188,9 +148,9 @@ def _cmd_sample_audioset(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    from .forge import compute_dataset_stats, read_manifest, stats_to_dict
+    from .forge import compute_dataset_stats, read_manifest
     stats = compute_dataset_stats(read_manifest(args.manifest))
-    _emit(json.dumps(stats_to_dict(stats), indent=2, sort_keys=True),
+    _emit(json.dumps(dataclasses.asdict(stats), indent=2, sort_keys=True),
           args.out)
     return 0
 
@@ -289,8 +249,8 @@ def _cmd_eval_classify(args) -> int:
              Path(args.labels).read_text(encoding="utf-8").splitlines()
              if ln.strip()]
     labels = LabelSet(tuple(names))
-    joined = _join_truths(_read_jsonl(args.pred), _read_jsonl(args.truth),
-                          "labels")
+    joined = _join_truths(read_jsonl(args.pred, dict),
+                          read_jsonl(args.truth, dict), "labels")
     provider = _make_provider(args)
     result = classify_corpus([p["output"] for p, _ in joined], labels,
                              provider)
@@ -322,8 +282,8 @@ def _cmd_eval_classify(args) -> int:
 
 def _cmd_eval_caption(args) -> int:
     from .evaluate import caption_overlap_f1
-    joined = _join_truths(_read_jsonl(args.pred), _read_jsonl(args.truth),
-                          "caption")
+    joined = _join_truths(read_jsonl(args.pred, dict),
+                          read_jsonl(args.truth, dict), "caption")
     scores = []
     for p, caption in joined:
         refs = caption if isinstance(caption, list) else [caption]
@@ -336,7 +296,7 @@ def _cmd_eval_caption(args) -> int:
 
 def _cmd_eval_judge(args) -> int:
     from .evaluate import judge_rate
-    preds = _read_jsonl(args.pred)
+    preds = read_jsonl(args.pred, dict)
     pairs = []
     for p in preds:
         if "question" not in p or "output" not in p:
@@ -353,9 +313,9 @@ def _cmd_eval_judge(args) -> int:
 
 def _cmd_probe(args) -> int:
     from .evaluate import counting_probe, order_accuracy, order_probe
-    preds = _read_jsonl(args.pred)
+    preds = read_jsonl(args.pred, dict)
     if args.kind == "order":
-        joined = _join_truths(preds, _read_jsonl(args.truth), "order")
+        joined = _join_truths(preds, read_jsonl(args.truth, dict), "order")
         provider = _make_provider(args)
         results = []
         for p, order in joined:
@@ -367,7 +327,7 @@ def _cmd_probe(args) -> int:
         report = {"order_accuracy": acc, "n_followed": n_followed,
                   "n_excluded": n_excluded}
     else:
-        joined = _join_truths(preds, _read_jsonl(args.truth), "count")
+        joined = _join_truths(preds, read_jsonl(args.truth, dict), "count")
         answers = [p["output"] for p, _ in joined]
         truths = [int(c) for _, c in joined]
         pr = counting_probe(answers, truths)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
 @dataclass(frozen=True)
 class LabelSet:
     names: tuple[str, ...]
-    multi_label: bool = False
 
     def __post_init__(self):
         if not self.names:
@@ -40,7 +39,6 @@ class ClassificationResult:
     labels: LabelSet
     scores: np.ndarray                      # samples x classes cosine matrix
     predictions: list[int]                  # argmax label index per sample
-    metrics: dict[str, float] = field(default_factory=dict)
 
 
 def _label_matrix(labels: LabelSet, provider: EmbeddingProvider,

@@ -101,7 +101,6 @@ def parse_count(text: str) -> int | None:
 
 @dataclass
 class ProbeReport:
-    order_accuracy: float | None = None
     pearson_r: float | None = None
     double_single_ratio: float | None = None
     excluded: tuple[int, ...] = ()

@@ -38,7 +38,6 @@ class EmbeddingProvider(Protocol):
 
     name: str
     dimension: int
-    normalized: bool
 
     def embed(self, text: str) -> np.ndarray: ...
 
@@ -56,7 +55,6 @@ class HashedBagOfWordsProvider:
             raise ValueError("dimension must be >= 1")
         self.name = "hashed-bow"
         self.dimension = dimension
-        self.normalized = True
 
     def _bucket(self, token: str) -> int:
         digest = hashlib.md5(token.encode("utf-8")).digest()
@@ -84,7 +82,6 @@ class ExactMatchProvider:
             raise ValueError("dimension must be >= 1")
         self.name = "exact-match"
         self.dimension = dimension
-        self.normalized = True
         self._index: dict[str, int] = {}
 
     def embed(self, text: str) -> np.ndarray:
@@ -115,7 +112,6 @@ class RemoteEmbeddingProvider:
             session = requests.Session()
         self.name = "remote"
         self.dimension = dimension
-        self.normalized = True
         self._url = url
         self._model = model
         self._key = key

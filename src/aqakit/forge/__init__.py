@@ -5,7 +5,7 @@ from .aig import (AIG_PROMPT, DEFAULT_UNANSWERABLE_PATTERNS, build_aig_prompt,
                   parse_aig_response)
 from .closed import (DEFAULT_QUESTION_BANK, QuestionBank,
                      gen_acoustic_feature_qa, gen_caption_qa,
-                     gen_classification_qa, gen_temporal_qa)
+                     gen_classification_qa, gen_closed_qa, gen_temporal_qa)
 from .features import (feature_prompt, gen_feature_bank, load_feature_bank,
                        save_feature_bank)
 from .llm import (EchoFeatureClient, LlmClient, RateLimiter, RealLlmClient,
@@ -16,14 +16,14 @@ from .meta import (AudioMeta, SoundEvent, format_span, meta_from_dict,
 from .qa import (CLOSED_TASKS, TASK_KINDS, QAPair, qa_from_dict, qa_to_dict,
                  read_manifest, validate_manifest, write_manifest)
 from .sampler import SamplerWeights, compute_sampler_weights, sample_audioset
-from .stats import DatasetStats, compute_dataset_stats, stats_to_dict
+from .stats import DatasetStats, compute_dataset_stats
 
 __all__ = [
     "AIG_PROMPT", "DEFAULT_UNANSWERABLE_PATTERNS", "build_aig_prompt",
     "detect_unanswerable", "gen_open_ended_qa", "open_ended_quota",
     "parse_aig_response", "DEFAULT_QUESTION_BANK", "QuestionBank",
     "gen_acoustic_feature_qa", "gen_caption_qa", "gen_classification_qa",
-    "gen_temporal_qa", "feature_prompt", "gen_feature_bank",
+    "gen_closed_qa", "gen_temporal_qa", "feature_prompt", "gen_feature_bank",
     "load_feature_bank", "save_feature_bank", "EchoFeatureClient",
     "LlmClient", "RateLimiter", "RealLlmClient", "ReplayLlmClient",
     "SynthLlmClient", "AudioMeta", "SoundEvent", "format_span",
@@ -32,5 +32,4 @@ __all__ = [
     "qa_from_dict", "qa_to_dict", "read_manifest", "validate_manifest",
     "write_manifest", "SamplerWeights", "compute_sampler_weights",
     "sample_audioset", "DatasetStats", "compute_dataset_stats",
-    "stats_to_dict",
 ]

@@ -219,3 +219,20 @@ def gen_temporal_qa(m: AudioMeta, rng, *,
                             question=bank.draw("temporal_order", rng),
                             answer=first.label, task="temporal", closed=True))
     return pairs
+
+
+def gen_closed_qa(m: AudioMeta, rng, *,
+                  feature_bank: dict[str, list[str]] | None = None,
+                  ) -> list[QAPair]:
+    """All four families for one clip, drawing from rng in a fixed order:
+    classification, acoustic features, captions, temporal. A clip without
+    acoustic features for some event yields no acoustic_features pair."""
+    pairs = [gen_classification_qa(m, None, rng)]
+    try:
+        pairs.append(
+            gen_acoustic_feature_qa(m, rng, feature_bank=feature_bank))
+    except ValueError:
+        pass
+    pairs.extend(gen_caption_qa(m, rng))
+    pairs.extend(gen_temporal_qa(m, rng))
+    return pairs

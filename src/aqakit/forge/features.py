@@ -7,6 +7,8 @@ import json
 import warnings
 from pathlib import Path
 
+from ..files import atomic_write
+
 FEATURE_PROMPT_PREFIX = "describe the acoustic characteristic of "
 FEATURE_PROMPT_SUFFIX = " sound precisely with a sentence less than 10 words"
 
@@ -30,12 +32,8 @@ def load_feature_bank(path: str | Path) -> dict[str, list[str]]:
 
 
 def save_feature_bank(path: str | Path, bank: dict[str, list[str]]) -> None:
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(bank, fh, ensure_ascii=False, indent=1, sort_keys=True)
-        fh.write("\n")
-    tmp.replace(path)
+    atomic_write(path, json.dumps(bank, ensure_ascii=False, indent=1,
+                                  sort_keys=True) + "\n")
 
 
 def gen_feature_bank(classes: list[str], client,

@@ -9,9 +9,10 @@ decimal place; the timestamp clause is omitted for weak labels.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from ..files import read_jsonl, write_jsonl
 
 
 @dataclass
@@ -97,19 +98,8 @@ def meta_from_dict(d: dict) -> AudioMeta:
 
 
 def read_meta_jsonl(path: str | Path) -> list[AudioMeta]:
-    metas = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                metas.append(meta_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ValueError(f"{path}:{line_no}: bad meta row: {exc}") from exc
-    return metas
+    return read_jsonl(path, meta_from_dict)
 
 
 def write_meta_jsonl(path: str | Path, metas: list[AudioMeta]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for m in metas:
-            fh.write(json.dumps(meta_to_dict(m), ensure_ascii=False) + "\n")
+    write_jsonl(path, (meta_to_dict(m) for m in metas))

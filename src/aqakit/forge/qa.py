@@ -7,6 +7,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..files import read_jsonl, write_jsonl
+
 TASK_KINDS = ("classification", "acoustic_features", "caption", "temporal",
               "open_ended")
 CLOSED_TASKS = ("classification", "acoustic_features", "caption", "temporal")
@@ -44,22 +46,11 @@ def qa_from_dict(d: dict) -> QAPair:
 
 
 def read_manifest(path: str | Path) -> list[QAPair]:
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                pairs.append(qa_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ValueError(f"{path}:{line_no}: bad manifest row: {exc}") from exc
-    return pairs
+    return read_jsonl(path, qa_from_dict)
 
 
 def write_manifest(path: str | Path, pairs: list[QAPair]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in pairs:
-            fh.write(json.dumps(qa_to_dict(p), ensure_ascii=False) + "\n")
+    write_jsonl(path, (qa_to_dict(p) for p in pairs))
 
 
 def validate_manifest(path: str | Path) -> list[tuple[int, str]]:

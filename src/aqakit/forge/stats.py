@@ -43,15 +43,3 @@ def compute_dataset_stats(pairs: list[QAPair]) -> DatasetStats:
         unanswerable_fraction=sum(p.unanswerable for p in pairs) / total,
     )
 
-
-def stats_to_dict(stats: DatasetStats) -> dict:
-    return {
-        "total_pairs": stats.total_pairs,
-        "task_counts": stats.task_counts,
-        "task_percentages": stats.task_percentages,
-        "closed_percent": stats.closed_percent,
-        "open_percent": stats.open_percent,
-        "unique_question_fraction": stats.unique_question_fraction,
-        "unique_answer_fraction": stats.unique_answer_fraction,
-        "unanswerable_fraction": stats.unanswerable_fraction,
-    }

@@ -18,7 +18,6 @@ SAMPLE_RATE_HZ = 16000
 MEL_FMIN_HZ = 0.0
 MEL_FMAX_HZ = 8000.0
 PATCH_SIDE = 16
-TOKENS_PER_CLIP = 32
 TOKEN_RATE_HZ = 3.2
 
 
@@ -290,7 +289,7 @@ def waveform_to_tokens(w: Waveform, enc: PatchEncoder, proj: ProjectionLayer,
     return project_tokens(pool_tokens(encode_patches(patchify(compute_fbank(w, cfg)), enc)), proj)
 
 
-# -- WAV and spectrogram persistence ----------------------------------------
+# -- WAV persistence -------------------------------------------------------
 
 def read_wav(path: str | Path) -> Waveform:
     """Read a mono 16-bit PCM 16 kHz RIFF WAV file.
@@ -315,6 +314,8 @@ def read_wav(path: str | Path) -> Waveform:
         pos += 8 + chunk_len + (chunk_len & 1)
     if fmt is None or data is None:
         raise ValueError(f"{path}: missing fmt or data chunk")
+    if len(fmt) < 16:
+        raise ValueError(f"{path}: fmt chunk of {len(fmt)} bytes, need 16")
     audio_format, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
     if audio_format != 1 or bits != 16:
         raise ValueError(f"{path}: only 16-bit PCM is supported")
@@ -322,6 +323,8 @@ def read_wav(path: str | Path) -> Waveform:
         raise ValueError(f"{path}: only mono audio is supported, got {channels} channels")
     if rate != SAMPLE_RATE_HZ:
         raise ValueError(f"{path}: sample rate must be {SAMPLE_RATE_HZ}, got {rate}")
+    if len(data) % 2:
+        raise ValueError(f"{path}: odd data length {len(data)} for 16-bit samples")
     ints = np.frombuffer(data, dtype="<i2")
     return Waveform(ints.astype(np.float64) / 32768.0, sample_rate_hz=rate)
 
@@ -338,29 +341,3 @@ def write_wav(path: str | Path, w: Waveform) -> None:
     blob = b"RIFF" + struct.pack("<I", len(body)) + body
     Path(path).write_bytes(blob)
 
-
-def save_spectrogram(path: str | Path, s: LogMelSpectrogram) -> None:
-    """Persist as an 8-byte (frames, mels) header plus row-major float32
-    little-endian values, with a sidecar text manifest at <path>.manifest.txt."""
-    path = Path(path)
-    frames, mels = s.frames.shape
-    header = struct.pack("<II", frames, mels)
-    path.write_bytes(header + s.frames.astype("<f4").tobytes())
-    sidecar = path.with_name(path.name + ".manifest.txt")
-    sidecar.write_text(
-        f"frames={frames}\nmels={mels}\ndtype=float32-le\nlayout=row-major\n",
-        encoding="utf-8",
-    )
-
-
-def load_spectrogram(path: str | Path) -> LogMelSpectrogram:
-    raw = Path(path).read_bytes()
-    if len(raw) < 8:
-        raise ValueError(f"{path}: truncated spectrogram file")
-    frames, mels = struct.unpack_from("<II", raw, 0)
-    values = np.frombuffer(raw, dtype="<f4", offset=8)
-    if values.size != frames * mels:
-        raise ValueError(
-            f"{path}: header promises {frames}x{mels} values, found {values.size}"
-        )
-    return LogMelSpectrogram(values.reshape(frames, mels).astype(np.float64))

@@ -1,7 +1,7 @@
 """Toy frozen-decoder audio language model: LoRA adapters, hand-written
 backprop, sampling, alignment losses, checkpoints."""
 
-from .checkpoint import load_checkpoint, load_lora_into, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .decoder import (
     AudioTextLm,
     DecoderConfig,
@@ -34,6 +34,6 @@ __all__ = [
     "alignment_losses", "next_token_loss",
     "GenerationConfig", "generate", "sample_next_id",
     "truncated_distribution", "save_checkpoint", "load_checkpoint",
-    "load_lora_into", "BOS_ID", "EOS_ID", "PAD_ID", "SEP_ID", "VOCAB_SIZE",
+    "BOS_ID", "EOS_ID", "PAD_ID", "SEP_ID", "VOCAB_SIZE",
     "build_qa_ids", "decode_ids", "encode_text",
 ]

@@ -13,8 +13,6 @@ EOS_ID = 258
 SEP_ID = 259
 VOCAB_SIZE = 260
 
-SPECIAL_IDS = frozenset({PAD_ID, BOS_ID, EOS_ID, SEP_ID})
-
 
 def encode_text(text: str) -> list[int]:
     return list(text.encode("utf-8"))

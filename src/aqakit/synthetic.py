@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .forge import (AudioMeta, QAPair, SoundEvent, gen_acoustic_feature_qa,
-                    gen_caption_qa, gen_classification_qa, gen_temporal_qa,
+from .forge import (AudioMeta, QAPair, SoundEvent, gen_closed_qa,
                     write_manifest, write_meta_jsonl)
 from .frontend import (PatchGrid, SAMPLE_RATE_HZ, Waveform, compute_fbank,
                        patchify, write_wav)
@@ -82,11 +81,7 @@ def demo_qa_manifest(metas: list[AudioMeta], seed: int = 0) -> list[QAPair]:
     """Five closed-ended pairs per clip via the regular generators."""
     pairs: list[QAPair] = []
     for i, meta in enumerate(metas):
-        rng = np.random.default_rng([seed, i])
-        pairs.append(gen_classification_qa(meta, None, rng))
-        pairs.append(gen_acoustic_feature_qa(meta, rng))
-        pairs.extend(gen_caption_qa(meta, rng))
-        pairs.extend(gen_temporal_qa(meta, rng))
+        pairs.extend(gen_closed_qa(meta, np.random.default_rng([seed, i])))
     return pairs
 
 

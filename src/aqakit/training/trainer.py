@@ -8,7 +8,6 @@ losses are recorded before the update they trigger.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field
 from math import ceil
@@ -16,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..files import write_jsonl
 from ..frontend import PatchGrid
 from ..model.checkpoint import save_checkpoint
 from ..model.tokenizer import build_qa_ids
@@ -139,17 +139,19 @@ def run_curriculum(model, corpus: list[CorpusItem],
                    report_path: str | Path | None = None,
                    checkpoint_root: str | Path | None = None,
                    ) -> list[StageReport]:
-    """All stages in order on one model. Reports stream to report_path as
-    JSON lines; checkpoints land under checkpoint_root after each stage.
-    Stops early if a stage aborts."""
+    """All stages in order on one model. report_path is rewritten after
+    each stage with one JSON line per stage finished in this run;
+    checkpoints land under checkpoint_root after each stage. Stops early
+    if a stage aborts."""
     validate_curriculum(stages)
+    if report_path is not None:
+        write_jsonl(report_path, [])  # no lines left from an earlier run
     reports = []
     for stage in stages:
         report = run_stage(model, corpus, stage, cfg)
         reports.append(report)
         if report_path is not None:
-            with open(report_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(asdict(report)) + "\n")
+            write_jsonl(report_path, (asdict(r) for r in reports))
         if checkpoint_root is not None and not report.aborted:
             save_checkpoint(Path(checkpoint_root) / f"stage{stage.stage}",
                             model)

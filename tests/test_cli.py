@@ -244,6 +244,22 @@ def test_stats_does_not_mutate_manifest(demo_dir, capsys):
     assert _sha(manifest) == before
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("stats", "--manifest"), ("forge-closed", "--meta"),
+    ("eval-caption", "--pred"),
+])
+def test_non_object_row_exits_1_with_line(tmp_path, capsys, command, flag):
+    bad = tmp_path / "rows.jsonl"
+    bad.write_text("[1, 2]\n5\n", encoding="utf-8")
+    argv = [command, flag, str(bad), "--out", str(tmp_path / "out.jsonl")]
+    if command == "eval-caption":
+        argv += ["--truth", str(bad)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:1:" in err
+    assert "Traceback" not in err
+
+
 def test_validate_clean_manifest_exits_0(demo_dir, capsys):
     assert main(["validate", "--manifest",
                  str(demo_dir / "manifest.jsonl")]) == 0

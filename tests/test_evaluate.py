@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from aqakit.evaluate import (JUDGE_PROMPT, ExactMatchProvider,
-                             HashedBagOfWordsProvider, LabelSet, accuracy,
+                             HashedBagOfWordsProvider, LabelSet,
+                             RemoteEmbeddingProvider, accuracy,
                              caption_overlap_f1, classify_corpus,
                              classify_output, cosine, counting_probe,
                              extract_first_sound, judge_instruction_following,
@@ -24,7 +25,6 @@ class PlantedProvider:
     def __init__(self, planted):
         self.name = "planted"
         self.dimension = 16
-        self.normalized = False
         self._planted = dict(planted)
         self._fallback = ExactMatchProvider(dimension=16)
 
@@ -80,6 +80,58 @@ def test_exact_match_capacity_guard():
 def test_cosine_rejects_zero_vector():
     with pytest.raises(ValueError):
         cosine(np.zeros(3), np.ones(3))
+
+
+class FlakyEmbeddingSession:
+    """Raises on the first `failures` posts, then returns one embedding."""
+
+    def __init__(self, failures, vector=(0.6, 0.8)):
+        self.failures = failures
+        self.vector = list(vector)
+        self.posts = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.posts += 1
+        if self.posts <= self.failures:
+            raise ConnectionError("boom")
+        return self
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return {"data": [{"embedding": self.vector}]}
+
+
+def test_remote_provider_requires_api_key(monkeypatch):
+    monkeypatch.delenv("EMBED_KEY", raising=False)
+    with pytest.raises(RuntimeError, match="EMBED_KEY"):
+        RemoteEmbeddingProvider("http://example.invalid/v1",
+                                api_key_env="EMBED_KEY",
+                                session=FlakyEmbeddingSession(0))
+
+
+def test_remote_provider_retries_with_backoff(monkeypatch):
+    monkeypatch.setenv("LLM_API_KEY", "k")
+    sleeps = []
+    session = FlakyEmbeddingSession(failures=2)
+    provider = RemoteEmbeddingProvider("http://example.invalid/v1",
+                                       dimension=2, session=session,
+                                       sleep=sleeps.append)
+    np.testing.assert_array_equal(provider.embed("dog"), [0.6, 0.8])
+    assert session.posts == 3
+    assert sleeps == [1.0, 2.0]
+
+
+def test_remote_provider_gives_up_after_three_attempts(monkeypatch):
+    monkeypatch.setenv("LLM_API_KEY", "k")
+    session = FlakyEmbeddingSession(failures=99)
+    provider = RemoteEmbeddingProvider("http://example.invalid/v1",
+                                       dimension=2, session=session,
+                                       sleep=lambda s: None)
+    with pytest.raises(RuntimeError, match="after 3 attempts"):
+        provider.embed("dog")
+    assert session.posts == 3
 
 
 # -- classify_output -------------------------------------------------------------

@@ -7,6 +7,7 @@ independently constructed mel filterbank so the check is not circular.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -20,14 +21,12 @@ from aqakit.frontend import (
     Waveform,
     compute_fbank,
     encode_patches,
-    load_spectrogram,
     mel_center_freqs_hz,
     patchify,
     pool_tokens,
     project_tokens,
     read_wav,
     reassemble_patches,
-    save_spectrogram,
     waveform_to_tokens,
     write_wav,
 )
@@ -283,18 +282,21 @@ def test_wav_roundtrip_and_rejections(tmp_path) -> None:
         read_wav(not_wav)
 
 
-def test_spectrogram_binary_roundtrip(tmp_path) -> None:
-    rng = np.random.default_rng(17)
-    frames = rng.normal(size=(1024, 128)).astype(np.float32).astype(np.float64)
-    path = tmp_path / "spec.bin"
-    save_spectrogram(path, LogMelSpectrogram(frames))
-    back = load_spectrogram(path)
-    assert np.array_equal(back.frames, frames)
-    sidecar = (tmp_path / "spec.bin.manifest.txt").read_text(encoding="utf-8")
-    assert "frames=1024" in sidecar and "mels=128" in sidecar
+def _riff(fmt: bytes, data: bytes) -> bytes:
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(data)) + data)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
 
-    truncated = path.read_bytes()[:100]
-    bad = tmp_path / "trunc.bin"
-    bad.write_bytes(truncated)
-    with pytest.raises(ValueError):
-        load_spectrogram(bad)
+
+@pytest.mark.parametrize("fmt, data, problem", [
+    (struct.pack("<HHI", 1, 1, SR), b"\x00\x00", "fmt chunk"),
+    (struct.pack("<HHIIHH", 1, 1, SR, 2 * SR, 2, 16), b"\x00\x01\x02",
+     "odd data length"),
+], ids=["short_fmt", "odd_data"])
+def test_read_wav_names_the_file_on_malformed_chunks(tmp_path, fmt, data,
+                                                     problem) -> None:
+    path = tmp_path / "broken.wav"
+    path.write_bytes(_riff(fmt, data))
+    with pytest.raises(ValueError, match=problem) as info:
+        read_wav(path)
+    assert str(path) in str(info.value)

@@ -22,7 +22,6 @@ from aqakit.model import (
     finite_diff_check,
     llama_7b_geometry,
     load_checkpoint,
-    load_lora_into,
     next_token_loss,
     save_checkpoint,
 )
@@ -340,18 +339,23 @@ def test_checkpoint_roundtrip(tmp_path) -> None:
                                model.forward(audio, ids), rtol=1e-4, atol=1e-4)
 
 
-def test_lora_only_checkpoint(tmp_path) -> None:
-    cfg = tiny_cfg()
+@pytest.mark.parametrize("targets", [(), ("query",)])
+def test_checkpoint_roundtrip_lora_targets(tmp_path, targets) -> None:
+    cfg = DecoderConfig(n_layers=2, n_heads=2, d_model=16, max_seq_len=96,
+                        d_audio=8, lora_targets=targets)
     model = AudioTextLm(cfg, seed=33)
-    rng = np.random.default_rng(34)
-    for name in model.lora:
-        model.lora[name] = rng.normal(size=model.lora[name].shape)
-    save_checkpoint(tmp_path / "adapters", model, lora_only=True)
+    save_checkpoint(tmp_path / "ckpt", model)
+    loaded = load_checkpoint(tmp_path / "ckpt")
+    assert loaded.cfg == cfg
+    assert sorted(loaded.lora) == sorted(model.lora)
 
-    fresh = AudioTextLm(cfg, seed=35)
-    load_lora_into(tmp_path / "adapters", fresh)
-    for name, arr in model.lora.items():
-        np.testing.assert_array_equal(fresh.lora[name],
-                                      arr.astype("<f4").astype(np.float64))
-    with pytest.raises(ValueError):
-        load_checkpoint(tmp_path / "adapters")
+
+def test_load_rejects_adapter_only_checkpoint(tmp_path) -> None:
+    save_checkpoint(tmp_path / "ckpt", AudioTextLm(tiny_cfg(), seed=33))
+    manifest = tmp_path / "ckpt" / "manifest.txt"
+    text = manifest.read_text(encoding="utf-8")
+    assert "\nlora_only=0\n" in text
+    manifest.write_text(text.replace("lora_only=0", "lora_only=1"),
+                        encoding="utf-8")
+    with pytest.raises(ValueError, match="only LoRA adapters"):
+        load_checkpoint(tmp_path / "ckpt")

@@ -296,6 +296,21 @@ def test_run_curriculum_reports_checkpoints_and_frozen_base(
     assert np.isfinite(reloaded.loss_only(ex))
 
 
+def test_rerun_into_same_report_keeps_only_the_last_run(demo_items,
+                                                       tmp_path):
+    stages = [StageConfig(1, "projection_only", "clf_and_desc", 4, 1e-3, 1),
+              StageConfig(2, "all_non_lm", "clf_and_desc", 4, 1e-4, 1)]
+    report_path = tmp_path / "reports.jsonl"
+    for seed in (0, 1):
+        reports = run_curriculum(_model(), demo_items, stages,
+                                 TrainerConfig(batch_size=4, seed=seed),
+                                 report_path=report_path)
+    lines = report_path.read_text().splitlines()
+    assert [json.loads(l)["stage"] for l in lines] == [1, 2]
+    assert [json.loads(l)["initial_loss"] for l in lines] == \
+        [r.initial_loss for r in reports]
+
+
 def test_run_curriculum_validates_stage_list(demo_items):
     model = _model()
     bad = [StageConfig(2, "all_non_lm", "all", 4, 1e-4, 1)]
