@@ -28,6 +28,11 @@ def load_feature_bank(path: str | Path) -> dict[str, list[str]]:
         bank = json.load(fh)
     if not isinstance(bank, dict):
         raise ValueError(f"{path}: feature bank must be a JSON object")
+    for label, features in bank.items():
+        if not (isinstance(features, list) and features
+                and all(isinstance(f, str) and f for f in features)):
+            raise ValueError(f"{path}: features of {label!r} must be a non-empty "
+                             f"list of non-empty strings")
     return bank
 
 

@@ -307,6 +307,9 @@ def read_wav(path: str | Path) -> Waveform:
         chunk_id = raw[pos:pos + 4]
         (chunk_len,) = struct.unpack_from("<I", raw, pos + 4)
         body = raw[pos + 8:pos + 8 + chunk_len]
+        if chunk_id in (b"fmt ", b"data") and len(body) < chunk_len:
+            raise ValueError(f"{path}: {chunk_id.decode().strip()} chunk declares "
+                             f"{chunk_len} bytes, file has {len(body)}")
         if chunk_id == b"fmt ":
             fmt = body
         elif chunk_id == b"data":

@@ -90,6 +90,17 @@ class TrainingExample:
             raise ValueError("the leading token is never supervised")
 
 
+@dataclass
+class KvCache:
+    """Keys and values of every position run so far, for incremental
+    decoding: buffers of shape (n_layers, n_heads, max_seq_len, d_head)
+    whose first `length` positions are filled."""
+
+    keys: np.ndarray
+    values: np.ndarray
+    length: int
+
+
 class AudioTextLm:
     """Frozen decoder + LoRA + trainable audio path, one example at a time."""
 
@@ -182,8 +193,7 @@ class AudioTextLm:
         text_ids = np.asarray(text_ids, dtype=np.int64)
         na, nt = c.n_audio_tokens, text_ids.size
         total = na + nt
-        if total > c.max_seq_len:
-            raise ValueError(f"sequence length {total} exceeds max {c.max_seq_len}")
+        _check_length(total, c.max_seq_len)
         if nt == 0:
             raise ValueError("at least one text token is required")
 
@@ -193,49 +203,12 @@ class AudioTextLm:
         x[na:] = self.base["tok_emb"][text_ids]
         x = x + self.base["pos_emb"][:total]
 
-        causal = np.triu(np.full((total, total), -np.inf), k=1)
-        scale = self.lora_scale()
+        causal = _causal_mask(total, 0)
         layer_caches = []
         for i in range(c.n_layers):
-            p = f"layers.{i}."
-            x_in = x
-            h1, ln1_cache = _ln_forward(x_in, self.base[p + "ln1.gamma"],
-                                        self.base[p + "ln1.beta"])
-            qk, u = {}, {}
-            for target, w in _LORA_WEIGHTS.items():
-                if target in c.lora_targets:
-                    qk[target], u[target] = lora_apply_rows(
-                        h1, self.base[p + w], self.lora[p + f"attn.{target}.lora_A"],
-                        self.lora[p + f"attn.{target}.lora_B"], scale)
-                else:
-                    qk[target] = h1 @ self.base[p + w].T
-            q, k = qk["query"], qk["key"]
-            v = h1 @ self.base[p + "attn.wv"].T
-
-            qh = q.reshape(total, c.n_heads, c.d_head).transpose(1, 0, 2)
-            kh = k.reshape(total, c.n_heads, c.d_head).transpose(1, 0, 2)
-            vh = v.reshape(total, c.n_heads, c.d_head).transpose(1, 0, 2)
-            scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(c.d_head) + causal
-            probs = _softmax_rows(scores)
-            ctx = probs @ vh
-            ctx_flat = ctx.transpose(1, 0, 2).reshape(total, c.d_model)
-            attn_out = ctx_flat @ self.base[p + "attn.wo"].T
-            x_mid = x_in + attn_out
-
-            h2, ln2_cache = _ln_forward(x_mid, self.base[p + "ln2.gamma"],
-                                        self.base[p + "ln2.beta"])
-            z = h2 @ self.base[p + "mlp.w1"].T + self.base[p + "mlp.b1"]
-            t = np.tanh(z)
-            mlp_out = t @ self.base[p + "mlp.w2"].T + self.base[p + "mlp.b2"]
-            x = x_mid + mlp_out
-
+            x, layer_cache = self._block(i, x, causal)
             if want_cache:
-                layer_caches.append({
-                    "x_in": x_in, "h1": h1, "ln1": ln1_cache,
-                    "u": u, "qh": qh, "kh": kh, "vh": vh,
-                    "probs": probs, "ctx_flat": ctx_flat,
-                    "x_mid": x_mid, "h2": h2, "ln2": ln2_cache, "t": t,
-                })
+                layer_caches.append(layer_cache)
 
         xf, lnf_cache = _ln_forward(x, self.base["final_ln.gamma"],
                                     self.base["final_ln.beta"])
@@ -247,6 +220,97 @@ class AudioTextLm:
             "xf": xf, "lnf": lnf_cache, "na": na, "total": total,
         }
         return logits, cache
+
+    def _block(self, i: int, x: np.ndarray, causal: np.ndarray,
+               past: KvCache | None = None) -> tuple[np.ndarray, dict]:
+        """Decoder layer i over the rows x; returns the layer's output rows
+        and the intermediates the backward pass reads.
+
+        Without past the rows attend among themselves. With past they
+        follow its first past.length positions: their keys and values are
+        written into past's buffers for layer i and they attend to every
+        position up to their own. causal is the additive mask of shape
+        (len(x), positions attended to).
+        """
+        c = self.cfg
+        p = f"layers.{i}."
+        n = x.shape[0]
+        h1, ln1_cache = _ln_forward(x, self.base[p + "ln1.gamma"],
+                                    self.base[p + "ln1.beta"])
+        qk, u = {}, {}
+        for target, w in _LORA_WEIGHTS.items():
+            if target in c.lora_targets:
+                qk[target], u[target] = lora_apply_rows(
+                    h1, self.base[p + w], self.lora[p + f"attn.{target}.lora_A"],
+                    self.lora[p + f"attn.{target}.lora_B"], self.lora_scale())
+            else:
+                qk[target] = h1 @ self.base[p + w].T
+        q, k = qk["query"], qk["key"]
+        v = h1 @ self.base[p + "attn.wv"].T
+
+        qh = q.reshape(n, c.n_heads, c.d_head).transpose(1, 0, 2)
+        kh = k.reshape(n, c.n_heads, c.d_head).transpose(1, 0, 2)
+        vh = v.reshape(n, c.n_heads, c.d_head).transpose(1, 0, 2)
+        keys, values = kh, vh
+        if past is not None:
+            end = past.length + n
+            past.keys[i, :, past.length:end] = kh
+            past.values[i, :, past.length:end] = vh
+            keys, values = past.keys[i, :, :end], past.values[i, :, :end]
+        scores = qh @ keys.transpose(0, 2, 1) / np.sqrt(c.d_head) + causal
+        probs = _softmax_rows(scores)
+        ctx = probs @ values
+        ctx_flat = ctx.transpose(1, 0, 2).reshape(n, c.d_model)
+        attn_out = ctx_flat @ self.base[p + "attn.wo"].T
+        x_mid = x + attn_out
+
+        h2, ln2_cache = _ln_forward(x_mid, self.base[p + "ln2.gamma"],
+                                    self.base[p + "ln2.beta"])
+        z = h2 @ self.base[p + "mlp.w1"].T + self.base[p + "mlp.b1"]
+        t = np.tanh(z)
+        mlp_out = t @ self.base[p + "mlp.w2"].T + self.base[p + "mlp.b2"]
+        return x_mid + mlp_out, {
+            "x_in": x, "h1": h1, "ln1": ln1_cache,
+            "u": u, "qh": qh, "kh": kh, "vh": vh,
+            "probs": probs, "ctx_flat": ctx_flat,
+            "x_mid": x_mid, "h2": h2, "ln2": ln2_cache, "t": t,
+        }
+
+    # -- incremental decoding --------------------------------------------
+
+    def prefill(self, audio, prompt_ids: np.ndarray) -> tuple[np.ndarray, KvCache]:
+        """Run [audio rows | prompt] once, as forward does, and keep every
+        layer's keys and values for step.
+
+        Returns forward's logits for the prompt and the cache.
+        """
+        c = self.cfg
+        logits, cache = self.forward(audio, prompt_ids, want_cache=True)
+        shape = (c.n_layers, c.n_heads, c.max_seq_len, c.d_head)
+        kv = KvCache(np.empty(shape), np.empty(shape), cache["total"])
+        for i, layer in enumerate(cache["layers"]):
+            kv.keys[i, :, :kv.length] = layer["kh"]
+            kv.values[i, :, :kv.length] = layer["vh"]
+        return logits, kv
+
+    def step(self, kv: KvCache, token_id: int) -> np.ndarray:
+        """Append one text token after the kv.length cached positions and
+        return its next-token logits, shape (vocab,).
+
+        Matches the last row of forward over the whole sequence to float64
+        rounding. Raises forward's ValueError when the token would pass
+        max_seq_len, leaving the cache as it was.
+        """
+        c = self.cfg
+        pos = kv.length
+        _check_length(pos + 1, c.max_seq_len)
+        x = (self.base["tok_emb"][int(token_id)] + self.base["pos_emb"][pos])[None, :]
+        causal = _causal_mask(1, pos)
+        for i in range(c.n_layers):
+            x, _ = self._block(i, x, causal, past=kv)
+        kv.length = pos + 1
+        xf, _ = _ln_forward(x, self.base["final_ln.gamma"], self.base["final_ln.beta"])
+        return (xf @ self.base["out.w"].T)[0]
 
     # -- loss and gradients ----------------------------------------------
 
@@ -350,6 +414,17 @@ class AudioTextLm:
             if allowed is not None and name not in allowed:
                 continue
             params[name] -= lr * g
+
+
+def _check_length(total: int, max_seq_len: int) -> None:
+    if total > max_seq_len:
+        raise ValueError(f"sequence length {total} exceeds max {max_seq_len}")
+
+
+def _causal_mask(n: int, start: int) -> np.ndarray:
+    """Additive mask for n rows at positions start.. attending to positions
+    0..start+n-1: -inf where the key lies after the query."""
+    return np.triu(np.full((n, start + n), -np.inf), k=start + 1)
 
 
 def _ln_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):

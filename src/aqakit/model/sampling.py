@@ -76,15 +76,28 @@ def sample_next_id(logits: np.ndarray, emitted_ids, cfg: GenerationConfig,
 
 def generate(model, audio, prompt_ids, cfg: GenerationConfig) -> np.ndarray:
     """Autoregressive decoding after the prompt; stops at EOS or the token
-    budget. Returns only the newly generated ids."""
+    budget. Returns only the newly generated ids.
+
+    The clip and the prompt run once through ``model.prefill``; each later
+    token is one ``model.step`` over the cached keys and values. Running
+    past the model's context raises ValueError("sequence length N exceeds
+    max M") at the token where a full-recompute forward over the whole
+    sequence would: the budget is not checked up front, since decoding may
+    reach EOS first, and no partial answer is returned.
+    """
     rng = np.random.default_rng(cfg.seed)
     prompt = [int(t) for t in prompt_ids]
     if not prompt:
         raise ValueError("prompt must contain at least one token")
     generated: list[int] = []
+    kv = None
     for _ in range(cfg.max_new_tokens):
-        logits = model.forward(audio, np.array(prompt + generated, dtype=np.int64))
-        next_id = sample_next_id(logits[-1], generated, cfg, rng)
+        if kv is None:
+            logits, kv = model.prefill(audio, np.array(prompt, dtype=np.int64))
+            logits = logits[-1]
+        else:
+            logits = model.step(kv, generated[-1])
+        next_id = sample_next_id(logits, generated, cfg, rng)
         generated.append(next_id)
         if next_id == EOS_ID:
             break

@@ -188,6 +188,21 @@ def test_forge_features_then_closed_consumes_bank(demo_dir, tmp_path, capsys):
     assert any("feature-" in r["answer"] for r in rows)
 
 
+@pytest.mark.parametrize("features", ["woof woof", [], [""], [3]],
+                         ids=["string", "empty", "empty_string", "number"])
+def test_forge_closed_rejects_malformed_feature_bank(demo_dir, tmp_path, capsys,
+                                                     features):
+    bank = tmp_path / "bank.json"
+    bank.write_text(json.dumps({"Dog": features}), encoding="utf-8")
+    out = tmp_path / "closed.jsonl"
+    assert main(["forge-closed", "--meta", str(demo_dir / "meta.jsonl"),
+                 "--feature-bank", str(bank), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{bank}: features of 'Dog'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_mock_llm_never_opens_network(demo_dir, tmp_path, monkeypatch,
                                       capsys):
     def boom(*args, **kwargs):

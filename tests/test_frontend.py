@@ -282,6 +282,16 @@ def test_wav_roundtrip_and_rejections(tmp_path) -> None:
         read_wav(not_wav)
 
 
+def test_read_wav_rejects_a_truncated_data_chunk(tmp_path) -> None:
+    path = tmp_path / "clip.wav"
+    write_wav(path, Waveform(np.zeros(SR)))
+    cut = tmp_path / "cut.wav"
+    cut.write_bytes(path.read_bytes()[:16022])
+    with pytest.raises(ValueError) as info:
+        read_wav(cut)
+    assert str(info.value) == f"{cut}: data chunk declares 32000 bytes, file has 15978"
+
+
 def _riff(fmt: bytes, data: bytes) -> bytes:
     body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
             + b"data" + struct.pack("<I", len(data)) + data)

@@ -7,12 +7,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aqakit.frontend import PatchGrid
 from aqakit.model import (
     AlignmentBatch,
     AudioTextLm,
     DecoderConfig,
+    GenerationConfig,
     TrainingExample,
     alignment_losses,
     build_qa_ids,
@@ -20,11 +23,13 @@ from aqakit.model import (
     decode_ids,
     encode_text,
     finite_diff_check,
+    generate,
     llama_7b_geometry,
     load_checkpoint,
     next_token_loss,
     save_checkpoint,
 )
+from aqakit.model import decoder, sampling
 from aqakit.model.lora import lora_apply_rows
 from aqakit.model.losses import masked_nll_and_dlogits
 from aqakit.model.tokenizer import BOS_ID, EOS_ID, SEP_ID
@@ -51,6 +56,11 @@ def random_example(cfg: DecoderConfig, seed: int = 0) -> TrainingExample:
 def test_tokenizer_roundtrip() -> None:
     for text in ["hello", "Ambulance (siren): [0.0s-1.0s]", "café → ok"]:
         assert decode_ids(encode_text(text)) == text
+
+
+@given(st.text())
+def test_tokenizer_roundtrip_any_text(text: str) -> None:
+    assert decode_ids(encode_text(text)) == text
 
 
 def test_qa_layout_and_mask() -> None:
@@ -162,6 +172,114 @@ def test_sgd_step_touches_only_trainables() -> None:
     model.sgd_step(grads, lr=0.1)
     for name, arr in model.base.items():
         np.testing.assert_array_equal(arr, before[name])
+
+
+# -- cached decoding ---------------------------------------------------------
+
+LORA_TARGET_SETS = [(), ("query",), ("key",), ("query", "key")]
+
+
+def adapted_model(targets=("query", "key"), max_seq_len: int = 160,
+                  seed: int = 41) -> AudioTextLm:
+    """A small model whose adapters are live: lora_B is nonzero."""
+    cfg = DecoderConfig(n_layers=2, n_heads=2, d_model=16, max_seq_len=max_seq_len,
+                        d_audio=8, lora_targets=targets)
+    model = AudioTextLm(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name in model.lora:
+        if name.endswith("lora_B"):
+            model.lora[name] = rng.normal(0.0, 0.05, size=model.lora[name].shape)
+    return model
+
+
+def full_recompute_generate(model, audio, prompt_ids, cfg: GenerationConfig) -> list[int]:
+    """Reference decoder: one full forward over the whole sequence per token."""
+    rng = np.random.default_rng(cfg.seed)
+    prompt = [int(t) for t in prompt_ids]
+    generated: list[int] = []
+    for _ in range(cfg.max_new_tokens):
+        logits = model.forward(audio, np.array(prompt + generated, dtype=np.int64))
+        generated.append(sampling.sample_next_id(logits[-1], generated, cfg, rng))
+        if generated[-1] == EOS_ID:
+            break
+    return generated
+
+
+@pytest.mark.parametrize("targets", LORA_TARGET_SETS)
+def test_prefill_and_step_match_forward_at_every_position(targets, monkeypatch) -> None:
+    model = adapted_model(targets)
+    rows = []
+
+    def recorded(method):
+        def call(*args):
+            out = method(*args)
+            rows.extend(out[0] if isinstance(out, tuple) else [out])
+            return out
+        return call
+
+    monkeypatch.setattr(model, "prefill", recorded(model.prefill))
+    monkeypatch.setattr(model, "step", recorded(model.step))
+    audio = random_audio(model.cfg, 42)
+    prompt = [BOS_ID] + encode_text("what sound is this?") + [SEP_ID]
+    cfg = GenerationConfig(max_new_tokens=64, seed=3)
+    ids = generate(model, audio, np.array(prompt), cfg).tolist()
+    assert len(ids) == 64
+    full = model.forward(audio, np.array(prompt + ids[:-1]))
+    assert len(rows) == full.shape[0]
+    assert np.abs(np.array(rows) - full).max() <= 1e-12
+
+
+@pytest.mark.parametrize("targets", LORA_TARGET_SETS)
+@pytest.mark.parametrize("temperature", [0.1, 0.0])
+def test_generate_equals_full_recompute(targets, temperature: float) -> None:
+    model = adapted_model(targets)
+    audio = random_audio(model.cfg, 43)
+    prompt = np.array([BOS_ID] + encode_text("count the barks") + [SEP_ID])
+    cfg = GenerationConfig(temperature=temperature, max_new_tokens=64, seed=5)
+    got = generate(model, audio, prompt, cfg).tolist()
+    assert got == full_recompute_generate(model, audio, prompt, cfg)
+
+
+def test_context_overrun_raises_at_the_same_token(monkeypatch) -> None:
+    model = adapted_model(max_seq_len=96)
+    audio = random_audio(model.cfg, 44)
+    prompt = np.array([BOS_ID] + encode_text("x" * 48) + [SEP_ID])
+    cfg = GenerationConfig(max_new_tokens=64, seed=7)
+    sampled = []
+    real = sampling.sample_next_id
+
+    def counting(*args):
+        sampled.append(real(*args))
+        return sampled[-1]
+
+    monkeypatch.setattr(sampling, "sample_next_id", counting)
+    outcomes = []
+    for decode in (generate, full_recompute_generate):
+        sampled.clear()
+        with pytest.raises(ValueError, match="exceeds max") as err:
+            decode(model, audio, prompt, cfg)
+        outcomes.append((str(err.value), list(sampled)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == "sequence length 97 exceeds max 96"
+    # token j needs 32 audio + len(prompt) + j positions
+    assert len(outcomes[0][1]) == 96 - 32 - prompt.size + 1
+    assert EOS_ID not in outcomes[0][1]
+
+
+def test_generate_encodes_the_clip_once(monkeypatch) -> None:
+    model = adapted_model()
+    calls = []
+    real = decoder.encode_patches
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(decoder, "encode_patches", counting)
+    cfg = GenerationConfig(max_new_tokens=24, seed=1)
+    out = generate(model, random_audio(model.cfg, 45), np.array([BOS_ID, 97]), cfg)
+    assert out.size == 24
+    assert len(calls) == 1
 
 
 # -- next-token loss ---------------------------------------------------------
