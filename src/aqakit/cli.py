@@ -210,11 +210,11 @@ def _cmd_answer(args) -> int:
     from .frontend import compute_fbank, patchify, read_wav
     from .model import (BOS_ID, SEP_ID, GenerationConfig, decode_ids,
                         encode_text, generate, load_checkpoint)
+    cfg = GenerationConfig(max_new_tokens=args.max_new_tokens, seed=args.seed)
     model = load_checkpoint(args.ckpt)
     grid = patchify(compute_fbank(read_wav(args.audio)))
     prompt = np.array([BOS_ID] + encode_text(args.question) + [SEP_ID],
                       dtype=np.int64)
-    cfg = GenerationConfig(max_new_tokens=args.max_new_tokens, seed=args.seed)
     new_ids = generate(model, grid, prompt, cfg)
     output = decode_ids(new_ids)
     record = {"audio_id": Path(args.audio).stem,

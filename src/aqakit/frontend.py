@@ -1,9 +1,10 @@
-"""Audio frontend: 16 kHz waveform -> log-mel spectrogram -> 16x16 patches
--> toy patch encoder -> 32 pooled audio tokens -> projection to model width.
+"""Audio frontend: 16 kHz WAV IO and waveform -> log-mel spectrogram -> 16x16
+patches, plus the patch encoder, token pooling and projection layer that the
+model chains (``AudioTextLm._audio_rows``, the one place they run together).
 
-The whole chain is pure: every function is deterministic in its inputs and
-parameters, so it is safe to call concurrently. Parameters are plain numpy
-arrays; nothing here mutates them.
+Every function is deterministic in its inputs and parameters, so it is safe
+to call concurrently. Parameters are plain numpy arrays; nothing here
+mutates them.
 """
 
 from __future__ import annotations
@@ -96,19 +97,6 @@ class PatchGrid:
             raise ValueError("patch value count must equal patch_side**2")
 
 
-@dataclass
-class AudioTokenSequence:
-    """Fixed-length sequence of audio embeddings in temporal order."""
-
-    tokens: np.ndarray
-    frame_rate_hz: float = TOKEN_RATE_HZ
-
-    def __post_init__(self) -> None:
-        self.tokens = np.asarray(self.tokens, dtype=np.float64)
-        if self.tokens.ndim != 2:
-            raise ValueError("token sequence must be 2-D: time x dim")
-
-
 def hz_to_mel(hz: np.ndarray | float) -> np.ndarray | float:
     return 2595.0 * np.log10(1.0 + np.asarray(hz, dtype=np.float64) / 700.0)
 
@@ -136,12 +124,6 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate_hz: int = SAMPLE_RATE_HZ
         down = (right - bin_freqs) / (right - center)
         bank[m] = np.maximum(0.0, np.minimum(up, down))
     return bank
-
-
-def mel_center_freqs_hz(n_mels: int = 128) -> np.ndarray:
-    """Center frequency in Hz of each mel filter under the default span."""
-    mel_points = np.linspace(hz_to_mel(MEL_FMIN_HZ), hz_to_mel(MEL_FMAX_HZ), n_mels + 2)
-    return np.asarray(mel_to_hz(mel_points[1:-1]))
 
 
 def compute_fbank(w: Waveform, cfg: FbankConfig | None = None) -> LogMelSpectrogram:
@@ -243,11 +225,12 @@ def encode_patches(g: PatchGrid, enc: PatchEncoder) -> np.ndarray:
     return emb + enc.pos_offsets
 
 
-def pool_tokens(e: np.ndarray) -> AudioTokenSequence:
+def pool_tokens(e: np.ndarray) -> np.ndarray:
     """Frequency mean pooling plus 2x temporal downsampling.
 
     token[t] is the mean of the 2*n_freq embeddings in grid rows 2t and 2t+1,
-    so a 64x8 grid yields exactly 32 tokens.
+    so a 64x8 grid (a 10 s clip) yields exactly 32 tokens, TOKEN_RATE_HZ
+    tokens per second. Returns the (time // 2, dim) token matrix.
     """
     e = np.asarray(e, dtype=np.float64)
     if e.ndim != 3:
@@ -255,8 +238,7 @@ def pool_tokens(e: np.ndarray) -> AudioTokenSequence:
     t_dim = e.shape[0]
     if t_dim % 2:
         raise ValueError(f"time dimension {t_dim} must be even for 2x downsampling")
-    pooled = e.reshape(t_dim // 2, 2 * e.shape[1], e.shape[2]).mean(axis=1)
-    return AudioTokenSequence(pooled)
+    return e.reshape(t_dim // 2, 2 * e.shape[1], e.shape[2]).mean(axis=1)
 
 
 @dataclass
@@ -272,21 +254,6 @@ class ProjectionLayer:
         rng = np.random.default_rng(seed)
         return cls(weight=rng.normal(0.0, init_scale, size=(d_audio, d_model)),
                    bias=np.zeros(d_model))
-
-
-def project_tokens(t: AudioTokenSequence, p: ProjectionLayer) -> AudioTokenSequence:
-    if t.tokens.shape[1] != p.weight.shape[0]:
-        raise ValueError(
-            f"token dim {t.tokens.shape[1]} does not match projection input "
-            f"dim {p.weight.shape[0]}"
-        )
-    return AudioTokenSequence(t.tokens @ p.weight + p.bias)
-
-
-def waveform_to_tokens(w: Waveform, enc: PatchEncoder, proj: ProjectionLayer,
-                       cfg: FbankConfig | None = None) -> AudioTokenSequence:
-    """Full pipeline: waveform -> 32 projected audio tokens."""
-    return project_tokens(pool_tokens(encode_patches(patchify(compute_fbank(w, cfg)), enc)), proj)
 
 
 # -- WAV persistence -------------------------------------------------------

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..frontend import PatchEncoder, ProjectionLayer
 from .decoder import AudioTextLm, DecoderConfig
 
 MANIFEST_NAME = "manifest.txt"
@@ -19,16 +18,11 @@ _CONFIG_FIELDS = ("n_layers", "n_heads", "d_model", "vocab_size", "max_seq_len",
 
 
 def _collect_tensors(model: AudioTextLm) -> dict[str, np.ndarray]:
-    tensors: dict[str, np.ndarray] = {}
-    for name, arr in model.base.items():
-        tensors["base." + name] = arr
-    for name, arr in model.lora.items():
-        tensors["lora." + name] = arr
-    tensors["audio.enc.weight"] = model.patch_encoder.weight
-    tensors["audio.enc.bias"] = model.patch_encoder.bias
-    tensors["audio.enc.pos"] = model.patch_encoder.pos_offsets
-    tensors["audio.proj.weight"] = model.projection.weight
-    tensors["audio.proj.bias"] = model.projection.bias
+    """Every tensor of the model by its checkpoint name; the arrays are the
+    model's own, so writing into them changes the model."""
+    tensors = {"base." + name: arr for name, arr in model.base.items()}
+    for name, arr in model.trainable_parameters().items():
+        tensors[name if name.startswith("audio.") else "lora." + name] = arr
     return tensors
 
 
@@ -83,29 +77,24 @@ def load_checkpoint(path: str | Path) -> AudioTextLm:
     config, table = _parse_manifest(path)
     if config.get("lora_only") == "1":
         raise ValueError(f"{path} holds only LoRA adapters, not a full model")
-    blob = (path / BLOB_NAME).read_bytes()
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape, offset, nbytes in table:
-        raw = np.frombuffer(blob, dtype="<f4", count=nbytes // 4, offset=offset)
-        tensors[name] = raw.reshape(shape).astype(np.float64)
     defaults = {f.name: f.default for f in fields(DecoderConfig)}
     targets = config["config.lora_targets"].split(",")
     cfg = DecoderConfig(
         lora_targets=tuple(t for t in targets if t),
         **{f: type(defaults[f])(config["config." + f]) for f in _CONFIG_FIELDS})
     model = AudioTextLm(cfg)
-    for name, arr in tensors.items():
-        if name.startswith("base."):
-            model.base[name[len("base."):]] = arr
-        elif name.startswith("lora."):
-            model.lora[name[len("lora."):]] = arr
-    model.patch_encoder = PatchEncoder(
-        weight=tensors["audio.enc.weight"],
-        bias=tensors["audio.enc.bias"],
-        pos_offsets=tensors["audio.enc.pos"],
-    )
-    model.projection = ProjectionLayer(
-        weight=tensors["audio.proj.weight"],
-        bias=tensors["audio.proj.bias"],
-    )
+    tensors = _collect_tensors(model)
+    missing = set(tensors) - {name for name, *_ in table}
+    if missing:
+        raise ValueError(f"{path}: checkpoint lacks tensor {min(missing)}")
+    blob = (path / BLOB_NAME).read_bytes()
+    for name, shape, offset, nbytes in table:
+        if name not in tensors:
+            raise ValueError(f"{path}: unexpected tensor {name}")
+        dst = tensors[name]
+        if shape != dst.shape or nbytes != 4 * dst.size:
+            raise ValueError(f"{path}: tensor {name} has shape {shape} and {nbytes} "
+                             f"bytes, the model expects shape {dst.shape}")
+        raw = np.frombuffer(blob, dtype="<f4", count=dst.size, offset=offset)
+        dst[...] = raw.reshape(shape)
     return model

@@ -71,13 +71,9 @@ def count_lora_params(geom: DecoderConfig) -> int:
 
 @dataclass
 class TrainingExample:
-    """One supervised row: audio conditioning plus a masked text sequence.
+    """One supervised row: audio conditioning plus a masked text sequence."""
 
-    audio_tokens is the clip's PatchGrid; the patch encoder, pooling and
-    projection all sit inside the differentiable path.
-    """
-
-    audio_tokens: PatchGrid
+    audio: PatchGrid
     text_tokens: np.ndarray
     loss_mask: np.ndarray
 
@@ -168,7 +164,7 @@ class AudioTextLm:
         if not isinstance(audio, PatchGrid):
             raise TypeError(f"audio must be a PatchGrid, got {type(audio).__name__}")
         emb = encode_patches(audio, self.patch_encoder)
-        tokens = pool_tokens(emb).tokens
+        tokens = pool_tokens(emb)
         if tokens.shape[0] != self.cfg.n_audio_tokens:
             raise ValueError(
                 f"expected {self.cfg.n_audio_tokens} audio tokens, got {tokens.shape[0]}")
@@ -320,7 +316,7 @@ class AudioTextLm:
         trainable_parameters()."""
         from .losses import masked_nll_and_dlogits
 
-        logits, cache = self.forward(ex.audio_tokens, ex.text_tokens, want_cache=True)
+        logits, cache = self.forward(ex.audio, ex.text_tokens, want_cache=True)
         targets = ex.text_tokens[1:]
         mask = ex.loss_mask[1:]
         loss, drows = masked_nll_and_dlogits(logits[:-1], targets, mask)
@@ -332,7 +328,7 @@ class AudioTextLm:
     def loss_only(self, ex: TrainingExample) -> float:
         from .losses import next_token_loss
 
-        logits = self.forward(ex.audio_tokens, ex.text_tokens)
+        logits = self.forward(ex.audio, ex.text_tokens)
         return next_token_loss(logits[:-1], ex.text_tokens[1:], ex.loss_mask[1:])
 
     def _backward(self, dlogits: np.ndarray, cache: dict) -> dict[str, np.ndarray]:

@@ -28,6 +28,8 @@ class GenerationConfig:
             raise ValueError("temperature must be >= 0 (0 means greedy)")
         if self.repetition_penalty <= 0.0:
             raise ValueError("repetition penalty must be positive")
+        if self.max_new_tokens < 1:
+            raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
 
 
 def apply_repetition_penalty(logits: np.ndarray, emitted_ids,

@@ -71,7 +71,7 @@ class StageReport:
 def make_example(item: CorpusItem, text_cutoff: int) -> TrainingExample:
     ids, mask = build_qa_ids(item.pair.question, item.pair.answer,
                              cutoff=text_cutoff)
-    return TrainingExample(audio_tokens=item.audio, text_tokens=ids,
+    return TrainingExample(audio=item.audio, text_tokens=ids,
                            loss_mask=mask)
 
 

@@ -18,8 +18,8 @@ from aqakit.evaluate import (ExactMatchProvider, LabelSet, accuracy,
 from aqakit.forge import (AudioMeta, QAPair, SoundEvent, build_aig_prompt,
                           compute_dataset_stats, detect_unanswerable,
                           sample_audioset, serialize_meta)
-from aqakit.frontend import (PatchEncoder, ProjectionLayer, Waveform,
-                             compute_fbank, patchify, waveform_to_tokens)
+from aqakit.frontend import (TOKEN_RATE_HZ, Waveform, compute_fbank,
+                             patchify)
 from aqakit.model import (AudioTextLm, BOS_ID, DecoderConfig, EOS_ID,
                           GenerationConfig, count_lora_params,
                           finite_diff_check, generate, llama_7b_geometry,
@@ -64,20 +64,19 @@ def test_shape_chain_ten_second_waveform(report):
     w = Waveform(rng.uniform(-1.0, 1.0, 16_000 * 10))
     spec = compute_fbank(w)
     grid = patchify(spec)
-    enc = PatchEncoder.create(d_audio=24, seed=2)
-    proj = ProjectionLayer.create(24, 48, seed=3)
-    tokens = waveform_to_tokens(w, enc, proj)
+    cfg = DecoderConfig(d_audio=24, d_model=48)
+    rows, _ = AudioTextLm(cfg)._audio_rows(grid)
     wall = time.perf_counter() - t0
     n_patches = grid.patches.shape[0] * grid.patches.shape[1]
     ok = (spec.frames.shape == (1024, 128)
           and grid.patches.shape[:2] == (64, 8) and n_patches == 512
-          and tokens.tokens.shape[0] == 32
-          and tokens.frame_rate_hz == 3.2
+          and rows.shape == (32, 48)
+          and TOKEN_RATE_HZ * 10 == cfg.n_audio_tokens
           and wall < 1.0)
     report("shape chain", ok,
            f"fbank {spec.frames.shape}, {n_patches} patches "
-           f"{grid.patches.shape[:2]}, {tokens.tokens.shape[0]} tokens at "
-           f"{tokens.frame_rate_hz} Hz in {wall:.2f}s (< 1s)")
+           f"{grid.patches.shape[:2]}, {rows.shape[0]} audio rows of width "
+           f"{rows.shape[1]} at {TOKEN_RATE_HZ} Hz in {wall:.2f}s (< 1s)")
 
 
 def test_adapter_param_count_7b_geometry(report):

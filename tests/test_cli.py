@@ -356,6 +356,22 @@ def test_answer_is_reproducible_under_seed(demo_dir, tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_answer_rejects_a_token_budget_below_one(demo_dir, tmp_path, capsys,
+                                                 budget):
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, AudioTextLm(DecoderConfig(), seed=0))
+    wav = next((demo_dir / "audio").glob("*.wav"))
+    out = tmp_path / "ans.jsonl"
+    assert main(["answer", "--audio", str(wav), "--question", "q?",
+                 "--ckpt", str(ckpt), "--max-new-tokens", budget,
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "max_new_tokens must be >= 1" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 # -- evaluation -------------------------------------------------------------------
 
 @pytest.fixture()

@@ -1,7 +1,10 @@
-"""Frontend contract tests: fbank, patch tiling, encoding, pooling, projection.
+"""Frontend contract tests: WAV IO, fbank, patch tiling, and the audio-path
+pieces the model chains (patch encoder, token pooling, projection).
 
 The sine test verifies compute_fbank against a brute-force DFT plus an
-independently constructed mel filterbank so the check is not circular.
+independently constructed mel filterbank so the check is not circular. The
+projection runs only inside the model, so its tests go through
+AudioTextLm._audio_rows: patch encoder, pooling, then projection.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import numpy as np
 import pytest
 
 from aqakit.frontend import (
+    MEL_FMAX_HZ,
+    MEL_FMIN_HZ,
     FbankConfig,
     LogMelSpectrogram,
     PatchEncoder,
@@ -21,15 +26,15 @@ from aqakit.frontend import (
     Waveform,
     compute_fbank,
     encode_patches,
-    mel_center_freqs_hz,
+    hz_to_mel,
+    mel_to_hz,
     patchify,
     pool_tokens,
-    project_tokens,
     read_wav,
     reassemble_patches,
-    waveform_to_tokens,
     write_wav,
 )
+from aqakit.model import AudioTextLm, DecoderConfig
 
 SR = 16000
 
@@ -121,7 +126,9 @@ def test_fbank_sine_matches_dft_oracle() -> None:
     x = 0.5 * np.sin(2 * np.pi * 1000.0 * t)
     spec = compute_fbank(Waveform(x), cfg)
 
-    centers = mel_center_freqs_hz(cfg.n_mels)
+    mel_points = np.linspace(hz_to_mel(MEL_FMIN_HZ), hz_to_mel(MEL_FMAX_HZ),
+                             cfg.n_mels + 2)
+    centers = mel_to_hz(mel_points[1:-1])
     expected_bin = int(np.argmin(np.abs(centers - 1000.0)))
     n_real = (x.size - cfg.window_samples) // cfg.hop_samples + 1
     argmaxes = np.argmax(spec.frames[:n_real], axis=1)
@@ -187,15 +194,14 @@ def test_encode_rejects_dim_mismatch() -> None:
 
 def test_pool_token_count_and_constant() -> None:
     tokens = pool_tokens(np.full((64, 8, 5), 1.5))
-    assert tokens.tokens.shape == (32, 5)
-    assert np.all(tokens.tokens == 1.5)
-    assert tokens.frame_rate_hz == 3.2
+    assert tokens.shape == (32, 5)
+    assert np.all(tokens == 1.5)
 
 
 def test_pool_hand_mean_oracle() -> None:
     # cell (t, f) holds scalar t; token k must be (2k + (2k+1)) / 2
     grid = np.repeat(np.arange(64.0)[:, None, None], 8, axis=1)
-    tokens = pool_tokens(grid).tokens
+    tokens = pool_tokens(grid)
     expected = 2 * np.arange(32.0) + 0.5
     np.testing.assert_array_equal(tokens[:, 0], expected)
 
@@ -210,46 +216,52 @@ def test_pool_commutes_with_scaling() -> None:
     for _ in range(20):
         e = rng.normal(size=(64, 8, 7))
         c = float(rng.normal())
-        np.testing.assert_allclose(pool_tokens(c * e).tokens,
-                                   c * pool_tokens(e).tokens, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(pool_tokens(c * e), c * pool_tokens(e),
+                                   rtol=1e-12, atol=1e-12)
+
+
+def audio_model(d_audio: int, d_model: int, n_audio_tokens: int = 32) -> AudioTextLm:
+    """A model for its audio path only: no decoder layers."""
+    return AudioTextLm(DecoderConfig(n_layers=0, n_heads=1, d_model=d_model,
+                                     d_audio=d_audio, n_audio_tokens=n_audio_tokens))
 
 
 def test_project_llama_geometry_shape() -> None:
-    seq = pool_tokens(np.zeros((64, 8, 768)))
-    proj = ProjectionLayer.create(768, 4096, seed=0)
-    out = project_tokens(seq, proj)
-    assert out.tokens.shape == (32, 4096)
+    model = audio_model(768, 4096)
+    rows, _ = model._audio_rows(PatchGrid(np.zeros((64, 8, 256))))
+    assert rows.shape == (32, 4096)
 
 
 def test_project_zero_weights() -> None:
-    seq = pool_tokens(np.ones((64, 8, 4)))
-    proj = ProjectionLayer(weight=np.zeros((4, 6)), bias=np.zeros(6))
-    assert np.all(project_tokens(seq, proj).tokens == 0.0)
+    model = audio_model(4, 6)
+    model.projection = ProjectionLayer(weight=np.zeros((4, 6)), bias=np.zeros(6))
+    rows, _ = model._audio_rows(PatchGrid(np.ones((64, 8, 256))))
+    assert np.all(rows == 0.0)
 
 
 def test_project_hand_affine_oracle() -> None:
+    # identity encoder, zero offsets: patch value 0 holds the grid row t and
+    # value 1 the column f, so token k pools to [(4k + 1) / 2, 3.5]
+    model = audio_model(2, 3, n_audio_tokens=2)
+    model.patch_encoder = PatchEncoder(weight=np.eye(256)[:, :2], bias=np.zeros(2),
+                                       pos_offsets=np.zeros((4, 8, 2)))
     w = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     b = np.array([0.5, -0.5, 1.0])
-    seq = pool_tokens(np.full((2, 1, 2), 1.0))  # tokens: one row [1, 1]
-    out = project_tokens(seq, ProjectionLayer(weight=w, bias=b)).tokens
-    np.testing.assert_array_equal(out, np.array([[5.5, 6.5, 10.0]]))
+    model.projection = ProjectionLayer(weight=w, bias=b)
+    patches = np.zeros((4, 8, 256))
+    patches[..., 0] = np.arange(4.0)[:, None]
+    patches[..., 1] = np.arange(8.0)[None, :]
+    rows, _ = model._audio_rows(PatchGrid(patches))
+    # [0.5, 3.5] @ w + b and [2.5, 3.5] @ w + b
+    np.testing.assert_array_equal(rows, np.array([[15.0, 18.0, 23.5],
+                                                  [17.0, 22.0, 29.5]]))
 
 
 def test_project_rejects_mismatch() -> None:
-    seq = pool_tokens(np.zeros((64, 8, 4)))
-    with pytest.raises(ValueError):
-        project_tokens(seq, ProjectionLayer(weight=np.zeros((5, 3)), bias=np.zeros(3)))
-
-
-def test_pipeline_emits_32_tokens_at_3_2_hz() -> None:
-    rng = np.random.default_rng(9)
-    enc = PatchEncoder.create(d_audio=24, seed=2)
-    proj = ProjectionLayer.create(24, 48, seed=3)
-    for _ in range(3):
-        w = Waveform(rng.uniform(-1, 1, SR * 10))
-        out = waveform_to_tokens(w, enc, proj)
-        assert out.tokens.shape == (32, 48)
-        assert out.frame_rate_hz == 3.2
+    model = audio_model(4, 3)
+    model.patch_encoder = PatchEncoder.create(d_audio=5)
+    with pytest.raises(ValueError, match="d_audio 4"):
+        model._audio_rows(PatchGrid(np.zeros((64, 8, 256))))
 
 
 def test_wav_roundtrip_and_rejections(tmp_path) -> None:

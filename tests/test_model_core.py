@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aqakit.frontend import PatchGrid
+from aqakit.cli import main
+from aqakit.frontend import PatchGrid, Waveform, write_wav
 from aqakit.model import (
     AlignmentBatch,
     AudioTextLm,
@@ -47,7 +48,7 @@ def random_audio(cfg: DecoderConfig, seed: int = 0) -> PatchGrid:
 
 def random_example(cfg: DecoderConfig, seed: int = 0) -> TrainingExample:
     ids, mask = build_qa_ids("what is it", "a dog")
-    return TrainingExample(audio_tokens=random_audio(cfg, seed), text_tokens=ids,
+    return TrainingExample(audio=random_audio(cfg, seed), text_tokens=ids,
                            loss_mask=mask)
 
 
@@ -450,6 +451,10 @@ def test_checkpoint_roundtrip(tmp_path) -> None:
     for name, arr in model.base.items():
         np.testing.assert_array_equal(loaded.base[name],
                                       arr.astype("<f4").astype(np.float64))
+    loaded_params = loaded.trainable_parameters()
+    for name, arr in model.trainable_parameters().items():
+        np.testing.assert_array_equal(loaded_params[name],
+                                      arr.astype("<f4").astype(np.float64))
     audio = random_audio(cfg, 32)
     ids = np.array([BOS_ID, 97, 98])
     # float32 storage: forwards agree to float32 precision
@@ -477,3 +482,36 @@ def test_load_rejects_adapter_only_checkpoint(tmp_path) -> None:
                         encoding="utf-8")
     with pytest.raises(ValueError, match="only LoRA adapters"):
         load_checkpoint(tmp_path / "ckpt")
+
+
+def _drop_line(prefix: str):
+    return lambda text: "".join(ln for ln in text.splitlines(keepends=True)
+                                if not ln.startswith(prefix))
+
+
+# tiny_cfg: audio.proj.weight is d_audio x d_model = 8 x 16
+@pytest.mark.parametrize("edit, tensor", [
+    (_drop_line("tensor base.layers.0.attn.wq "), "base.layers.0.attn.wq"),
+    (lambda text: text + "tensor audio.extra float32 4 0 16\n", "audio.extra"),
+    (lambda text: text.replace("tensor audio.proj.weight float32 8x16 ",
+                               "tensor audio.proj.weight float32 16x8 "),
+     "audio.proj.weight"),
+], ids=["missing", "extra", "wrong_shape"])
+def test_load_rejects_a_tensor_table_that_does_not_fit(tmp_path, capsys, edit,
+                                                       tensor) -> None:
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, AudioTextLm(tiny_cfg(), seed=34))
+    manifest = ckpt / "manifest.txt"
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(edit(text), encoding="utf-8")
+    assert manifest.read_text(encoding="utf-8") != text
+    with pytest.raises(ValueError, match=tensor):
+        load_checkpoint(ckpt)
+
+    wav = tmp_path / "clip.wav"
+    write_wav(wav, Waveform(np.zeros(16000)))
+    assert main(["answer", "--audio", str(wav), "--question", "what is it?",
+                 "--ckpt", str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    assert tensor in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
