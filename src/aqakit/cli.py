@@ -137,6 +137,14 @@ def _cmd_sample_audioset(args) -> int:
     from .forge import sample_audioset
     with open(args.labels, encoding="utf-8") as fh:
         labels_of = json.load(fh)
+    if not isinstance(labels_of, dict):
+        raise ValueError(f"{args.labels}: expected a JSON object mapping "
+                         f"audio_id -> [class, ...]")
+    for audio_id, classes in labels_of.items():
+        if not (isinstance(classes, list) and classes
+                and all(isinstance(c, str) and c for c in classes)):
+            raise ValueError(f"{args.labels}: audio {audio_id!r}: classes must "
+                             f"be a non-empty list of non-empty strings")
     label_counts: dict[str, int] = {}
     for classes in labels_of.values():
         for c in classes:
@@ -329,7 +337,13 @@ def _cmd_probe(args) -> int:
     else:
         joined = _join_truths(preds, read_jsonl(args.truth, dict), "count")
         answers = [p["output"] for p, _ in joined]
-        truths = [int(c) for _, c in joined]
+        truths = []
+        for p, count in joined:
+            try:
+                truths.append(int(count))
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"count for audio_id {p['audio_id']!r} must "
+                                 f"be an integer, got {count!r}") from None
         pr = counting_probe(answers, truths)
         report = {"pearson_r": pr.pearson_r,
                   "double_single_ratio": pr.double_single_ratio,
@@ -347,12 +361,12 @@ def _build_parser() -> _Parser:
                                  "LM, and score outputs.")
     subs = parser.add_subparsers(dest="command", metavar="subcommand")
 
-    def sub(name, func, **kwargs):
+    def sub(name, func, out=True, **kwargs):
         p = subs.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        p.add_argument("--out", help="output path (default: stdout for "
-                                     "reports; required for datasets)")
-        p.add_argument("--seed", type=int, default=0)
+        if out:
+            p.add_argument("--out", help="output path (default: stdout for "
+                                         "reports; required for datasets)")
         return p
 
     def llm_flags(p):
@@ -373,6 +387,7 @@ def _build_parser() -> _Parser:
             help="rule-based closed-ended QA from meta JSONL")
     p.add_argument("--meta", required=True)
     p.add_argument("--feature-bank")
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub("forge-open", _cmd_forge_open,
             help="LLM-assisted open-ended QA from meta JSONL")
@@ -394,7 +409,7 @@ def _build_parser() -> _Parser:
     p = sub("stats", _cmd_stats, help="dataset statistics as JSON")
     p.add_argument("--manifest", required=True)
 
-    p = sub("validate", _cmd_validate, help="manifest schema check")
+    p = sub("validate", _cmd_validate, out=False, help="manifest schema check")
     p.add_argument("--manifest", required=True)
 
     p = sub("train", _cmd_train, help="run the scaled 4-stage curriculum")
@@ -404,12 +419,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--factor", type=float, default=1e-4)
     p.add_argument("--batch", type=int, default=8)
     p.add_argument("--report", help="stage report JSONL path")
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub("answer", _cmd_answer, help="one-question batch inference")
     p.add_argument("--audio", required=True)
     p.add_argument("--question", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--max-new-tokens", type=int, default=64)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub("eval-classify", _cmd_eval_classify,
             help="cosine classification metrics over predictions")

@@ -1,7 +1,6 @@
 """Ordering and counting probes over free-text answers.
 
-The extraction rules are reconstructions (the originals are unpublished) and
-are passed in explicitly wherever a different pattern set is needed.
+The extraction rules are reconstructions; the originals are unpublished.
 """
 
 from __future__ import annotations
@@ -35,11 +34,9 @@ DEFAULT_ORDER_PATTERNS = (
 _ARTICLE_RE = re.compile(r"^(?:the|a|an)\s+", re.IGNORECASE)
 
 
-def extract_first_sound(text: str,
-                        patterns: tuple[str, ...] = DEFAULT_ORDER_PATTERNS
-                        ) -> str | None:
+def extract_first_sound(text: str) -> str | None:
     """The clause naming the first-starting sound, or None when absent."""
-    for pat in patterns:
+    for pat in DEFAULT_ORDER_PATTERNS:
         m = re.search(pat, text, re.IGNORECASE)
         if m:
             clause = _ARTICLE_RE.sub("", m.group(1).strip())
@@ -49,16 +46,14 @@ def extract_first_sound(text: str,
 
 
 def order_probe(answer_text: str, first_label: str, second_label: str,
-                provider: EmbeddingProvider,
-                patterns: tuple[str, ...] = DEFAULT_ORDER_PATTERNS
-                ) -> bool | None:
+                provider: EmbeddingProvider) -> bool | None:
     """True/False when the answer names an order; None when it doesn't.
 
     The extracted clause is assigned to whichever label embeds closer by
     cosine; ties resolve to first_label, matching the lowest-index tie-break
     used for classification.
     """
-    clause = extract_first_sound(answer_text, patterns)
+    clause = extract_first_sound(answer_text)
     if clause is None:
         return None
     e = provider.embed(clause)

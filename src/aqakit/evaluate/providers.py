@@ -50,11 +50,8 @@ class HashedBagOfWordsProvider:
     collisions.
     """
 
-    def __init__(self, dimension: int = 4096):
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        self.name = "hashed-bow"
-        self.dimension = dimension
+    name = "hashed-bow"
+    dimension = 4096
 
     def _bucket(self, token: str) -> int:
         digest = hashlib.md5(token.encode("utf-8")).digest()

@@ -47,11 +47,9 @@ def build_aig_prompt(m: AudioMeta) -> str:
     return AIG_PROMPT + "\n\n" + serialize_meta(m)
 
 
-def detect_unanswerable(answer: str,
-                        patterns: tuple[str, ...] = DEFAULT_UNANSWERABLE_PATTERNS,
-                        ) -> bool:
+def detect_unanswerable(answer: str) -> bool:
     lowered = answer.lower()
-    return any(p.lower() in lowered for p in patterns)
+    return any(p.lower() in lowered for p in DEFAULT_UNANSWERABLE_PATTERNS)
 
 
 def _strip_code_fences(text: str) -> str:

@@ -20,6 +20,8 @@ MEL_FMIN_HZ = 0.0
 MEL_FMAX_HZ = 8000.0
 PATCH_SIDE = 16
 TOKEN_RATE_HZ = 3.2
+# std of the normal init of the patch encoder and the projection
+AUDIO_INIT_SCALE = 0.02
 
 
 @dataclass
@@ -27,16 +29,11 @@ class Waveform:
     """Mono audio at exactly 16 kHz, amplitudes in [-1, 1]."""
 
     samples: np.ndarray
-    sample_rate_hz: int = SAMPLE_RATE_HZ
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError("waveform must be one-dimensional mono audio")
-        if self.sample_rate_hz != SAMPLE_RATE_HZ:
-            raise ValueError(
-                f"sample rate must be {SAMPLE_RATE_HZ} Hz, got {self.sample_rate_hz}"
-            )
         if self.samples.size == 0:
             raise ValueError("empty waveform")
         if not np.all(np.isfinite(self.samples)):
@@ -87,14 +84,13 @@ class PatchGrid:
     """time_patches x freq_patches grid of flattened 16x16 tiles."""
 
     patches: np.ndarray
-    patch_side: int = PATCH_SIDE
 
     def __post_init__(self) -> None:
         self.patches = np.asarray(self.patches, dtype=np.float64)
         if self.patches.ndim != 3:
             raise ValueError("patch grid must be 3-D: time x freq x values")
-        if self.patches.shape[2] != self.patch_side * self.patch_side:
-            raise ValueError("patch value count must equal patch_side**2")
+        if self.patches.shape[2] != PATCH_SIDE * PATCH_SIDE:
+            raise ValueError(f"patch value count must be {PATCH_SIDE * PATCH_SIDE}")
 
 
 def hz_to_mel(hz: np.ndarray | float) -> np.ndarray | float:
@@ -105,17 +101,16 @@ def mel_to_hz(mel: np.ndarray | float) -> np.ndarray | float:
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels: int, n_fft: int, sample_rate_hz: int = SAMPLE_RATE_HZ,
-                   fmin_hz: float = MEL_FMIN_HZ, fmax_hz: float = MEL_FMAX_HZ) -> np.ndarray:
+def mel_filterbank(n_mels: int, n_fft: int) -> np.ndarray:
     """Triangular mel filters as an (n_mels, n_fft//2 + 1) matrix.
 
-    Filter centers are spaced evenly on the HTK mel scale between fmin and
-    fmax; each filter ramps linearly in Hz from its left neighbor's center to
-    its own and back down to its right neighbor's.
+    Filter centers are spaced evenly on the HTK mel scale between
+    MEL_FMIN_HZ and MEL_FMAX_HZ; each filter ramps linearly in Hz from its
+    left neighbor's center to its own and back down to its right neighbor's.
     """
-    mel_points = np.linspace(hz_to_mel(fmin_hz), hz_to_mel(fmax_hz), n_mels + 2)
+    mel_points = np.linspace(hz_to_mel(MEL_FMIN_HZ), hz_to_mel(MEL_FMAX_HZ), n_mels + 2)
     hz_points = mel_to_hz(mel_points)
-    bin_freqs = np.arange(n_fft // 2 + 1) * sample_rate_hz / n_fft
+    bin_freqs = np.arange(n_fft // 2 + 1) * SAMPLE_RATE_HZ / n_fft
 
     bank = np.zeros((n_mels, bin_freqs.size), dtype=np.float64)
     for m in range(n_mels):
@@ -126,7 +121,7 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate_hz: int = SAMPLE_RATE_HZ
     return bank
 
 
-def compute_fbank(w: Waveform, cfg: FbankConfig | None = None) -> LogMelSpectrogram:
+def compute_fbank(w: Waveform) -> LogMelSpectrogram:
     """Log mel filterbank features: 25 ms Hanning window every 10 ms.
 
     Windowed frames are zero-padded right to n_fft, power spectra are pushed
@@ -134,7 +129,7 @@ def compute_fbank(w: Waveform, cfg: FbankConfig | None = None) -> LogMelSpectrog
     before the natural log. Output is padded with log(log_floor) rows, or
     truncated, to exactly cfg.target_frames rows.
     """
-    cfg = cfg or FbankConfig()
+    cfg = FbankConfig()
     win = cfg.window_samples
     hop = cfg.hop_samples
     x = w.samples
@@ -143,7 +138,7 @@ def compute_fbank(w: Waveform, cfg: FbankConfig | None = None) -> LogMelSpectrog
 
     n_frames = (x.size - win) // hop + 1
     window = np.hanning(win)
-    bank = mel_filterbank(cfg.n_mels, cfg.n_fft, w.sample_rate_hz)
+    bank = mel_filterbank(cfg.n_mels, cfg.n_fft)
 
     n_keep = min(n_frames, cfg.target_frames)
     frames = np.full((cfg.target_frames, cfg.n_mels), np.log(cfg.log_floor),
@@ -157,29 +152,30 @@ def compute_fbank(w: Waveform, cfg: FbankConfig | None = None) -> LogMelSpectrog
     return LogMelSpectrogram(frames)
 
 
-def patchify(s: LogMelSpectrogram, patch_side: int = PATCH_SIDE) -> PatchGrid:
+def patchify(s: LogMelSpectrogram) -> PatchGrid:
     """Tile the spectrogram into non-overlapping square patches.
 
     A 1024x128 input becomes a 64 (time) x 8 (frequency) grid of flattened
     16x16 tiles. The tiling is lossless: reassemble_patches inverts it.
     """
     frames = s.frames
+    side = PATCH_SIDE
     t_dim, f_dim = frames.shape
-    if t_dim % patch_side or f_dim % patch_side:
+    if t_dim % side or f_dim % side:
         raise ValueError(
-            f"spectrogram shape {frames.shape} not divisible by patch side {patch_side}"
+            f"spectrogram shape {frames.shape} not divisible by patch side {side}"
         )
-    t_patches = t_dim // patch_side
-    f_patches = f_dim // patch_side
-    tiled = frames.reshape(t_patches, patch_side, f_patches, patch_side)
-    grid = tiled.transpose(0, 2, 1, 3).reshape(t_patches, f_patches, patch_side * patch_side)
-    return PatchGrid(grid.copy(), patch_side=patch_side)
+    t_patches = t_dim // side
+    f_patches = f_dim // side
+    tiled = frames.reshape(t_patches, side, f_patches, side)
+    grid = tiled.transpose(0, 2, 1, 3).reshape(t_patches, f_patches, side * side)
+    return PatchGrid(grid.copy())
 
 
 def reassemble_patches(g: PatchGrid) -> LogMelSpectrogram:
     """Inverse of patchify; exact, not approximate."""
     t_patches, f_patches, _ = g.patches.shape
-    side = g.patch_side
+    side = PATCH_SIDE
     tiled = g.patches.reshape(t_patches, f_patches, side, side)
     frames = tiled.transpose(0, 2, 1, 3).reshape(t_patches * side, f_patches * side)
     return LogMelSpectrogram(frames.copy())
@@ -199,13 +195,13 @@ class PatchEncoder:
         return self.weight.shape[1]
 
     @classmethod
-    def create(cls, d_audio: int = 64, patch_values: int = PATCH_SIDE * PATCH_SIDE,
-               grid_shape: tuple[int, int] = (64, 8), seed: int = 0,
-               init_scale: float = 0.02) -> "PatchEncoder":
+    def create(cls, d_audio: int = 64, grid_shape: tuple[int, int] = (64, 8),
+               seed: int = 0) -> "PatchEncoder":
         rng = np.random.default_rng(seed)
-        weight = rng.normal(0.0, init_scale, size=(patch_values, d_audio))
+        weight = rng.normal(0.0, AUDIO_INIT_SCALE,
+                            size=(PATCH_SIDE * PATCH_SIDE, d_audio))
         bias = np.zeros(d_audio)
-        pos = rng.normal(0.0, init_scale, size=(*grid_shape, d_audio))
+        pos = rng.normal(0.0, AUDIO_INIT_SCALE, size=(*grid_shape, d_audio))
         return cls(weight=weight, bias=bias, pos_offsets=pos)
 
 
@@ -249,10 +245,9 @@ class ProjectionLayer:
     bias: np.ndarray  # (d_model,)
 
     @classmethod
-    def create(cls, d_audio: int, d_model: int, seed: int = 0,
-               init_scale: float = 0.02) -> "ProjectionLayer":
+    def create(cls, d_audio: int, d_model: int, seed: int = 0) -> "ProjectionLayer":
         rng = np.random.default_rng(seed)
-        return cls(weight=rng.normal(0.0, init_scale, size=(d_audio, d_model)),
+        return cls(weight=rng.normal(0.0, AUDIO_INIT_SCALE, size=(d_audio, d_model)),
                    bias=np.zeros(d_model))
 
 
@@ -296,7 +291,7 @@ def read_wav(path: str | Path) -> Waveform:
     if len(data) % 2:
         raise ValueError(f"{path}: odd data length {len(data)} for 16-bit samples")
     ints = np.frombuffer(data, dtype="<i2")
-    return Waveform(ints.astype(np.float64) / 32768.0, sample_rate_hz=rate)
+    return Waveform(ints.astype(np.float64) / 32768.0)
 
 
 def write_wav(path: str | Path, w: Waveform) -> None:
@@ -304,8 +299,7 @@ def write_wav(path: str | Path, w: Waveform) -> None:
     scaled = np.round(np.clip(w.samples, -1.0, 1.0) * 32768.0)
     ints = np.clip(scaled, -32768, 32767).astype("<i2")
     data = ints.tobytes()
-    fmt = struct.pack("<HHIIHH", 1, 1, w.sample_rate_hz,
-                      w.sample_rate_hz * 2, 2, 16)
+    fmt = struct.pack("<HHIIHH", 1, 1, SAMPLE_RATE_HZ, SAMPLE_RATE_HZ * 2, 2, 16)
     body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt \
         + b"data" + struct.pack("<I", len(data)) + data
     blob = b"RIFF" + struct.pack("<I", len(body)) + body

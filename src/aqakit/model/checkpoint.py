@@ -88,13 +88,21 @@ def load_checkpoint(path: str | Path) -> AudioTextLm:
     if missing:
         raise ValueError(f"{path}: checkpoint lacks tensor {min(missing)}")
     blob = (path / BLOB_NAME).read_bytes()
+    seen = set()
     for name, shape, offset, nbytes in table:
         if name not in tensors:
             raise ValueError(f"{path}: unexpected tensor {name}")
+        if name in seen:
+            raise ValueError(f"{path}: tensor {name} is listed twice")
+        seen.add(name)
         dst = tensors[name]
         if shape != dst.shape or nbytes != 4 * dst.size:
             raise ValueError(f"{path}: tensor {name} has shape {shape} and {nbytes} "
                              f"bytes, the model expects shape {dst.shape}")
+        if offset < 0 or offset + nbytes > len(blob):
+            raise ValueError(f"{path}: tensor {name} spans bytes {offset}.."
+                             f"{offset + nbytes} of {BLOB_NAME}, which holds "
+                             f"{len(blob)}")
         raw = np.frombuffer(blob, dtype="<f4", count=dst.size, offset=offset)
         dst[...] = raw.reshape(shape)
     return model

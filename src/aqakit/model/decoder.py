@@ -27,6 +27,8 @@ from .lora import lora_apply_rows
 from .tokenizer import VOCAB_SIZE
 
 LN_EPS = 1e-5
+# std of the normal init of the frozen attention and MLP weights
+BASE_SCALE = 0.1
 # frozen base weight of each projection an adapter may attach to
 _LORA_WEIGHTS = {"query": "attn.wq", "key": "attn.wk"}
 
@@ -101,8 +103,7 @@ class AudioTextLm:
     """Frozen decoder + LoRA + trainable audio path, one example at a time."""
 
     def __init__(self, cfg: DecoderConfig | None = None, seed: int = 0,
-                 base_scale: float = 0.1, out_scale: float = 0.125,
-                 lora_a_scale: float = 0.01, audio_init_scale: float = 0.02):
+                 out_scale: float = 0.125, lora_a_scale: float = 0.01):
         self.cfg = cfg or DecoderConfig()
         c = self.cfg
         rng = np.random.default_rng(seed)
@@ -122,10 +123,10 @@ class AudioTextLm:
             self.base[p + "ln2.gamma"] = np.ones(d)
             self.base[p + "ln2.beta"] = np.zeros(d)
             for w in ("wq", "wk", "wv", "wo"):
-                self.base[p + f"attn.{w}"] = rng.normal(0.0, base_scale, size=(d, d))
-            self.base[p + "mlp.w1"] = rng.normal(0.0, base_scale, size=(h, d))
+                self.base[p + f"attn.{w}"] = rng.normal(0.0, BASE_SCALE, size=(d, d))
+            self.base[p + "mlp.w1"] = rng.normal(0.0, BASE_SCALE, size=(h, d))
             self.base[p + "mlp.b1"] = np.zeros(h)
-            self.base[p + "mlp.w2"] = rng.normal(0.0, base_scale, size=(d, h))
+            self.base[p + "mlp.w2"] = rng.normal(0.0, BASE_SCALE, size=(d, h))
             self.base[p + "mlp.b2"] = np.zeros(d)
 
         self.lora: dict[str, np.ndarray] = {}
@@ -137,9 +138,8 @@ class AudioTextLm:
 
         self.patch_encoder = PatchEncoder.create(
             d_audio=c.d_audio, grid_shape=(2 * c.n_audio_tokens, 8),
-            seed=seed + 1, init_scale=audio_init_scale)
-        self.projection = ProjectionLayer.create(
-            c.d_audio, d, seed=seed + 2, init_scale=audio_init_scale)
+            seed=seed + 1)
+        self.projection = ProjectionLayer.create(c.d_audio, d, seed=seed + 2)
 
     # -- parameter bookkeeping ------------------------------------------
 

@@ -53,7 +53,7 @@ def make_demo_wave(tone_hz: float, seed: int,
     phase = rng.uniform(0.0, 2.0 * np.pi)
     samples = 0.6 * np.sin(2.0 * np.pi * tone_hz * t + phase)
     samples += 0.02 * rng.standard_normal(n)
-    return Waveform(np.clip(samples, -1.0, 1.0), SAMPLE_RATE_HZ)
+    return Waveform(np.clip(samples, -1.0, 1.0))
 
 
 def make_demo_meta(cls: DemoClass, clip_index: int) -> AudioMeta:

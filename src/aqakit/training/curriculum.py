@@ -1,10 +1,11 @@
-"""The four-stage training curriculum: what is trainable, which task kinds
-are in play, and the most samples each stage draws per epoch.
+"""The four-stage training curriculum: which task kinds are in play, and
+the most samples each stage draws per epoch.
 
 Stage 1 warms up only the audio projection on the most objective tasks;
 later stages unlock every non-LM parameter and progressively more open
-task mixes. The full-scale sample budgets are kept as the documented
-preset; scale_curriculum shrinks them for desk-size runs.
+task mixes, so what trains follows from the stage number alone. The
+full-scale sample budgets are kept as the documented preset;
+scale_curriculum shrinks them for desk-size runs.
 
 n_samples is a cap: run_stage draws min(n_samples, pool) items per epoch
 from the rows the stage's task filter admits. On the 200-pair demo corpus
@@ -20,7 +21,6 @@ import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-TRAINABLE_SETS = ("projection_only", "all_non_lm")
 TASK_FILTERS = ("clf_and_desc", "all_closed", "all")
 
 # openness rank; later stages must not move left
@@ -30,7 +30,6 @@ _OPENNESS = {name: rank for rank, name in enumerate(TASK_FILTERS)}
 @dataclass(frozen=True)
 class StageConfig:
     stage: int
-    trainable: str
     tasks: str
     n_samples: int
     lr: float
@@ -39,14 +38,8 @@ class StageConfig:
     def __post_init__(self) -> None:
         if self.stage < 1:
             raise ValueError(f"stage must be >= 1, got {self.stage}")
-        if self.trainable not in TRAINABLE_SETS:
-            raise ValueError(f"unknown trainable set {self.trainable!r}")
         if self.tasks not in TASK_FILTERS:
             raise ValueError(f"unknown task filter {self.tasks!r}")
-        if self.stage == 1 and self.trainable != "projection_only":
-            raise ValueError("stage 1 trains the projection only")
-        if self.stage > 1 and self.trainable != "all_non_lm":
-            raise ValueError(f"stage {self.stage} must train all_non_lm")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if self.lr <= 0:
@@ -54,13 +47,18 @@ class StageConfig:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
+    @property
+    def trainable(self) -> str:
+        """projection_only in stage 1, all_non_lm in every later stage."""
+        return "projection_only" if self.stage == 1 else "all_non_lm"
+
 
 def default_curriculum() -> list[StageConfig]:
     return [
-        StageConfig(1, "projection_only", "clf_and_desc", 1_200_000, 1e-3, 2),
-        StageConfig(2, "all_non_lm", "clf_and_desc", 1_200_000, 1e-4, 2),
-        StageConfig(3, "all_non_lm", "all_closed", 1_900_000, 1e-4, 1),
-        StageConfig(4, "all_non_lm", "all", 5_600_000, 1e-4, 1),
+        StageConfig(1, "clf_and_desc", 1_200_000, 1e-3, 2),
+        StageConfig(2, "clf_and_desc", 1_200_000, 1e-4, 2),
+        StageConfig(3, "all_closed", 1_900_000, 1e-4, 1),
+        StageConfig(4, "all", 5_600_000, 1e-4, 1),
     ]
 
 
@@ -110,23 +108,12 @@ def filter_tasks(rows: list, s: StageConfig) -> list:
 # -- curriculum files ---------------------------------------------------------
 
 _SECTION = re.compile(r"^stage(\d+)$")
-
-
-def write_curriculum(path: str | Path, stages: list[StageConfig]) -> None:
-    parser = configparser.ConfigParser()
-    for s in stages:
-        parser[f"stage{s.stage}"] = {
-            "trainable": s.trainable,
-            "tasks": s.tasks,
-            "n_samples": str(s.n_samples),
-            "lr": repr(s.lr),
-            "epochs": str(s.epochs),
-        }
-    with open(path, "w", encoding="utf-8") as fh:
-        parser.write(fh)
+_STAGE_KEYS = {"tasks", "n_samples", "lr", "epochs"}
 
 
 def read_curriculum(path: str | Path) -> list[StageConfig]:
+    """Stages from an INI file: one [stageN] section per stage, each with
+    exactly the keys tasks, n_samples, lr and epochs."""
     parser = configparser.ConfigParser()
     if not parser.read(path, encoding="utf-8"):
         raise ValueError(f"cannot read curriculum file {path}")
@@ -139,10 +126,12 @@ def read_curriculum(path: str | Path) -> list[StageConfig]:
     stages = []
     for n in sorted(numbered):
         sec = parser[f"stage{n}"]
+        unknown = sorted(set(sec) - _STAGE_KEYS)
+        if unknown:
+            raise ValueError(f"{path}: [stage{n}]: unknown key {unknown[0]!r}")
         try:
             stages.append(StageConfig(
                 stage=n,
-                trainable=sec["trainable"],
                 tasks=sec["tasks"],
                 n_samples=int(sec["n_samples"]),
                 lr=float(sec["lr"]),

@@ -148,7 +148,7 @@ def test_desk_scale_training(report, curriculum_run):
     items = make_demo_items(clips_per_class=2, seed=0)[:10]
     model = AudioTextLm(DecoderConfig(), seed=0,
                         out_scale=0.35, lora_a_scale=0.5)
-    stage = StageConfig(4, "all_non_lm", "all", 10, 2e-2, 200)
+    stage = StageConfig(4, "all", 10, 2e-2, 200)
     t0 = time.perf_counter()
     run_stage(model, items, stage, TrainerConfig(batch_size=1, seed=0))
     overfit_wall = time.perf_counter() - t0

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import aqakit
-from aqakit.cli import main
+from aqakit.cli import _build_parser, main
 from aqakit.evaluate import JUDGE_PROMPT
 from aqakit.model import AudioTextLm, DecoderConfig, save_checkpoint
 from aqakit.synthetic import write_demo_corpus
@@ -59,6 +59,44 @@ def test_unknown_flag_exits_1_with_usage(demo_dir, capsys):
 def test_missing_required_flag_exits_1(capsys):
     assert main(["stats"]) == 1
     assert "usage" in capsys.readouterr().err.lower()
+
+
+LLM = {"--mock-llm", "--llm-url", "--api-key-env", "--responses"}
+PROVIDER = {"--provider", "--llm-url", "--api-key-env"}
+FLAGS = {
+    "forge-closed": {"--out", "--seed", "--meta", "--feature-bank"},
+    "forge-open": {"--out", "--meta"} | LLM,
+    "forge-features": {"--out", "--classes", "--meta"} | LLM,
+    "sample-audioset": {"--out", "--labels", "--n"},
+    "stats": {"--out", "--manifest"},
+    "validate": {"--manifest"},
+    "train": {"--out", "--seed", "--manifest", "--audio-dir", "--curriculum",
+              "--factor", "--batch", "--report"},
+    "answer": {"--out", "--seed", "--audio", "--question", "--ckpt",
+               "--max-new-tokens"},
+    "eval-classify": {"--out", "--pred", "--truth", "--labels"} | PROVIDER,
+    "eval-caption": {"--out", "--pred", "--truth"},
+    "eval-judge": {"--out", "--pred"} | LLM,
+    "probe": {"--out", "--pred", "--truth", "--kind"} | PROVIDER,
+}
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    subs = _build_parser()._subparsers._group_actions[0].choices
+    got = {name: {opt for action in sp._actions for opt in action.option_strings
+                  if opt not in ("-h", "--help")}
+           for name, sp in subs.items()}
+    assert got == FLAGS
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--manifest", "m.jsonl", "--seed", "1"],
+    ["validate", "--manifest", "m.jsonl", "--out", "x"],
+], ids=["stats_seed", "validate_out"])
+def test_flags_a_subcommand_does_not_use_exit_1(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "usage" in err
 
 
 def test_dataset_subcommands_require_out(demo_dir, capsys):
@@ -232,6 +270,25 @@ def test_sample_audioset_prefers_rare_classes(tmp_path, capsys):
     picked = out.read_text().split()
     assert len(picked) == 8
     assert {"clip36", "clip37", "clip38", "clip39"} <= set(picked)
+
+
+@pytest.mark.parametrize("labels_of, audio_id", [
+    (["clip00", "clip01"], None),
+    ({"a": "dog", "b": "cat"}, "a"),
+    ({"a": ["dog"], "b": []}, "b"),
+    ({"a": ["dog"], "b": ["cat", ""]}, "b"),
+    ({"a": [3]}, "a"),
+], ids=["list", "string_values", "empty_list", "empty_class", "number_class"])
+def test_sample_audioset_rejects_malformed_labels(tmp_path, capsys, labels_of,
+                                                  audio_id):
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps(labels_of), encoding="utf-8")
+    assert main(["sample-audioset", "--labels", str(labels), "--n", "1"]) == 1
+    captured = capsys.readouterr()
+    assert str(labels) in captured.err and "Traceback" not in captured.err
+    if audio_id is not None:
+        assert repr(audio_id) in captured.err
+    assert captured.out == ""
 
 
 # -- stats and validate -----------------------------------------------------------
@@ -486,6 +543,22 @@ def test_probe_counting_linearity(tmp_path, capsys):
     assert report["n_used"] == 4
     assert abs(report["pearson_r"] - 1.0) < 1e-12
     assert abs(report["double_single_ratio"] - 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("count", [None, [1, 2], "many"])
+def test_probe_counting_rejects_a_non_integer_count(tmp_path, capsys, count):
+    preds = _jsonl(tmp_path / "cp.jsonl", [
+        {"audio_id": "a", "question": "q", "output": "2 barks"},
+        {"audio_id": "b", "question": "q", "output": "3 barks"},
+    ])
+    truth = _jsonl(tmp_path / "ct.jsonl", [
+        {"audio_id": "a", "count": 2}, {"audio_id": "b", "count": count},
+    ])
+    assert main(["probe", "--kind", "counting", "--pred", str(preds),
+                 "--truth", str(truth)]) == 1
+    captured = capsys.readouterr()
+    assert "'b'" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_eval_pred_truth_id_mismatch_exits_1(eval_files, tmp_path, capsys):

@@ -489,6 +489,11 @@ def _drop_line(prefix: str):
                                 if not ln.startswith(prefix))
 
 
+def _repeat_line(prefix: str):
+    return lambda text: text + next(ln for ln in text.splitlines(keepends=True)
+                                    if ln.startswith(prefix))
+
+
 # tiny_cfg: audio.proj.weight is d_audio x d_model = 8 x 16
 @pytest.mark.parametrize("edit, tensor", [
     (_drop_line("tensor base.layers.0.attn.wq "), "base.layers.0.attn.wq"),
@@ -496,7 +501,8 @@ def _drop_line(prefix: str):
     (lambda text: text.replace("tensor audio.proj.weight float32 8x16 ",
                                "tensor audio.proj.weight float32 16x8 "),
      "audio.proj.weight"),
-], ids=["missing", "extra", "wrong_shape"])
+    (_repeat_line("tensor audio.proj.bias "), "audio.proj.bias is listed twice"),
+], ids=["missing", "extra", "wrong_shape", "duplicate"])
 def test_load_rejects_a_tensor_table_that_does_not_fit(tmp_path, capsys, edit,
                                                        tensor) -> None:
     ckpt = tmp_path / "ckpt"
@@ -514,4 +520,25 @@ def test_load_rejects_a_tensor_table_that_does_not_fit(tmp_path, capsys, edit,
                  "--ckpt", str(ckpt)]) == 1
     captured = capsys.readouterr()
     assert tensor in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_load_rejects_a_truncated_blob(tmp_path, capsys) -> None:
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, AudioTextLm(tiny_cfg(), seed=35))
+    blob = ckpt / "tensors.bin"
+    half = blob.stat().st_size // 2
+    blob.write_bytes(blob.read_bytes()[:half])
+    # the table is sorted by name; the first tensor running past the cut
+    table = [ln.split() for ln in (ckpt / "manifest.txt").read_text().splitlines()
+             if ln.startswith("tensor ")]
+    tensor = next(name for _, name, _, _, off, n in table if int(off) + int(n) > half)
+
+    wav = tmp_path / "clip.wav"
+    write_wav(wav, Waveform(np.zeros(16000)))
+    assert main(["answer", "--audio", str(wav), "--question", "what is it?",
+                 "--ckpt", str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    assert f"tensor {tensor} spans" in captured.err
+    assert "tensors.bin" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""

@@ -12,7 +12,7 @@ from aqakit.training import (CorpusItem, StageConfig, TrainerConfig,
                              default_curriculum, filter_tasks, lr_at,
                              make_example, read_curriculum, run_curriculum,
                              run_stage, scale_curriculum, validate_curriculum,
-                             warmup_steps, write_curriculum)
+                             warmup_steps)
 from aqakit.forge import QAPair
 
 
@@ -33,15 +33,11 @@ def test_default_curriculum_matches_published_table():
 
 def test_stage_config_validation():
     with pytest.raises(ValueError):
-        StageConfig(1, "all_non_lm", "all", 10, 1e-3, 1)
+        StageConfig(2, "everything", 10, 1e-3, 1)
     with pytest.raises(ValueError):
-        StageConfig(2, "projection_only", "all", 10, 1e-3, 1)
+        StageConfig(2, "all", 0, 1e-3, 1)
     with pytest.raises(ValueError):
-        StageConfig(2, "all_non_lm", "everything", 10, 1e-3, 1)
-    with pytest.raises(ValueError):
-        StageConfig(2, "all_non_lm", "all", 0, 1e-3, 1)
-    with pytest.raises(ValueError):
-        StageConfig(2, "all_non_lm", "all", 10, -1e-3, 1)
+        StageConfig(2, "all", 10, -1e-3, 1)
 
 
 def test_validate_curriculum_rejects_bad_order():
@@ -49,8 +45,8 @@ def test_validate_curriculum_rejects_bad_order():
     with pytest.raises(ValueError, match="numbered"):
         validate_curriculum(stages[::-1])
     shrinking = [stages[0],
-                 StageConfig(2, "all_non_lm", "all", 10, 1e-4, 1),
-                 StageConfig(3, "all_non_lm", "clf_and_desc", 10, 1e-4, 1)]
+                 StageConfig(2, "all", 10, 1e-4, 1),
+                 StageConfig(3, "clf_and_desc", 10, 1e-4, 1)]
     with pytest.raises(ValueError, match="openness"):
         validate_curriculum(shrinking)
 
@@ -84,9 +80,17 @@ def test_scale_curriculum_rejects_bad_factor():
 
 def test_curriculum_file_roundtrip(tmp_path):
     path = tmp_path / "curriculum.ini"
-    stages = scale_curriculum(default_curriculum(), 1e-4)
-    write_curriculum(path, stages)
-    assert read_curriculum(path) == stages
+    path.write_text("[stage1]\ntasks = clf_and_desc\nn_samples = 120\n"
+                    "lr = 0.001\nepochs = 2\n\n"
+                    "[stage2]\ntasks = clf_and_desc\nn_samples = 120\n"
+                    "lr = 0.0001\nepochs = 2\n\n"
+                    "[stage3]\ntasks = all_closed\nn_samples = 190\n"
+                    "lr = 0.0001\nepochs = 1\n\n"
+                    "[stage4]\ntasks = all\nn_samples = 560\n"
+                    "lr = 0.0001\nepochs = 1\n")
+    stages = read_curriculum(path)
+    assert stages == scale_curriculum(default_curriculum(), 1e-4)
+    assert [s.trainable for s in stages] == ["projection_only"] + 3 * ["all_non_lm"]
 
 
 def test_read_curriculum_rejects_garbage(tmp_path):
@@ -94,6 +98,17 @@ def test_read_curriculum_rejects_garbage(tmp_path):
     path.write_text("[stage1]\ntrainable = projection_only\n")
     with pytest.raises(ValueError):
         read_curriculum(path)
+
+
+@pytest.mark.parametrize("extra", ["trainable = all_non_lm", "lr_decay = 0.5"])
+def test_read_curriculum_rejects_unknown_keys(tmp_path, extra):
+    path = tmp_path / "curriculum.ini"
+    path.write_text("[stage1]\ntasks = clf_and_desc\nn_samples = 4\n"
+                    f"lr = 0.001\nepochs = 1\n{extra}\n")
+    key = extra.split(" =")[0]
+    with pytest.raises(ValueError) as info:
+        read_curriculum(path)
+    assert str(info.value) == f"{path}: [stage1]: unknown key {key!r}"
 
 
 # -- task filters ---------------------------------------------------------------
@@ -109,12 +124,9 @@ def _manifest_20_per_kind():
 
 def test_filter_counts_on_balanced_manifest():
     rows = _manifest_20_per_kind()
-    clf = filter_tasks(rows, StageConfig(1, "projection_only",
-                                         "clf_and_desc", 10, 1e-3, 1))
-    closed = filter_tasks(rows, StageConfig(3, "all_non_lm", "all_closed",
-                                            10, 1e-4, 1))
-    everything = filter_tasks(rows, StageConfig(4, "all_non_lm", "all",
-                                                10, 1e-4, 1))
+    clf = filter_tasks(rows, StageConfig(1, "clf_and_desc", 10, 1e-3, 1))
+    closed = filter_tasks(rows, StageConfig(3, "all_closed", 10, 1e-4, 1))
+    everything = filter_tasks(rows, StageConfig(4, "all", 10, 1e-4, 1))
     assert (len(clf), len(closed), len(everything)) == (40, 80, 100)
     assert all(r.task in ("classification", "acoustic_features") for r in clf)
     assert not any(r.task == "open_ended" for r in closed)
@@ -126,8 +138,7 @@ def test_filter_counts_on_balanced_manifest():
 def test_filter_rejects_empty_result():
     rows = [QAPair("a", "q", "ans", task="open_ended", closed=False)]
     with pytest.raises(ValueError, match="stage 1"):
-        filter_tasks(rows, StageConfig(1, "projection_only", "clf_and_desc",
-                                       10, 1e-3, 1))
+        filter_tasks(rows, StageConfig(1, "clf_and_desc", 10, 1e-3, 1))
 
 
 # -- learning-rate schedule -------------------------------------------------------
@@ -212,7 +223,7 @@ def test_corpus_item_delegates_task_fields(demo_items):
 def test_run_stage_projection_only_freezes_everything_else(demo_items):
     model = _model()
     before = {name: t.copy() for name, t in model.trainable_parameters().items()}
-    stage = StageConfig(1, "projection_only", "clf_and_desc", 16, 1e-3, 1)
+    stage = StageConfig(1, "clf_and_desc", 16, 1e-3, 1)
     report = run_stage(model, demo_items, stage, TrainerConfig(batch_size=8))
     after = model.trainable_parameters()
     for name in after:
@@ -225,7 +236,7 @@ def test_run_stage_projection_only_freezes_everything_else(demo_items):
 
 def test_run_stage_steps_invariant(demo_items):
     model = _model()
-    stage = StageConfig(2, "all_non_lm", "clf_and_desc", 20, 1e-4, 2)
+    stage = StageConfig(2, "clf_and_desc", 20, 1e-4, 2)
     report = run_stage(model, demo_items, stage, TrainerConfig(batch_size=8))
     assert report.steps == math.ceil(20 / 8) * 2
     assert len(report.epoch_mean_losses) == 2
@@ -234,7 +245,7 @@ def test_run_stage_steps_invariant(demo_items):
 def test_run_stage_is_deterministic(demo_items):
     def run():
         model = _model(seed=3)
-        stage = StageConfig(2, "all_non_lm", "clf_and_desc", 12, 1e-4, 2)
+        stage = StageConfig(2, "clf_and_desc", 12, 1e-4, 2)
         return run_stage(model, demo_items, stage,
                          TrainerConfig(batch_size=4, seed=11))
 
@@ -247,7 +258,7 @@ def test_run_stage_is_deterministic(demo_items):
 def test_run_stage_aborts_on_divergence(demo_items):
     model = _model()
     model.projection.weight[:] = np.nan
-    stage = StageConfig(2, "all_non_lm", "clf_and_desc", 8, 1e-4, 1)
+    stage = StageConfig(2, "clf_and_desc", 8, 1e-4, 1)
     report = run_stage(model, demo_items, stage, TrainerConfig(batch_size=8))
     assert report.aborted
     assert report.steps == 0
@@ -260,7 +271,7 @@ def test_overfit_drives_loss_down(demo_items):
     model = AudioTextLm(DecoderConfig(), seed=0,
                         out_scale=0.35, lora_a_scale=0.5)
     ten = demo_items[:10]
-    stage = StageConfig(4, "all_non_lm", "all", 10, 2e-2, 80)
+    stage = StageConfig(4, "all", 10, 2e-2, 80)
     cfg = TrainerConfig(batch_size=1, seed=0)
     report = run_stage(model, ten, stage, cfg)
     assert not report.aborted
@@ -298,8 +309,8 @@ def test_run_curriculum_reports_checkpoints_and_frozen_base(
 
 def test_rerun_into_same_report_keeps_only_the_last_run(demo_items,
                                                        tmp_path):
-    stages = [StageConfig(1, "projection_only", "clf_and_desc", 4, 1e-3, 1),
-              StageConfig(2, "all_non_lm", "clf_and_desc", 4, 1e-4, 1)]
+    stages = [StageConfig(1, "clf_and_desc", 4, 1e-3, 1),
+              StageConfig(2, "clf_and_desc", 4, 1e-4, 1)]
     report_path = tmp_path / "reports.jsonl"
     for seed in (0, 1):
         reports = run_curriculum(_model(), demo_items, stages,
@@ -313,6 +324,6 @@ def test_rerun_into_same_report_keeps_only_the_last_run(demo_items,
 
 def test_run_curriculum_validates_stage_list(demo_items):
     model = _model()
-    bad = [StageConfig(2, "all_non_lm", "all", 4, 1e-4, 1)]
+    bad = [StageConfig(2, "all", 4, 1e-4, 1)]
     with pytest.raises(ValueError):
         run_curriculum(model, demo_items, bad, TrainerConfig(batch_size=8))
