@@ -42,18 +42,14 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _make_llm_client(args, mock_kind: str = "synth"):
-    # mock_kind picks what the offline client should sound like: "synth"
-    # emits schema-correct QA text for the forge commands, "judge" answers yes
+def _make_llm_client(args):
     if args.mock_llm:
         from .forge import ReplayLlmClient, SynthLlmClient
-        fallback = (lambda _prompt: "yes") if mock_kind == "judge" else None
-        if getattr(args, "responses", None):
+        if args.responses:
             with open(args.responses, encoding="utf-8") as fh:
                 recorded = json.load(fh)
-            return ReplayLlmClient(recorded, fallback=fallback)
-        if mock_kind == "judge":
-            return ReplayLlmClient({}, fallback=fallback)
+            return ReplayLlmClient(recorded,
+                                   fallback=SynthLlmClient().complete)
         return SynthLlmClient()
     from .forge import RealLlmClient
     if not args.llm_url:
@@ -109,7 +105,7 @@ def _cmd_forge_open(args) -> int:
 
 
 def _cmd_forge_features(args) -> int:
-    from .forge import EchoFeatureClient, gen_feature_bank, read_meta_jsonl
+    from .forge import gen_feature_bank, read_meta_jsonl
     if args.classes:
         classes = [ln.strip() for ln in
                    Path(args.classes).read_text(encoding="utf-8").splitlines()
@@ -121,7 +117,7 @@ def _cmd_forge_features(args) -> int:
         classes = sorted(seen)
     if not classes:
         raise ValueError("no classes to describe")
-    client = EchoFeatureClient() if args.mock_llm else _make_llm_client(args)
+    client = _make_llm_client(args)
     bank = gen_feature_bank(classes, client, cache_path=args.out)
     missing = [c for c in classes if c not in bank]
     if missing and len(missing) == len(classes):
@@ -310,7 +306,7 @@ def _cmd_eval_judge(args) -> int:
         if "question" not in p or "output" not in p:
             raise ValueError("prediction rows need question and output")
         pairs.append((p["question"], p["output"]))
-    client = _make_llm_client(args, mock_kind="judge")
+    client = _make_llm_client(args)
     report = judge_rate(pairs, client)
     _emit(json.dumps({"rate": report.rate, "n_yes": report.n_yes,
                       "n_no": report.n_no,
@@ -339,11 +335,10 @@ def _cmd_probe(args) -> int:
         answers = [p["output"] for p, _ in joined]
         truths = []
         for p, count in joined:
-            try:
-                truths.append(int(count))
-            except (TypeError, ValueError, OverflowError):
+            if not isinstance(count, int) or isinstance(count, bool):
                 raise ValueError(f"count for audio_id {p['audio_id']!r} must "
-                                 f"be an integer, got {count!r}") from None
+                                 f"be an integer, got {count!r}")
+            truths.append(count)
         pr = counting_probe(answers, truths)
         report = {"pearson_r": pr.pearson_r,
                   "double_single_ratio": pr.double_single_ratio,
@@ -361,12 +356,15 @@ def _build_parser() -> _Parser:
                                  "LM, and score outputs.")
     subs = parser.add_subparsers(dest="command", metavar="subcommand")
 
-    def sub(name, func, out=True, **kwargs):
+    # out: "report" (--out optional, default stdout), "dataset" (--out
+    # required: datasets never go to stdout) or None (no --out)
+    def sub(name, func, out="report", **kwargs):
         p = subs.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        if out:
-            p.add_argument("--out", help="output path (default: stdout for "
-                                         "reports; required for datasets)")
+        if out == "report":
+            p.add_argument("--out", help="output path (default: stdout)")
+        elif out == "dataset":
+            p.add_argument("--out", required=True, help="output path")
         return p
 
     def llm_flags(p):
@@ -383,18 +381,18 @@ def _build_parser() -> _Parser:
         p.add_argument("--llm-url", default="")
         p.add_argument("--api-key-env", default="LLM_API_KEY")
 
-    p = sub("forge-closed", _cmd_forge_closed,
+    p = sub("forge-closed", _cmd_forge_closed, out="dataset",
             help="rule-based closed-ended QA from meta JSONL")
     p.add_argument("--meta", required=True)
     p.add_argument("--feature-bank")
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub("forge-open", _cmd_forge_open,
+    p = sub("forge-open", _cmd_forge_open, out="dataset",
             help="LLM-assisted open-ended QA from meta JSONL")
     p.add_argument("--meta", required=True)
     llm_flags(p)
 
-    p = sub("forge-features", _cmd_forge_features,
+    p = sub("forge-features", _cmd_forge_features, out="dataset",
             help="acoustic feature descriptions per class, cached")
     p.add_argument("--classes", help="file with one class name per line")
     p.add_argument("--meta", help="derive classes from this meta JSONL")
@@ -409,10 +407,11 @@ def _build_parser() -> _Parser:
     p = sub("stats", _cmd_stats, help="dataset statistics as JSON")
     p.add_argument("--manifest", required=True)
 
-    p = sub("validate", _cmd_validate, out=False, help="manifest schema check")
+    p = sub("validate", _cmd_validate, out=None, help="manifest schema check")
     p.add_argument("--manifest", required=True)
 
-    p = sub("train", _cmd_train, help="run the scaled 4-stage curriculum")
+    p = sub("train", _cmd_train, out="dataset",
+            help="run the scaled 4-stage curriculum")
     p.add_argument("--manifest", required=True)
     p.add_argument("--audio-dir", required=True)
     p.add_argument("--curriculum", help="stage file; default: scaled table")
@@ -461,10 +460,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise UsageError(parser.format_usage())
-        # dataset-producing subcommands must not fall back to stdout
-        if args.command in ("forge-closed", "forge-open", "forge-features",
-                            "train") and not args.out:
-            raise UsageError(f"{args.command} requires --out")
         return args.func(args)
     except UsageError as exc:
         _eprint(f"aqakit: {exc}")

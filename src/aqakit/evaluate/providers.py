@@ -10,12 +10,13 @@ embeddings-API shape and is only built when explicitly requested.
 from __future__ import annotations
 
 import hashlib
-import os
 import re
 import time
 from typing import Protocol, runtime_checkable
 
 import numpy as np
+
+from ..remote import api_key, post_json
 
 __all__ = [
     "EmbeddingProvider",
@@ -93,52 +94,33 @@ class ExactMatchProvider:
 
 
 class RemoteEmbeddingProvider:
-    """Embeddings-API client with retries; built only on explicit request."""
+    """Embeddings-API client over remote.post_json; built only on explicit
+    request. A reply of the wrong dimension is retried like a failed one."""
 
-    ATTEMPTS = 3
+    name = "remote"
 
-    def __init__(self, url: str, model: str = "",
-                 api_key_env: str = "LLM_API_KEY", dimension: int = 1536,
-                 timeout_s: float = 60.0, session=None, sleep=time.sleep):
-        key = os.environ.get(api_key_env, "")
-        if not key:
-            raise RuntimeError(
-                f"remote embeddings need an API key in ${api_key_env}")
+    def __init__(self, url: str, api_key_env: str = "LLM_API_KEY",
+                 dimension: int = 1536, session=None, sleep=time.sleep):
+        self._key = api_key(api_key_env)
         if session is None:
             import requests
             session = requests.Session()
-        self.name = "remote"
         self.dimension = dimension
         self._url = url
-        self._model = model
-        self._key = key
-        self._timeout = timeout_s
         self._session = session
         self._sleep = sleep
 
+    def _parse(self, reply) -> np.ndarray:
+        vec = np.asarray(reply["data"][0]["embedding"], dtype=float)
+        if vec.shape != (self.dimension,):
+            raise ValueError(
+                f"expected dimension {self.dimension}, got {vec.shape}")
+        return vec
+
     def embed(self, text: str) -> np.ndarray:
-        payload = {"model": self._model, "input": text}
-        headers = {"Authorization": f"Bearer {self._key}"}
-        last = None
-        for attempt in range(self.ATTEMPTS):
-            try:
-                resp = self._session.post(self._url, json=payload,
-                                          headers=headers,
-                                          timeout=self._timeout)
-                resp.raise_for_status()
-                vec = np.asarray(resp.json()["data"][0]["embedding"],
-                                 dtype=float)
-                if vec.shape != (self.dimension,):
-                    raise ValueError(
-                        f"expected dimension {self.dimension}, "
-                        f"got {vec.shape}")
-                return vec
-            except Exception as exc:  # noqa: BLE001 - retry any transport error
-                last = exc
-                if attempt < self.ATTEMPTS - 1:
-                    self._sleep(2.0 ** attempt)
-        raise RuntimeError(
-            f"embedding request failed after {self.ATTEMPTS} attempts: {last}")
+        return post_json(self._session, self._url, self._key,
+                         {"model": "", "input": text}, parse=self._parse,
+                         sleep=self._sleep)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

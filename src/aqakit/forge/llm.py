@@ -1,20 +1,23 @@
 """Text-LLM clients behind one tiny contract: complete(prompt) -> text.
 
-RealLlmClient talks to a chat-completions style HTTP endpoint; everything
-else runs offline. All mocks keep a .calls log so tests can assert both
-what was asked and that nothing was asked twice.
+RealLlmClient talks to a chat-completions style HTTP endpoint; the other two
+run offline: SynthLlmClient answers every prompt family the pipeline sends,
+ReplayLlmClient serves recorded replies. Both keep a .calls log so tests can
+assert both what was asked and that nothing was asked twice.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 import time
 from typing import Callable, Protocol
 
 import requests
 
+from ..evaluate.judge import JUDGE_PROMPT
+from ..remote import api_key, post_json
+from .aig import AIG_PROMPT
 from .features import FEATURE_PROMPT_PREFIX, FEATURE_PROMPT_SUFFIX
 
 
@@ -49,48 +52,26 @@ class RateLimiter:
 
 
 class RealLlmClient:
-    """HTTP client with an API key from the environment, a rate limit, and
-    3 attempts with exponential backoff per request."""
+    """Chat-completions client: API key from the environment, at most
+    MAX_PER_MINUTE requests a minute, and the retries of remote.post_json."""
 
-    ATTEMPTS = 3
+    MAX_PER_MINUTE = 60
 
-    def __init__(self, url: str, model: str = "",
-                 api_key_env: str = "LLM_API_KEY",
-                 max_per_minute: int = 60, timeout_s: float = 60.0,
+    def __init__(self, url: str, api_key_env: str = "LLM_API_KEY",
                  session=None,
                  sleep: Callable[[float], None] = time.sleep) -> None:
-        key = os.environ.get(api_key_env)
-        if not key:
-            raise RuntimeError(
-                f"no API key: set the {api_key_env} environment variable")
         self._url = url
-        self._model = model
-        self._headers = {"Authorization": f"Bearer {key}",
-                         "Content-Type": "application/json"}
-        self._timeout_s = timeout_s
+        self._key = api_key(api_key_env)
         self._session = session or requests.Session()
         self._sleep = sleep
-        self._limiter = RateLimiter(max_per_minute, sleep=sleep)
+        self._limiter = RateLimiter(self.MAX_PER_MINUTE, sleep=sleep)
 
     def complete(self, prompt: str) -> str:
-        body = {"model": self._model,
+        body = {"model": "",
                 "messages": [{"role": "user", "content": prompt}]}
-        last: Exception | None = None
-        for attempt in range(self.ATTEMPTS):
-            self._limiter.wait()
-            try:
-                resp = self._session.post(self._url, json=body,
-                                          headers=self._headers,
-                                          timeout=self._timeout_s)
-                resp.raise_for_status()
-                return resp.json()["choices"][0]["message"]["content"]
-            except (requests.RequestException, KeyError, IndexError,
-                    ValueError) as exc:
-                last = exc
-                if attempt + 1 < self.ATTEMPTS:
-                    self._sleep(2.0 ** attempt)
-        raise RuntimeError(
-            f"LLM request failed after {self.ATTEMPTS} attempts: {last}")
+        return post_json(self._session, self._url, self._key, body,
+                         parse=lambda r: r["choices"][0]["message"]["content"],
+                         sleep=self._sleep, before_attempt=self._limiter.wait)
 
 
 class ReplayLlmClient:
@@ -111,25 +92,6 @@ class ReplayLlmClient:
         raise KeyError(f"no recorded response for prompt {prompt[:80]!r}...")
 
 
-class EchoFeatureClient:
-    """Mock for feature-bank generation: the i-th request for a class
-    returns "feature-{i} of {class}" (i starts at 1)."""
-
-    def __init__(self) -> None:
-        self.calls: list[str] = []
-        self._counts: dict[str, int] = {}
-
-    def complete(self, prompt: str) -> str:
-        self.calls.append(prompt)
-        if not (prompt.startswith(FEATURE_PROMPT_PREFIX)
-                and prompt.endswith(FEATURE_PROMPT_SUFFIX)):
-            raise ValueError(f"not a feature prompt: {prompt[:80]!r}")
-        cls = prompt[len(FEATURE_PROMPT_PREFIX):-len(FEATURE_PROMPT_SUFFIX)]
-        i = self._counts.get(cls, 0) + 1
-        self._counts[cls] = i
-        return f"feature-{i} of {cls}"
-
-
 _EVENT_SEGMENT = re.compile(
     r"^Sound of (.+) \(([^()]*)\)(?:: \[[^\]]*\])?$")
 
@@ -147,19 +109,29 @@ def _parse_meta_tail(meta_text: str) -> tuple[list[tuple[str, str]], str]:
 
 
 class SynthLlmClient:
-    """Offline stand-in for open-ended generation: reads the meta block at
-    the end of the prompt and emits simple templated QA pairs, one JSON
-    object per line. Deterministic given the prompt. Also answers feature
-    prompts so a single mock serves the whole pipeline."""
+    """Offline stand-in for every prompt family the pipeline sends, with
+    replies deterministic given the prompt sequence: the i-th feature prompt
+    for a class gets "feature-{i} of {class}" (i from 1), a judge prompt gets
+    "yes", and an open-ended QA prompt gets templated QA pairs, one JSON
+    object per line, read from its meta block. Anything else: ValueError."""
 
     def __init__(self) -> None:
         self.calls: list[str] = []
-        self._echo = EchoFeatureClient()
+        self._feature_counts: dict[str, int] = {}
 
     def complete(self, prompt: str) -> str:
         self.calls.append(prompt)
-        if prompt.startswith(FEATURE_PROMPT_PREFIX):
-            return self._echo.complete(prompt)
+        if (prompt.startswith(FEATURE_PROMPT_PREFIX)
+                and prompt.endswith(FEATURE_PROMPT_SUFFIX)):
+            cls = prompt.removeprefix(FEATURE_PROMPT_PREFIX)
+            cls = cls.removesuffix(FEATURE_PROMPT_SUFFIX)
+            i = self._feature_counts.get(cls, 0) + 1
+            self._feature_counts[cls] = i
+            return f"feature-{i} of {cls}"
+        if prompt.startswith(JUDGE_PROMPT):
+            return "yes"
+        if not prompt.startswith(AIG_PROMPT):
+            raise ValueError(f"no synthetic reply for prompt {prompt[:80]!r}")
         meta_text = prompt.split("\n\n")[-1]
         events, caption = _parse_meta_tail(meta_text)
         rows = []

@@ -16,6 +16,7 @@ import pytest
 import aqakit
 from aqakit.cli import _build_parser, main
 from aqakit.evaluate import JUDGE_PROMPT
+from aqakit.forge import feature_prompt
 from aqakit.model import AudioTextLm, DecoderConfig, save_checkpoint
 from aqakit.synthetic import write_demo_corpus
 
@@ -87,6 +88,11 @@ def test_each_subcommand_takes_exactly_its_flags():
                   if opt not in ("-h", "--help")}
            for name, sp in subs.items()}
     assert got == FLAGS
+    required_out = {name for name, sp in subs.items()
+                    for action in sp._actions
+                    if "--out" in action.option_strings and action.required}
+    assert required_out == {"forge-closed", "forge-open", "forge-features",
+                            "train"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -239,6 +245,34 @@ def test_forge_closed_rejects_malformed_feature_bank(demo_dir, tmp_path, capsys,
     assert f"{bank}: features of 'Dog'" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_forge_features_mock_replays_listed_classes(tmp_path, capsys):
+    classes = tmp_path / "classes.txt"
+    classes.write_text("Dog\nCat\n", encoding="utf-8")
+    responses = tmp_path / "r.json"
+    responses.write_text(json.dumps({feature_prompt("Dog"): "a sharp bark"}),
+                         encoding="utf-8")
+    bank = tmp_path / "bank.json"
+    assert main(["forge-features", "--classes", str(classes), "--mock-llm",
+                 "--responses", str(responses), "--out", str(bank)]) == 0
+    capsys.readouterr()
+    cached = json.loads(bank.read_text())
+    assert cached["Dog"] == ["a sharp bark"] * 10
+    assert cached["Cat"] == [f"feature-{i} of Cat" for i in range(1, 11)]
+
+
+def test_forge_open_mock_responses_fall_back_to_synthetic(demo_dir, tmp_path,
+                                                          capsys):
+    responses = tmp_path / "r.json"
+    responses.write_text("{}", encoding="utf-8")
+    plain, replayed = tmp_path / "plain.jsonl", tmp_path / "replayed.jsonl"
+    argv = ["forge-open", "--meta", str(demo_dir / "meta.jsonl"), "--mock-llm"]
+    assert main(argv + ["--out", str(plain)]) == 0
+    assert main(argv + ["--responses", str(responses),
+                        "--out", str(replayed)]) == 0
+    capsys.readouterr()
+    assert replayed.read_bytes() == plain.read_bytes()
 
 
 def test_mock_llm_never_opens_network(demo_dir, tmp_path, monkeypatch,
@@ -545,7 +579,7 @@ def test_probe_counting_linearity(tmp_path, capsys):
     assert abs(report["double_single_ratio"] - 2.0) < 1e-12
 
 
-@pytest.mark.parametrize("count", [None, [1, 2], "many"])
+@pytest.mark.parametrize("count", [None, [1, 2], "many", 2.9, True])
 def test_probe_counting_rejects_a_non_integer_count(tmp_path, capsys, count):
     preds = _jsonl(tmp_path / "cp.jsonl", [
         {"audio_id": "a", "question": "q", "output": "2 barks"},

@@ -17,8 +17,10 @@ from aqakit.forge import (
     parse_aig_response,
     sample_audioset,
 )
-from aqakit.forge.llm import (EchoFeatureClient, RateLimiter, RealLlmClient,
-                              ReplayLlmClient, SynthLlmClient)
+from aqakit.evaluate import (RemoteEmbeddingProvider,
+                             judge_instruction_following)
+from aqakit.forge.llm import (RateLimiter, RealLlmClient, ReplayLlmClient,
+                              SynthLlmClient)
 from fractions import Fraction
 
 from test_forge import ambulance_meta
@@ -83,8 +85,8 @@ def test_replay_client_fallback():
     assert client.complete("abc") == "ABC"
 
 
-def test_echo_feature_client_counts_per_class():
-    client = EchoFeatureClient()
+def test_synth_client_counts_feature_prompts_per_class():
+    client = SynthLlmClient()
     assert client.complete(feature_prompt("Dog")) == "feature-1 of Dog"
     assert client.complete(feature_prompt("Cat")) == "feature-1 of Cat"
     assert client.complete(feature_prompt("Dog")) == "feature-2 of Dog"
@@ -116,6 +118,38 @@ class FlakySession:
         if self.posts <= self.failures:
             raise requests.ConnectionError("boom")
         return FakeResponse(self.content)
+
+
+class RecordingSession:
+    def __init__(self, reply):
+        self.reply = reply
+        self.posts = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.posts.append((url, json, headers, timeout))
+        return self
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self.reply
+
+
+def test_remote_clients_send_the_same_request_shape(monkeypatch):
+    monkeypatch.setenv("LLM_API_KEY", "k")
+    headers = {"Authorization": "Bearer k", "Content-Type": "application/json"}
+    chat = RecordingSession({"choices": [{"message": {"content": "hi"}}]})
+    assert RealLlmClient("http://x.invalid/chat",
+                         session=chat).complete("hello") == "hi"
+    assert chat.posts == [("http://x.invalid/chat", {
+        "model": "", "messages": [{"role": "user", "content": "hello"}]},
+        headers, 60.0)]
+    emb = RecordingSession({"data": [{"embedding": [0.6, 0.8]}]})
+    RemoteEmbeddingProvider("http://x.invalid/emb", dimension=2,
+                            session=emb).embed("dog")
+    assert emb.posts == [("http://x.invalid/emb",
+                          {"model": "", "input": "dog"}, headers, 60.0)]
 
 
 def test_real_client_requires_api_key(monkeypatch):
@@ -163,10 +197,15 @@ def test_synth_client_handles_feature_prompts():
     assert client.complete(feature_prompt("Dog")) == "feature-1 of Dog"
 
 
+def test_synth_client_answers_judge_prompts_yes():
+    assert judge_instruction_following("What barks?", "A dog.",
+                                       SynthLlmClient()) is True
+
+
 # -- feature bank ---------------------------------------------------------------
 
 def test_feature_bank_mock_contract(tmp_path):
-    client = EchoFeatureClient()
+    client = SynthLlmClient()
     bank = gen_feature_bank(["Dog", "Cat"], client,
                             cache_path=tmp_path / "bank.json")
     assert sorted(bank) == ["Cat", "Dog"]
@@ -177,8 +216,8 @@ def test_feature_bank_mock_contract(tmp_path):
 
 def test_feature_bank_cache_makes_rerun_free(tmp_path):
     cache = tmp_path / "bank.json"
-    first = gen_feature_bank(["Dog"], EchoFeatureClient(), cache_path=cache)
-    second_client = EchoFeatureClient()
+    first = gen_feature_bank(["Dog"], SynthLlmClient(), cache_path=cache)
+    second_client = SynthLlmClient()
     second = gen_feature_bank(["Dog"], second_client, cache_path=cache)
     assert second == first
     assert second_client.calls == []
@@ -187,7 +226,7 @@ def test_feature_bank_cache_makes_rerun_free(tmp_path):
 class FailsFor:
     def __init__(self, bad_class):
         self.bad = bad_class
-        self._echo = EchoFeatureClient()
+        self._echo = SynthLlmClient()
 
     def complete(self, prompt):
         if self.bad in prompt:
@@ -202,7 +241,7 @@ def test_feature_bank_partial_on_failure(tmp_path):
                                 cache_path=cache)
     assert sorted(bank) == ["Dog"]
     # recovery run only asks about the missing class
-    client = EchoFeatureClient()
+    client = SynthLlmClient()
     bank = gen_feature_bank(["Dog", "Cat"], client, cache_path=cache)
     assert sorted(bank) == ["Cat", "Dog"]
     assert all("Cat" in p for p in client.calls)
