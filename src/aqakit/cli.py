@@ -47,7 +47,14 @@ def _make_llm_client(args):
         from .forge import ReplayLlmClient, SynthLlmClient
         if args.responses:
             with open(args.responses, encoding="utf-8") as fh:
-                recorded = json.load(fh)
+                try:
+                    recorded = json.load(fh)
+                except ValueError as exc:
+                    raise ValueError(f"{args.responses}: {exc}") from exc
+            if not (isinstance(recorded, dict)
+                    and all(isinstance(r, str) for r in recorded.values())):
+                raise ValueError(f"{args.responses}: expected a JSON object "
+                                 f"mapping prompt -> response string")
             return ReplayLlmClient(recorded,
                                    fallback=SynthLlmClient().complete)
         return SynthLlmClient()
@@ -91,14 +98,12 @@ def _cmd_forge_open(args) -> int:
     from .forge import gen_open_ended_qa, read_meta_jsonl, write_manifest
     metas = read_meta_jsonl(args.meta)
     client = _make_llm_client(args)
-    by_audio = {}
-    for meta in metas:
-        by_audio[meta.audio_id] = gen_open_ended_qa(meta, client)
-        _eprint(f"forge-open: {meta.audio_id}: "
-                f"{len(by_audio[meta.audio_id])} pairs")
     pairs = []
-    for audio_id in sorted(by_audio):
-        pairs.extend(by_audio[audio_id])
+    for meta in metas:
+        qa = gen_open_ended_qa(meta, client)
+        _eprint(f"forge-open: {meta.audio_id}: {len(qa)} pairs")
+        pairs.extend(qa)
+    pairs.sort(key=lambda p: p.audio_id)
     write_manifest(args.out, pairs)
     _eprint(f"forge-open: wrote {len(pairs)} pairs to {args.out}")
     return 0

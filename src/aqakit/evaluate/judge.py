@@ -40,7 +40,6 @@ class JudgeReport:
     n_yes: int
     n_no: int
     n_abstained: int            # unparseable verdicts, excluded from the rate
-    verdicts: list
 
 
 def judge_rate(pairs: list[tuple[str, str]], client) -> JudgeReport:
@@ -54,4 +53,4 @@ def judge_rate(pairs: list[tuple[str, str]], client) -> JudgeReport:
     if n_yes + n_no == 0:
         raise ValueError("every verdict abstained; rate undefined")
     return JudgeReport(rate=n_yes / (n_yes + n_no), n_yes=n_yes, n_no=n_no,
-                       n_abstained=n_abstained, verdicts=verdicts)
+                       n_abstained=n_abstained)

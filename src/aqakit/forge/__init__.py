@@ -8,8 +8,7 @@ from .closed import (DEFAULT_QUESTION_BANK, QuestionBank,
                      gen_classification_qa, gen_closed_qa, gen_temporal_qa)
 from .features import (feature_prompt, gen_feature_bank, load_feature_bank,
                        save_feature_bank)
-from .llm import (LlmClient, RateLimiter, RealLlmClient, ReplayLlmClient,
-                  SynthLlmClient)
+from .llm import RateLimiter, RealLlmClient, ReplayLlmClient, SynthLlmClient
 from .meta import (AudioMeta, SoundEvent, format_span, meta_from_dict,
                    meta_to_dict, read_meta_jsonl, serialize_meta,
                    write_meta_jsonl)
@@ -24,8 +23,8 @@ __all__ = [
     "parse_aig_response", "DEFAULT_QUESTION_BANK", "QuestionBank",
     "gen_acoustic_feature_qa", "gen_caption_qa", "gen_classification_qa",
     "gen_closed_qa", "gen_temporal_qa", "feature_prompt", "gen_feature_bank",
-    "load_feature_bank", "save_feature_bank", "LlmClient", "RateLimiter", "RealLlmClient", "ReplayLlmClient",
-    "SynthLlmClient", "AudioMeta", "SoundEvent", "format_span",
+    "load_feature_bank", "save_feature_bank", "RateLimiter", "RealLlmClient",
+    "ReplayLlmClient", "SynthLlmClient", "AudioMeta", "SoundEvent", "format_span",
     "meta_from_dict", "meta_to_dict", "read_meta_jsonl", "serialize_meta",
     "write_meta_jsonl", "CLOSED_TASKS", "TASK_KINDS", "QAPair",
     "qa_from_dict", "qa_to_dict", "read_manifest", "validate_manifest",

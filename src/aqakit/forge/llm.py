@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 import time
-from typing import Callable, Protocol
+from typing import Callable
 
 import requests
 
@@ -19,10 +19,6 @@ from ..evaluate.judge import JUDGE_PROMPT
 from ..remote import api_key, post_json
 from .aig import AIG_PROMPT
 from .features import FEATURE_PROMPT_PREFIX, FEATURE_PROMPT_SUFFIX
-
-
-class LlmClient(Protocol):
-    def complete(self, prompt: str) -> str: ...
 
 
 class RateLimiter:

@@ -3,6 +3,11 @@ key/query projections, conditioned on 32 audio tokens. The audio input is
 always a clip's PatchGrid: the patch encoder, token pooling and projection
 run inside forward, so gradients reach every audio parameter.
 
+forward (training and scoring), prefill (the prompt of a decode) and step
+(one new token) all run the rows through one layer pass, _run. Given a
+KvCache, that pass writes each layer's keys and values into it, so prefill
+fills an empty cache the same way step extends it.
+
 Everything runs in float64 with a hand-written backward pass so gradients
 can be audited against central finite differences. The frozen base (token
 and position embeddings, attention, MLP, layer norms, output head) is never
@@ -185,37 +190,46 @@ class AudioTextLm:
         next-token distribution computed at text position t, so it sees
         text tokens 0..t and every audio token.
         """
-        c = self.cfg
-        text_ids = np.asarray(text_ids, dtype=np.int64)
-        na, nt = c.n_audio_tokens, text_ids.size
-        total = na + nt
-        _check_length(total, c.max_seq_len)
-        if nt == 0:
-            raise ValueError("at least one text token is required")
-
+        na = self.cfg.n_audio_tokens
         audio_rows, audio_cache = self._audio_rows(audio)
-        x = np.empty((total, c.d_model))
-        x[:na] = audio_rows
-        x[na:] = self.base["tok_emb"][text_ids]
-        x = x + self.base["pos_emb"][:total]
-
-        causal = _causal_mask(total, 0)
-        layer_caches = []
-        for i in range(c.n_layers):
-            x, layer_cache = self._block(i, x, causal)
-            if want_cache:
-                layer_caches.append(layer_cache)
-
-        xf, lnf_cache = _ln_forward(x, self.base["final_ln.gamma"],
-                                    self.base["final_ln.beta"])
+        xf, lnf_cache, layer_caches = self._run(self._input_rows(audio_rows, text_ids))
         logits = xf[na:] @ self.base["out.w"].T
         if not want_cache:
             return logits
-        cache = {
-            "audio": audio_cache, "layers": layer_caches,
-            "xf": xf, "lnf": lnf_cache, "na": na, "total": total,
-        }
-        return logits, cache
+        return logits, {"audio": audio_cache, "layers": layer_caches,
+                        "lnf": lnf_cache, "na": na, "total": xf.shape[0]}
+
+    def _input_rows(self, audio_rows: np.ndarray, text_ids) -> np.ndarray:
+        """[audio rows | token embeddings], before position embeddings."""
+        text_ids = np.asarray(text_ids, dtype=np.int64)
+        if text_ids.size == 0:
+            raise ValueError("at least one text token is required")
+        return np.concatenate([audio_rows, self.base["tok_emb"][text_ids]])
+
+    def _run(self, x: np.ndarray, past: KvCache | None = None):
+        """The one pass through the layer stack and the final norm.
+
+        The rows x take the positions after past.length, or from 0 without
+        a cache. With past, their keys and values are written into it and
+        past.length advances; a sequence past max_seq_len raises ValueError
+        before past is touched. Returns the normed rows, the final norm's
+        intermediates and every layer's intermediates.
+        """
+        c = self.cfg
+        start = 0 if past is None else past.length
+        end = start + x.shape[0]
+        _check_length(end, c.max_seq_len)
+        x = x + self.base["pos_emb"][start:end]
+        causal = _causal_mask(x.shape[0], start)
+        layer_caches = []
+        for i in range(c.n_layers):
+            x, layer_cache = self._block(i, x, causal, past)
+            layer_caches.append(layer_cache)
+        if past is not None:
+            past.length = end
+        xf, lnf_cache = _ln_forward(x, self.base["final_ln.gamma"],
+                                    self.base["final_ln.beta"])
+        return xf, lnf_cache, layer_caches
 
     def _block(self, i: int, x: np.ndarray, causal: np.ndarray,
                past: KvCache | None = None) -> tuple[np.ndarray, dict]:
@@ -266,28 +280,24 @@ class AudioTextLm:
         t = np.tanh(z)
         mlp_out = t @ self.base[p + "mlp.w2"].T + self.base[p + "mlp.b2"]
         return x_mid + mlp_out, {
-            "x_in": x, "h1": h1, "ln1": ln1_cache,
-            "u": u, "qh": qh, "kh": kh, "vh": vh,
-            "probs": probs, "ctx_flat": ctx_flat,
-            "x_mid": x_mid, "h2": h2, "ln2": ln2_cache, "t": t,
+            "h1": h1, "ln1": ln1_cache, "u": u, "qh": qh, "kh": kh, "vh": vh,
+            "probs": probs, "ln2": ln2_cache, "t": t,
         }
 
     # -- incremental decoding --------------------------------------------
 
     def prefill(self, audio, prompt_ids: np.ndarray) -> tuple[np.ndarray, KvCache]:
-        """Run [audio rows | prompt] once, as forward does, and keep every
-        layer's keys and values for step.
+        """Run [audio rows | prompt] through the layers into an empty cache,
+        each layer writing its keys and values as step does.
 
         Returns forward's logits for the prompt and the cache.
         """
         c = self.cfg
-        logits, cache = self.forward(audio, prompt_ids, want_cache=True)
         shape = (c.n_layers, c.n_heads, c.max_seq_len, c.d_head)
-        kv = KvCache(np.empty(shape), np.empty(shape), cache["total"])
-        for i, layer in enumerate(cache["layers"]):
-            kv.keys[i, :, :kv.length] = layer["kh"]
-            kv.values[i, :, :kv.length] = layer["vh"]
-        return logits, kv
+        kv = KvCache(np.empty(shape), np.empty(shape), 0)
+        audio_rows, _ = self._audio_rows(audio)
+        xf, _, _ = self._run(self._input_rows(audio_rows, prompt_ids), kv)
+        return xf[c.n_audio_tokens:] @ self.base["out.w"].T, kv
 
     def step(self, kv: KvCache, token_id: int) -> np.ndarray:
         """Append one text token after the kv.length cached positions and
@@ -297,15 +307,7 @@ class AudioTextLm:
         rounding. Raises forward's ValueError when the token would pass
         max_seq_len, leaving the cache as it was.
         """
-        c = self.cfg
-        pos = kv.length
-        _check_length(pos + 1, c.max_seq_len)
-        x = (self.base["tok_emb"][int(token_id)] + self.base["pos_emb"][pos])[None, :]
-        causal = _causal_mask(1, pos)
-        for i in range(c.n_layers):
-            x, _ = self._block(i, x, causal, past=kv)
-        kv.length = pos + 1
-        xf, _ = _ln_forward(x, self.base["final_ln.gamma"], self.base["final_ln.beta"])
+        xf, _, _ = self._run(self.base["tok_emb"][[int(token_id)]], kv)
         return (xf @ self.base["out.w"].T)[0]
 
     # -- loss and gradients ----------------------------------------------
@@ -424,10 +426,11 @@ def _causal_mask(n: int, start: int) -> np.ndarray:
 
 
 def _ln_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    ivar = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * ivar
+    # the sums numpy's x.mean and x.var take, with the mean taken once
+    n = x.shape[1]
+    d = x - np.add.reduce(x, 1, keepdims=True) / n
+    ivar = 1.0 / np.sqrt(np.add.reduce(d * d, 1, keepdims=True) / n + LN_EPS)
+    xhat = d * ivar
     return xhat * gamma + beta, (xhat, ivar)
 
 

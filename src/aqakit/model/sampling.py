@@ -91,16 +91,11 @@ def generate(model, audio, prompt_ids, cfg: GenerationConfig) -> np.ndarray:
     prompt = [int(t) for t in prompt_ids]
     if not prompt:
         raise ValueError("prompt must contain at least one token")
+    logits, kv = model.prefill(audio, np.array(prompt, dtype=np.int64))
+    logits = logits[-1]
     generated: list[int] = []
-    kv = None
-    for _ in range(cfg.max_new_tokens):
-        if kv is None:
-            logits, kv = model.prefill(audio, np.array(prompt, dtype=np.int64))
-            logits = logits[-1]
-        else:
-            logits = model.step(kv, generated[-1])
-        next_id = sample_next_id(logits, generated, cfg, rng)
-        generated.append(next_id)
-        if next_id == EOS_ID:
-            break
-    return np.array(generated, dtype=np.int64)
+    while True:
+        generated.append(sample_next_id(logits, generated, cfg, rng))
+        if generated[-1] == EOS_ID or len(generated) == cfg.max_new_tokens:
+            return np.array(generated, dtype=np.int64)
+        logits = model.step(kv, generated[-1])

@@ -100,7 +100,6 @@ def run_stage(model, corpus: list[CorpusItem], stage: StageConfig,
     total_steps = steps_per_epoch * stage.epochs
     allowed = _PROJECTION_ONLY if stage.trainable == "projection_only" else None
 
-    examples = None  # built lazily per epoch from the drawn items
     start = time.perf_counter()
     step = 0
     initial = None

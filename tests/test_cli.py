@@ -275,6 +275,25 @@ def test_forge_open_mock_responses_fall_back_to_synthetic(demo_dir, tmp_path,
     assert replayed.read_bytes() == plain.read_bytes()
 
 
+def test_forge_open_keeps_pairs_of_metas_sharing_an_audio_id(demo_dir, tmp_path,
+                                                             capsys):
+    first, second = (demo_dir / "meta.jsonl").read_text().splitlines()[:2]
+    row = json.loads(second)
+    row["audio_id"] = json.loads(first)["audio_id"]
+    second = json.dumps(row)
+    rows = {}
+    for name, lines in (("both", [first, second]), ("first", [first]),
+                        ("second", [second])):
+        meta, out = tmp_path / f"{name}.meta.jsonl", tmp_path / f"{name}.jsonl"
+        meta.write_text("".join(ln + "\n" for ln in lines), encoding="utf-8")
+        assert main(["forge-open", "--meta", str(meta), "--mock-llm",
+                     "--out", str(out)]) == 0
+        rows[name] = out.read_text().splitlines()
+    capsys.readouterr()
+    assert len(rows["both"]) == 4
+    assert rows["both"] == rows["first"] + rows["second"]
+
+
 def test_mock_llm_never_opens_network(demo_dir, tmp_path, monkeypatch,
                                       capsys):
     def boom(*args, **kwargs):
@@ -541,6 +560,20 @@ def test_eval_judge_mock_replay_rate(eval_files, tmp_path, capsys):
     assert report["n_yes"] == 2
     assert report["n_no"] == 1
     assert abs(report["rate"] - 2 / 3) < 1e-12
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '{"p": 5}', "not json"],
+                         ids=["list", "non_string_reply", "not_json"])
+def test_eval_judge_rejects_malformed_responses(eval_files, tmp_path, capsys,
+                                                content):
+    preds, _, _ = eval_files
+    responses = tmp_path / "replay.json"
+    responses.write_text(content, encoding="utf-8")
+    assert main(["eval-judge", "--pred", str(preds), "--mock-llm",
+                 "--responses", str(responses)]) == 1
+    err = capsys.readouterr().err
+    assert str(responses) in err
+    assert "Traceback" not in err
 
 
 def test_probe_order_counts_exclusions(eval_files, tmp_path, capsys):

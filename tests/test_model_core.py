@@ -283,6 +283,35 @@ def test_generate_encodes_the_clip_once(monkeypatch) -> None:
     assert len(calls) == 1
 
 
+def test_step_past_the_context_leaves_the_cache_as_it_was() -> None:
+    model = adapted_model(max_seq_len=96)
+    prompt = np.array([BOS_ID] + encode_text("x" * 62) + [SEP_ID])
+    _, kv = model.prefill(random_audio(model.cfg, 46), prompt)
+    assert kv.length == 96
+    keys, values = kv.keys.copy(), kv.values.copy()
+    with pytest.raises(ValueError) as err:
+        model.step(kv, 97)
+    assert str(err.value) == "sequence length 97 exceeds max 96"
+    assert kv.length == 96
+    assert np.array_equal(kv.keys, keys, equal_nan=True)
+    assert np.array_equal(kv.values, values, equal_nan=True)
+
+
+def test_layer_norm_matches_numpy_mean_and_var() -> None:
+    rng = np.random.default_rng(47)
+    for n_rows in (1, 2, 7, 64, 199):
+        for scale in (0.01, 1.0, 100.0):
+            x = rng.normal(0.0, scale, size=(n_rows, 64)) + rng.normal(0.0, scale)
+            gamma, beta = rng.normal(size=64), rng.normal(size=64)
+            mu = x.mean(axis=1, keepdims=True)
+            ivar = 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + decoder.LN_EPS)
+            xhat = (x - mu) * ivar
+            out, (got_xhat, got_ivar) = decoder._ln_forward(x, gamma, beta)
+            assert np.array_equal(out, xhat * gamma + beta)
+            assert np.array_equal(got_xhat, xhat)
+            assert np.array_equal(got_ivar, ivar)
+
+
 # -- next-token loss ---------------------------------------------------------
 
 def test_loss_uniform_vocab_50() -> None:
