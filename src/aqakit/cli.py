@@ -42,6 +42,18 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
+def _clip_grid(path):
+    """WAV file -> fbank -> patch grid; a ValueError names the file."""
+    from .frontend import compute_fbank, patchify, read_wav
+    try:
+        return patchify(compute_fbank(read_wav(path)))
+    except ValueError as exc:
+        msg = str(exc)
+        # read_wav already names the file on malformed chunks
+        raise ValueError(msg if msg.startswith(f"{path}:")
+                         else f"{path}: {msg}") from exc
+
+
 def _make_llm_client(args):
     if args.mock_llm:
         from .forge import ReplayLlmClient, SynthLlmClient
@@ -175,7 +187,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_train(args) -> int:
     from .forge import read_manifest
-    from .frontend import compute_fbank, patchify, read_wav
     from .model import AudioTextLm, DecoderConfig
     from .synthetic import corpus_items
     from .training import (TrainerConfig, default_curriculum, read_curriculum,
@@ -184,8 +195,7 @@ def _cmd_train(args) -> int:
     audio_dir = Path(args.audio_dir)
     grids = {}
     for audio_id in sorted({p.audio_id for p in pairs}):
-        wav = audio_dir / f"{audio_id}.wav"
-        grids[audio_id] = patchify(compute_fbank(read_wav(wav)))
+        grids[audio_id] = _clip_grid(audio_dir / f"{audio_id}.wav")
     items = corpus_items(pairs, grids)
     if args.curriculum:
         stages = read_curriculum(args.curriculum)
@@ -216,12 +226,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_answer(args) -> int:
-    from .frontend import compute_fbank, patchify, read_wav
     from .model import (BOS_ID, SEP_ID, GenerationConfig, decode_ids,
                         encode_text, generate, load_checkpoint)
     cfg = GenerationConfig(max_new_tokens=args.max_new_tokens, seed=args.seed)
     model = load_checkpoint(args.ckpt)
-    grid = patchify(compute_fbank(read_wav(args.audio)))
+    grid = _clip_grid(args.audio)
     prompt = np.array([BOS_ID] + encode_text(args.question) + [SEP_ID],
                       dtype=np.int64)
     new_ids = generate(model, grid, prompt, cfg)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .providers import EmbeddingProvider, cosine
+from .providers import EmbeddingProvider
 
 __all__ = [
     "LabelSet",
@@ -42,31 +42,41 @@ class ClassificationResult:
 
 
 def _label_matrix(labels: LabelSet, provider: EmbeddingProvider,
-                  cache: dict | None) -> list[np.ndarray]:
+                  cache: dict | None) -> np.ndarray:
+    """Unit-norm label embeddings, one row per label.
+
+    Rows are filled and normalized in place: stacking the embeddings first
+    would hold every label vector twice.
+    """
     key = (provider.name, labels.names)
     if cache is not None and key in cache:
         return cache[key]
-    vecs = [provider.embed(name) for name in labels.names]
-    for name, v in zip(labels.names, vecs):
-        if np.linalg.norm(v) == 0.0:
+    matrix = np.empty((len(labels.names), provider.dimension))
+    for row, name in zip(matrix, labels.names):
+        row[:] = provider.embed(name)
+        norm = np.linalg.norm(row)
+        if norm == 0.0:
             raise ValueError(f"label {name!r} embeds to a zero vector")
+        row /= norm
     if cache is not None:
-        cache[key] = vecs
-    return vecs
+        cache[key] = matrix
+    return matrix
 
 
 def classify_output(text: str, labels: LabelSet, provider: EmbeddingProvider,
                     cache: dict | None = None) -> tuple[np.ndarray, int]:
     """Cosine of the output against every label; argmax index.
 
-    Ties break to the lowest label index. Label embeddings may be cached
-    across calls; caching never changes results.
+    All labels are scored with one product of unit vectors, so labels that
+    embed identically get identical scores. Ties break to the lowest label
+    index. Label embeddings may be cached across calls; caching never
+    changes results.
     """
     e = provider.embed(text)
-    if np.linalg.norm(e) == 0.0:
+    norm = np.linalg.norm(e)
+    if norm == 0.0:
         raise ValueError(f"output {text!r} embeds to a zero vector")
-    label_vecs = _label_matrix(labels, provider, cache)
-    scores = np.array([cosine(e, lv) for lv in label_vecs])
+    scores = _label_matrix(labels, provider, cache) @ (e / norm)
     # np.argmax already returns the first (lowest) index among equal maxima
     return scores, int(np.argmax(scores))
 

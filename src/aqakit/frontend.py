@@ -9,6 +9,7 @@ mutates them.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +23,9 @@ PATCH_SIDE = 16
 TOKEN_RATE_HZ = 3.2
 # std of the normal init of the patch encoder and the projection
 AUDIO_INIT_SCALE = 0.02
+# frames per batched rfft and mel product in compute_fbank; bounds the
+# transient spectrum buffers to a few MB whatever the clip length
+FBANK_BLOCK_FRAMES = 128
 
 
 @dataclass
@@ -101,12 +105,14 @@ def mel_to_hz(mel: np.ndarray | float) -> np.ndarray | float:
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.cache
 def mel_filterbank(n_mels: int, n_fft: int) -> np.ndarray:
     """Triangular mel filters as an (n_mels, n_fft//2 + 1) matrix.
 
     Filter centers are spaced evenly on the HTK mel scale between
     MEL_FMIN_HZ and MEL_FMAX_HZ; each filter ramps linearly in Hz from its
     left neighbor's center to its own and back down to its right neighbor's.
+    Built once per (n_mels, n_fft) and shared, so the array is read-only.
     """
     mel_points = np.linspace(hz_to_mel(MEL_FMIN_HZ), hz_to_mel(MEL_FMAX_HZ), n_mels + 2)
     hz_points = mel_to_hz(mel_points)
@@ -118,6 +124,7 @@ def mel_filterbank(n_mels: int, n_fft: int) -> np.ndarray:
         up = (bin_freqs - left) / (center - left)
         down = (right - bin_freqs) / (right - center)
         bank[m] = np.maximum(0.0, np.minimum(up, down))
+    bank.setflags(write=False)
     return bank
 
 
@@ -128,6 +135,14 @@ def compute_fbank(w: Waveform) -> LogMelSpectrogram:
     through the mel filterbank, and energies are clamped at cfg.log_floor
     before the natural log. Output is padded with log(log_floor) rows, or
     truncated, to exactly cfg.target_frames rows.
+
+    Frames are strided views of the samples and go through the FFT and the
+    mel product FBANK_BLOCK_FRAMES at a time: one rfft over the block and
+    one (frames x bins) @ (bins x mels) product. The FFT matches a per-frame
+    rfft bit for bit; the matrix product rounds differently from a per-frame
+    mel matrix-vector product, so the result is no longer bit-identical to a
+    frame-by-frame loop but stays within 1e-12 of it. It is deterministic
+    for a fixed BLAS thread count.
     """
     cfg = FbankConfig()
     win = cfg.window_samples
@@ -136,19 +151,18 @@ def compute_fbank(w: Waveform) -> LogMelSpectrogram:
     if x.size < win:
         raise ValueError(f"waveform shorter than one window ({win} samples)")
 
-    n_frames = (x.size - win) // hop + 1
     window = np.hanning(win)
     bank = mel_filterbank(cfg.n_mels, cfg.n_fft)
+    segs = np.lib.stride_tricks.sliding_window_view(x, win)[::hop]
 
-    n_keep = min(n_frames, cfg.target_frames)
+    n_keep = min(segs.shape[0], cfg.target_frames)
     frames = np.full((cfg.target_frames, cfg.n_mels), np.log(cfg.log_floor),
                      dtype=np.float64)
-    for i in range(n_keep):
-        seg = x[i * hop:i * hop + win] * window
-        spectrum = np.fft.rfft(seg, n=cfg.n_fft)
+    for lo in range(0, n_keep, FBANK_BLOCK_FRAMES):
+        hi = min(lo + FBANK_BLOCK_FRAMES, n_keep)
+        spectrum = np.fft.rfft(segs[lo:hi] * window, n=cfg.n_fft, axis=1)
         power = np.abs(spectrum) ** 2
-        mel_energy = bank @ power
-        frames[i] = np.log(np.maximum(mel_energy, cfg.log_floor))
+        np.log(np.maximum(power @ bank.T, cfg.log_floor), out=frames[lo:hi])
     return LogMelSpectrogram(frames)
 
 

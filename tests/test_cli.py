@@ -6,6 +6,7 @@ import json
 import os
 import shutil
 import socket
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ import aqakit
 from aqakit.cli import _build_parser, main
 from aqakit.evaluate import JUDGE_PROMPT
 from aqakit.forge import feature_prompt
+from aqakit.frontend import Waveform, write_wav
 from aqakit.model import AudioTextLm, DecoderConfig, save_checkpoint
 from aqakit.synthetic import write_demo_corpus
 
@@ -480,6 +482,54 @@ def test_answer_rejects_a_token_budget_below_one(demo_dir, tmp_path, capsys,
     assert "max_new_tokens must be >= 1" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == "" and not out.exists()
+
+
+def _bad_wav(path, kind):
+    """A WAV shorter than one fbank window, one with an empty data chunk, or
+    a file that is not a WAV at all."""
+    if kind == "short":
+        write_wav(path, Waveform(np.full(100, 0.25)))
+    elif kind == "not_riff":
+        path.write_bytes(b"not audio")
+    else:
+        fmt = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+        body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt \
+            + b"data" + struct.pack("<I", 0)
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    return path
+
+
+@pytest.mark.parametrize("kind, problem", [
+    ("short", "waveform shorter than one window (400 samples)"),
+    ("empty", "empty waveform"),
+    ("not_riff", "not a RIFF/WAVE file"),
+])
+def test_answer_names_the_clip_on_audio_errors(tmp_path, capsys, kind, problem):
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, AudioTextLm(DecoderConfig(), seed=0))
+    wav = _bad_wav(tmp_path / f"{kind}.wav", kind)
+    assert main(["answer", "--audio", str(wav), "--question", "q?",
+                 "--ckpt", str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    assert f"{wav}: {problem}" in captured.err
+    assert captured.err.count(str(wav)) == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["short", "empty"])
+def test_train_names_the_clip_on_audio_errors(demo_dir, tmp_path, capsys, kind):
+    audio = tmp_path / "audio"
+    shutil.copytree(demo_dir / "audio", audio)
+    wav = _bad_wav(sorted(audio.glob("*.wav"))[3], kind)
+    run = tmp_path / "run"
+    assert main(["train", "--manifest", str(demo_dir / "manifest.jsonl"),
+                 "--audio-dir", str(audio), "--factor", "1e-5",
+                 "--out", str(run)]) == 1
+    captured = capsys.readouterr()
+    assert f"{wav}: " in captured.err
+    assert "Traceback" not in captured.err
+    assert not run.exists()
 
 
 # -- evaluation -------------------------------------------------------------------

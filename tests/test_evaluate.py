@@ -34,6 +34,13 @@ class PlantedProvider:
         return self._fallback.embed(text)
 
 
+class ScaledProvider(HashedBagOfWordsProvider):
+    """Hashed embeddings scaled by a per-text factor, so none is unit-norm."""
+
+    def embed(self, text):
+        return super().embed(text) * (0.5 + len(text))
+
+
 class CountingProvider(HashedBagOfWordsProvider):
     def __init__(self):
         super().__init__()
@@ -198,6 +205,42 @@ def test_classify_label_cache_changes_nothing_but_saves_calls():
 def test_classify_rejects_zero_embedding_output():
     with pytest.raises(ValueError):
         classify_output("", LabelSet(("dog",)), HashedBagOfWordsProvider())
+
+
+def _filler_labels(n):
+    words = ["rain", "siren", "engine", "bird", "music", "speech", "wind",
+             "water", "bell", "horn", "crowd", "train"]
+    return [f"{words[i % len(words)]} {words[(i * 7) % len(words)]} sound{i}"
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("n_labels", [8, 527])
+def test_classify_matches_per_label_cosine(n_labels):
+    p = ScaledProvider()
+    labels = LabelSet(tuple(_filler_labels(n_labels)))
+    for text in ["rain on a bell", "a siren and a crowd", "sound3 speech",
+                 "engine engine wind"]:
+        scores, idx = classify_output(text, labels, p)
+        want = np.array([cosine(p.embed(text), p.embed(n)) for n in labels.names])
+        np.testing.assert_allclose(scores, want, rtol=0, atol=1e-12)
+        assert idx == int(np.argmax(scores))
+
+
+def test_classify_identical_label_embeddings_tie_exactly():
+    p = HashedBagOfWordsProvider()
+    names = _filler_labels(527)
+    names[3], names[400] = "Dog bark", "dog BARK"
+    labels = LabelSet(tuple(names))
+    np.testing.assert_array_equal(p.embed(names[3]), p.embed(names[400]))
+    scores, idx = classify_output("a dog bark", labels, p)
+    assert scores[3] == scores[400]
+    assert idx == 3
+
+
+def test_classify_rejects_zero_embedding_label():
+    with pytest.raises(ValueError, match="'!!!' embeds to a zero vector"):
+        classify_output("dog", LabelSet(("dog", "!!!")),
+                        HashedBagOfWordsProvider())
 
 
 def test_label_set_validation():

@@ -3,8 +3,10 @@ pieces the model chains (patch encoder, token pooling, projection).
 
 The sine test verifies compute_fbank against a brute-force DFT plus an
 independently constructed mel filterbank so the check is not circular. The
-projection runs only inside the model, so its tests go through
-AudioTextLm._audio_rows: patch encoder, pooling, then projection.
+block-wise fbank is also checked against the per-frame loop it replaced,
+kept here as a reference. The projection runs only inside the model, so its
+tests go through AudioTextLm._audio_rows: patch encoder, pooling, then
+projection.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from hypothesis.extra.numpy import arrays
 from aqakit.frontend import (
     MEL_FMAX_HZ,
     MEL_FMIN_HZ,
+    FBANK_BLOCK_FRAMES,
     FbankConfig,
     LogMelSpectrogram,
     PatchEncoder,
@@ -33,6 +36,7 @@ from aqakit.frontend import (
     compute_fbank,
     encode_patches,
     hz_to_mel,
+    mel_filterbank,
     mel_to_hz,
     patchify,
     pool_tokens,
@@ -58,6 +62,9 @@ def test_fbank_silence_hits_floor_everywhere() -> None:
     cfg = FbankConfig()
     spec = compute_fbank(ten_seconds(0.0))
     assert np.all(spec.frames == math.log(cfg.log_floor))
+    # one window, one frame past the first block, and past the 1024-frame cut
+    for n in (cfg.window_samples, samples_for_frames(FBANK_BLOCK_FRAMES + 1), SR * 12):
+        assert np.all(compute_fbank(Waveform(np.zeros(n))).frames == math.log(cfg.log_floor))
 
 
 def test_fbank_rejects_wrong_rate_and_empty() -> None:
@@ -93,6 +100,25 @@ def test_fbank_padding_and_truncation() -> None:
     assert np.array_equal(eleven.frames, prefix.frames)
 
 
+def oracle_mel_bank(cfg: FbankConfig) -> np.ndarray:
+    """Triangular mel filters built entry by entry with math, not numpy."""
+
+    def to_mel(hz: float) -> float:
+        return 2595.0 * math.log10(1.0 + hz / 700.0)
+
+    def to_hz(mel: float) -> float:
+        return 700.0 * (10.0 ** (mel / 2595.0) - 1.0)
+
+    edges = [to_hz(m) for m in np.linspace(to_mel(0.0), to_mel(8000.0), cfg.n_mels + 2)]
+    bin_freqs = np.arange(cfg.n_fft // 2 + 1) * SR / cfg.n_fft
+    bank = np.zeros((cfg.n_mels, bin_freqs.size))
+    for m in range(cfg.n_mels):
+        lo, mid, hi = edges[m], edges[m + 1], edges[m + 2]
+        for k, f in enumerate(bin_freqs):
+            bank[m, k] = max(0.0, min((f - lo) / (mid - lo), (hi - f) / (hi - mid)))
+    return bank
+
+
 def brute_force_frame_oracle(x: np.ndarray, frame_index: int, cfg: FbankConfig) -> np.ndarray:
     """Direct-sum DFT + independently built mel bank for one frame."""
     win = cfg.window_samples
@@ -105,23 +131,56 @@ def brute_force_frame_oracle(x: np.ndarray, frame_index: int, cfg: FbankConfig) 
         re = float(np.sum(seg * np.cos(-2 * math.pi * k * n / cfg.n_fft)))
         im = float(np.sum(seg * np.sin(-2 * math.pi * k * n / cfg.n_fft)))
         power[k] = re * re + im * im
-
-    def to_mel(hz: float) -> float:
-        return 2595.0 * math.log10(1.0 + hz / 700.0)
-
-    def to_hz(mel: float) -> float:
-        return 700.0 * (10.0 ** (mel / 2595.0) - 1.0)
-
-    edges = [to_hz(m) for m in np.linspace(to_mel(0.0), to_mel(8000.0), cfg.n_mels + 2)]
-    bin_freqs = np.arange(cfg.n_fft // 2 + 1) * SR / cfg.n_fft
     mel_energy = np.zeros(cfg.n_mels)
-    for m in range(cfg.n_mels):
-        lo, mid, hi = edges[m], edges[m + 1], edges[m + 2]
-        for k, f in enumerate(bin_freqs):
-            w = min((f - lo) / (mid - lo), (hi - f) / (hi - mid))
+    for m, weights in enumerate(oracle_mel_bank(cfg)):
+        for k, w in enumerate(weights):
             if w > 0:
                 mel_energy[m] += w * power[k]
     return np.log(np.maximum(mel_energy, cfg.log_floor))
+
+
+def per_frame_fbank(x: np.ndarray) -> np.ndarray:
+    """Reference: the frame-by-frame loop, one rfft and one mel
+    matrix-vector product per frame."""
+    cfg = FbankConfig()
+    win, hop = cfg.window_samples, cfg.hop_samples
+    n_frames = (x.size - win) // hop + 1
+    window = np.hanning(win)
+    bank = mel_filterbank(cfg.n_mels, cfg.n_fft)
+    frames = np.full((cfg.target_frames, cfg.n_mels), np.log(cfg.log_floor))
+    for i in range(min(n_frames, cfg.target_frames)):
+        power = np.abs(np.fft.rfft(x[i * hop:i * hop + win] * window, n=cfg.n_fft)) ** 2
+        frames[i] = np.log(np.maximum(bank @ power, cfg.log_floor))
+    return frames
+
+
+def samples_for_frames(n_frames: int) -> int:
+    cfg = FbankConfig()
+    return cfg.window_samples + cfg.hop_samples * (n_frames - 1)
+
+
+@pytest.mark.parametrize("n_samples", [
+    400, 401,
+    *(samples_for_frames(n) for n in (FBANK_BLOCK_FRAMES - 1, FBANK_BLOCK_FRAMES,
+                                      FBANK_BLOCK_FRAMES + 1, 2 * FBANK_BLOCK_FRAMES,
+                                      1023, 1024, 1100)),
+])
+def test_fbank_matches_per_frame_loop(n_samples: int) -> None:
+    rng = np.random.default_rng(n_samples)
+    x = rng.uniform(-1, 1, n_samples) * 10.0 ** rng.uniform(-4, 0)
+    got = compute_fbank(Waveform(x)).frames
+    want = per_frame_fbank(x)
+    assert got.shape == want.shape == (1024, 128)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_mel_filterbank_is_built_once_and_read_only() -> None:
+    cfg = FbankConfig()
+    bank = mel_filterbank(cfg.n_mels, cfg.n_fft)
+    assert mel_filterbank(cfg.n_mels, cfg.n_fft) is bank
+    with pytest.raises(ValueError):
+        bank[0, 0] = 1.0
+    np.testing.assert_allclose(bank, oracle_mel_bank(cfg), rtol=0, atol=1e-12)
 
 
 def test_fbank_sine_matches_dft_oracle() -> None:
