@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -54,15 +55,36 @@ def _clip_grid(path):
                          else f"{path}: {msg}") from exc
 
 
+def _load_json(path):
+    """The JSON document in the file at path; bad JSON names the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _rows(path, strings=(), texts=()):
+    """JSON-lines rows whose strings fields hold a string and texts fields a
+    string or a list of strings (read as a list); read_jsonl names a bad row."""
+    def parse(row):
+        for f in strings:
+            if not isinstance(row[f], str):
+                raise TypeError(f"{f!r} must be a string, got {row[f]!r}")
+        for f in texts:
+            value = [row[f]] if isinstance(row[f], str) else row[f]
+            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                raise TypeError(f"{f!r} must be a string or a list of strings, "
+                                f"got {row[f]!r}")
+            row[f] = value
+        return row
+    return read_jsonl(path, parse)
+
+
 def _make_llm_client(args):
     if args.mock_llm:
         from .forge import ReplayLlmClient, SynthLlmClient
         if args.responses:
-            with open(args.responses, encoding="utf-8") as fh:
-                try:
-                    recorded = json.load(fh)
-                except ValueError as exc:
-                    raise ValueError(f"{args.responses}: {exc}") from exc
+            recorded = _load_json(args.responses)
             if not (isinstance(recorded, dict)
                     and all(isinstance(r, str) for r in recorded.values())):
                 raise ValueError(f"{args.responses}: expected a JSON object "
@@ -148,8 +170,7 @@ def _cmd_forge_features(args) -> int:
 
 def _cmd_sample_audioset(args) -> int:
     from .forge import sample_audioset
-    with open(args.labels, encoding="utf-8") as fh:
-        labels_of = json.load(fh)
+    labels_of = _load_json(args.labels)
     if not isinstance(labels_of, dict):
         raise ValueError(f"{args.labels}: expected a JSON object mapping "
                          f"audio_id -> [class, ...]")
@@ -158,10 +179,7 @@ def _cmd_sample_audioset(args) -> int:
                 and all(isinstance(c, str) and c for c in classes)):
             raise ValueError(f"{args.labels}: audio {audio_id!r}: classes must "
                              f"be a non-empty list of non-empty strings")
-    label_counts: dict[str, int] = {}
-    for classes in labels_of.values():
-        for c in classes:
-            label_counts[c] = label_counts.get(c, 0) + 1
+    label_counts = Counter(c for classes in labels_of.values() for c in classes)
     chosen = sample_audioset(label_counts, labels_of, args.n)
     _emit("\n".join(chosen), args.out)
     _eprint(f"sample-audioset: kept {len(chosen)} of {len(labels_of)} audios")
@@ -242,16 +260,16 @@ def _cmd_answer(args) -> int:
     return 0
 
 
-def _join_truths(preds: list[dict], truths: list[dict], field: str):
+def _join_truths(args, field: str, texts: bool = False):
+    """(prediction row, truth value) pairs from --pred and --truth by audio_id."""
+    preds = _rows(args.pred, ("audio_id", "output"))
     by_id = {}
-    for t in truths:
-        if "audio_id" not in t or field not in t:
-            raise ValueError(f"truth rows need audio_id and {field!r}")
+    for t in _rows(args.truth, ("audio_id",), (field,) if texts else ()):
+        if field not in t:
+            raise ValueError(f"truth rows need {field!r}")
         by_id[t["audio_id"]] = t[field]
     joined = []
     for p in preds:
-        if "audio_id" not in p or "output" not in p:
-            raise ValueError("prediction rows need audio_id and output")
         if p["audio_id"] not in by_id:
             raise ValueError(f"no truth for audio_id {p['audio_id']!r}")
         joined.append((p, by_id[p["audio_id"]]))
@@ -267,16 +285,13 @@ def _cmd_eval_classify(args) -> int:
              Path(args.labels).read_text(encoding="utf-8").splitlines()
              if ln.strip()]
     labels = LabelSet(tuple(names))
-    joined = _join_truths(read_jsonl(args.pred, dict),
-                          read_jsonl(args.truth, dict), "labels")
+    joined = _join_truths(args, "labels", texts=True)
     provider = _make_provider(args)
     result = classify_corpus([p["output"] for p, _ in joined], labels,
                              provider)
     index = {n: i for i, n in enumerate(labels.names)}
     truth_sets = []
     for _, truth_labels in joined:
-        if isinstance(truth_labels, str):
-            truth_labels = [truth_labels]
         unknown = [t for t in truth_labels if t not in index]
         if unknown:
             raise ValueError(f"truth labels outside the label set: {unknown}")
@@ -300,12 +315,8 @@ def _cmd_eval_classify(args) -> int:
 
 def _cmd_eval_caption(args) -> int:
     from .evaluate import caption_overlap_f1
-    joined = _join_truths(read_jsonl(args.pred, dict),
-                          read_jsonl(args.truth, dict), "caption")
-    scores = []
-    for p, caption in joined:
-        refs = caption if isinstance(caption, list) else [caption]
-        scores.append(caption_overlap_f1(p["output"], refs))
+    scores = [caption_overlap_f1(p["output"], refs)
+              for p, refs in _join_truths(args, "caption", texts=True)]
     report = {"n": len(scores),
               "caption_f1_mean": float(np.mean(scores))}
     _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
@@ -314,12 +325,8 @@ def _cmd_eval_caption(args) -> int:
 
 def _cmd_eval_judge(args) -> int:
     from .evaluate import judge_rate
-    preds = read_jsonl(args.pred, dict)
-    pairs = []
-    for p in preds:
-        if "question" not in p or "output" not in p:
-            raise ValueError("prediction rows need question and output")
-        pairs.append((p["question"], p["output"]))
+    pairs = [(p["question"], p["output"])
+             for p in _rows(args.pred, ("question", "output"))]
     client = _make_llm_client(args)
     report = judge_rate(pairs, client)
     _emit(json.dumps({"rate": report.rate, "n_yes": report.n_yes,
@@ -331,9 +338,8 @@ def _cmd_eval_judge(args) -> int:
 
 def _cmd_probe(args) -> int:
     from .evaluate import counting_probe, order_accuracy, order_probe
-    preds = read_jsonl(args.pred, dict)
     if args.kind == "order":
-        joined = _join_truths(preds, read_jsonl(args.truth, dict), "order")
+        joined = _join_truths(args, "order")
         provider = _make_provider(args)
         results = []
         for p, order in joined:
@@ -345,7 +351,7 @@ def _cmd_probe(args) -> int:
         report = {"order_accuracy": acc, "n_followed": n_followed,
                   "n_excluded": n_excluded}
     else:
-        joined = _join_truths(preds, read_jsonl(args.truth, dict), "count")
+        joined = _join_truths(args, "count")
         answers = [p["output"] for p, _ in joined]
         truths = []
         for p, count in joined:

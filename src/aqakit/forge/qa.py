@@ -27,6 +27,10 @@ class QAPair:
     unanswerable: bool = False
 
     def __post_init__(self) -> None:
+        for f in _FIELDS:
+            want = bool if f in ("closed", "unanswerable") else str
+            if not isinstance(getattr(self, f), want):
+                raise TypeError(f"{f} must be a {want.__name__}: {getattr(self, f)!r}")
         if self.task not in TASK_KINDS:
             raise ValueError(f"unknown task kind {self.task!r}")
         if not self.question or not self.answer:
@@ -75,6 +79,6 @@ def validate_manifest(path: str | Path) -> list[tuple[int, str]]:
                 continue
             try:
                 qa_from_dict(row)
-            except (KeyError, ValueError) as exc:
+            except (TypeError, ValueError) as exc:
                 problems.append((line_no, str(exc)))
     return problems

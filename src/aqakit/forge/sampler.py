@@ -40,8 +40,8 @@ def compute_sampler_weights(label_counts: dict[str, int],
 def sample_audioset(label_counts: dict[str, int],
                     labels_of: dict[str, list[str]], n: int) -> list[str]:
     """The n audio ids with the largest weights, ties by ascending id."""
-    if n > len(labels_of):
-        raise ValueError(f"asked for {n} audios, only {len(labels_of)} given")
+    if not 1 <= n <= len(labels_of):
+        raise ValueError(f"asked for {n} audios, can pick 1 to {len(labels_of)}")
     weights = compute_sampler_weights(label_counts, labels_of)
     ranked = sorted(weights.audio_weights.items(),
                     key=lambda item: (-item[1], item[0]))

@@ -3,18 +3,22 @@ little-endian float32 blob file."""
 
 from __future__ import annotations
 
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .decoder import AudioTextLm, DecoderConfig
+from .decoder import LORA_ALPHA, LORA_RANK, LORA_TARGETS, AudioTextLm, DecoderConfig
 
 MANIFEST_NAME = "manifest.txt"
 BLOB_NAME = "tensors.bin"
 
-_CONFIG_FIELDS = ("n_layers", "n_heads", "d_model", "vocab_size", "max_seq_len",
-                  "lora_rank", "lora_alpha", "d_audio", "n_audio_tokens", "mlp_ratio")
+# config lines in manifest order; those of the fixed adapter layout hold the
+# decoder's constants, and load_checkpoint rejects a file with others
+_LAYOUT = {"lora_rank": str(LORA_RANK), "lora_alpha": str(LORA_ALPHA),
+           "lora_targets": ",".join(LORA_TARGETS)}
+_CONFIG_LINES = ("n_layers", "n_heads", "d_model", "vocab_size", "max_seq_len",
+                 "lora_rank", "lora_alpha", "d_audio", "n_audio_tokens",
+                 "mlp_ratio", "lora_targets")
 
 
 def _collect_tensors(model: AudioTextLm) -> dict[str, np.ndarray]:
@@ -35,9 +39,8 @@ def save_checkpoint(path: str | Path, model: AudioTextLm) -> None:
     # lora_only=1 marked adapter-only directories, which load_checkpoint
     # still rejects when they come from older versions
     lines = ["format=aqakit-checkpoint-v1", "lora_only=0"]
-    for f in _CONFIG_FIELDS:
-        lines.append(f"config.{f}={getattr(model.cfg, f)}")
-    lines.append("config.lora_targets=" + ",".join(model.cfg.lora_targets))
+    lines += [f"config.{f}={_LAYOUT[f] if f in _LAYOUT else getattr(model.cfg, f)}"
+              for f in _CONFIG_LINES]
 
     blob = bytearray()
     for name in sorted(tensors):
@@ -77,11 +80,12 @@ def load_checkpoint(path: str | Path) -> AudioTextLm:
     config, table = _parse_manifest(path)
     if config.get("lora_only") == "1":
         raise ValueError(f"{path} holds only LoRA adapters, not a full model")
-    defaults = {f.name: f.default for f in fields(DecoderConfig)}
-    targets = config["config.lora_targets"].split(",")
-    cfg = DecoderConfig(
-        lora_targets=tuple(t for t in targets if t),
-        **{f: type(defaults[f])(config["config." + f]) for f in _CONFIG_FIELDS})
+    for f, value in _LAYOUT.items():
+        if config.get("config." + f) != value:
+            raise ValueError(f"{path}: config.{f} is {config.get('config.' + f)}, "
+                             f"but the adapter layout is fixed at {f}={value}")
+    cfg = DecoderConfig(**{f: int(config["config." + f])
+                           for f in _CONFIG_LINES if f not in _LAYOUT})
     model = AudioTextLm(cfg)
     tensors = _collect_tensors(model)
     missing = set(tensors) - {name for name, *_ in table}

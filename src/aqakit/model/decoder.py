@@ -34,8 +34,11 @@ from .tokenizer import VOCAB_SIZE
 LN_EPS = 1e-5
 # std of the normal init of the frozen attention and MLP weights
 BASE_SCALE = 0.1
-# frozen base weight of each projection an adapter may attach to
-_LORA_WEIGHTS = {"query": "attn.wq", "key": "attn.wk"}
+# the paper's adapter layout, fixed: rank 8, alpha 16, on query and key in every layer
+LORA_RANK = 8
+LORA_ALPHA = 16.0
+LORA_SCALE = LORA_ALPHA / LORA_RANK
+LORA_TARGETS = ("query", "key")
 
 
 @dataclass
@@ -45,9 +48,6 @@ class DecoderConfig:
     d_model: int = 64
     vocab_size: int = VOCAB_SIZE
     max_seq_len: int = 192
-    lora_targets: tuple[str, ...] = ("query", "key")
-    lora_rank: int = 8
-    lora_alpha: float = 16.0
     d_audio: int = 64
     n_audio_tokens: int = 32
     mlp_ratio: int = 4
@@ -55,9 +55,6 @@ class DecoderConfig:
     def __post_init__(self) -> None:
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
-        bad = set(self.lora_targets) - {"query", "key"}
-        if bad:
-            raise ValueError(f"LoRA attaches only to key/query projections, got {bad}")
 
     @property
     def d_head(self) -> int:
@@ -71,9 +68,7 @@ def llama_7b_geometry() -> DecoderConfig:
 
 
 def count_lora_params(geom: DecoderConfig) -> int:
-    r = geom.lora_rank
-    d = geom.d_model
-    return geom.n_layers * len(geom.lora_targets) * (r * d + d * r)
+    return geom.n_layers * len(LORA_TARGETS) * 2 * LORA_RANK * geom.d_model  # A and B
 
 
 @dataclass
@@ -136,10 +131,10 @@ class AudioTextLm:
 
         self.lora: dict[str, np.ndarray] = {}
         for i in range(c.n_layers):
-            for t in c.lora_targets:
+            for t in LORA_TARGETS:
                 self.lora[f"layers.{i}.attn.{t}.lora_A"] = rng.normal(
-                    0.0, lora_a_scale, size=(c.lora_rank, d))
-                self.lora[f"layers.{i}.attn.{t}.lora_B"] = np.zeros((d, c.lora_rank))
+                    0.0, lora_a_scale, size=(LORA_RANK, d))
+                self.lora[f"layers.{i}.attn.{t}.lora_B"] = np.zeros((d, LORA_RANK))
 
         self.patch_encoder = PatchEncoder.create(
             d_audio=c.d_audio, grid_shape=(2 * c.n_audio_tokens, 8),
@@ -156,9 +151,6 @@ class AudioTextLm:
         params["audio.proj.weight"] = self.projection.weight
         params["audio.proj.bias"] = self.projection.bias
         return params
-
-    def lora_scale(self) -> float:
-        return self.cfg.lora_alpha / self.cfg.lora_rank
 
     # -- audio path ------------------------------------------------------
 
@@ -248,13 +240,10 @@ class AudioTextLm:
         h1, ln1_cache = _ln_forward(x, self.base[p + "ln1.gamma"],
                                     self.base[p + "ln1.beta"])
         qk, u = {}, {}
-        for target, w in _LORA_WEIGHTS.items():
-            if target in c.lora_targets:
-                qk[target], u[target] = lora_apply_rows(
-                    h1, self.base[p + w], self.lora[p + f"attn.{target}.lora_A"],
-                    self.lora[p + f"attn.{target}.lora_B"], self.lora_scale())
-            else:
-                qk[target] = h1 @ self.base[p + w].T
+        for t, w in (("query", "attn.wq"), ("key", "attn.wk")):
+            qk[t], u[t] = lora_apply_rows(
+                h1, self.base[p + w], self.lora[p + f"attn.{t}.lora_A"],
+                self.lora[p + f"attn.{t}.lora_B"], LORA_SCALE)
         q, k = qk["query"], qk["key"]
         v = h1 @ self.base[p + "attn.wv"].T
 
@@ -336,7 +325,6 @@ class AudioTextLm:
     def _backward(self, dlogits: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
         c = self.cfg
         na, total = cache["na"], cache["total"]
-        scale = self.lora_scale()
         grads: dict[str, np.ndarray] = {}
 
         dxf = np.zeros((total, c.d_model))
@@ -376,13 +364,12 @@ class AudioTextLm:
             dh1 = dh1 + dk @ self.base[p + "attn.wk"]
             # adapter terms after the base ones, query before key
             for target, dy in (("query", dq), ("key", dk)):
-                if target in c.lora_targets:
-                    a_name = p + f"attn.{target}.lora_A"
-                    b_name = p + f"attn.{target}.lora_B"
-                    du = scale * (dy @ self.lora[b_name])
-                    grads[b_name] = scale * (dy.T @ lc["u"][target])
-                    grads[a_name] = du.T @ h1
-                    dh1 = dh1 + du @ self.lora[a_name]
+                a_name = p + f"attn.{target}.lora_A"
+                b_name = p + f"attn.{target}.lora_B"
+                du = LORA_SCALE * (dy @ self.lora[b_name])
+                grads[b_name] = LORA_SCALE * (dy.T @ lc["u"][target])
+                grads[a_name] = du.T @ h1
+                dh1 = dh1 + du @ self.lora[a_name]
 
             dx = dx_mid + _ln_backward(dh1, lc["ln1"], self.base[p + "ln1.gamma"])
 

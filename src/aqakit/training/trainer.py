@@ -31,7 +31,6 @@ _PROJECTION_ONLY = ("audio.proj.weight", "audio.proj.bias")
 class TrainerConfig:
     batch_size: int = 256
     text_cutoff: int = 108
-    warmup_fraction: float = 0.05
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -39,8 +38,6 @@ class TrainerConfig:
             raise ValueError("batch_size must be >= 1")
         if self.text_cutoff < 1:
             raise ValueError("text_cutoff must be >= 1")
-        if not 0 < self.warmup_fraction < 1:
-            raise ValueError("warmup_fraction must be in (0, 1)")
 
 
 @dataclass
@@ -123,7 +120,7 @@ def run_stage(model, corpus: list[CorpusItem], stage: StageConfig,
                                    epoch_mean_losses=epoch_means,
                                    wall_time_s=time.perf_counter() - start,
                                    aborted=True)
-            model.sgd_step(grads, lr_at(step, total_steps, cfg, stage.lr),
+            model.sgd_step(grads, lr_at(step, total_steps, stage.lr),
                            allowed=allowed)
             batch_losses.append(loss)
             step += 1

@@ -333,17 +333,30 @@ def test_sample_audioset_prefers_rare_classes(tmp_path, capsys):
     ({"a": ["dog"], "b": []}, "b"),
     ({"a": ["dog"], "b": ["cat", ""]}, "b"),
     ({"a": [3]}, "a"),
-], ids=["list", "string_values", "empty_list", "empty_class", "number_class"])
+    ("not json", None),
+], ids=["list", "string_values", "empty_list", "empty_class", "number_class",
+        "not_json"])
 def test_sample_audioset_rejects_malformed_labels(tmp_path, capsys, labels_of,
                                                   audio_id):
     labels = tmp_path / "labels.json"
-    labels.write_text(json.dumps(labels_of), encoding="utf-8")
+    labels.write_text(labels_of if isinstance(labels_of, str)
+                      else json.dumps(labels_of), encoding="utf-8")
     assert main(["sample-audioset", "--labels", str(labels), "--n", "1"]) == 1
     captured = capsys.readouterr()
     assert str(labels) in captured.err and "Traceback" not in captured.err
     if audio_id is not None:
         assert repr(audio_id) in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_sample_audioset_rejects_n_below_one(tmp_path, capsys, n):
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"a": ["dog"], "b": ["cat"]}), encoding="utf-8")
+    assert main(["sample-audioset", "--labels", str(labels), "--n", n]) == 1
+    captured = capsys.readouterr()
+    assert f"asked for {n} audios" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 # -- stats and validate -----------------------------------------------------------
@@ -385,6 +398,25 @@ def test_non_object_row_exits_1_with_line(tmp_path, capsys, command, flag):
     err = capsys.readouterr().err
     assert f"{bad}:1:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("audio_id", ["x"]), ("question", 5), ("answer", None), ("task", 3),
+    ("closed", 1), ("unanswerable", "no"),
+])
+def test_manifest_row_of_the_wrong_type_exits_1(tmp_path, capsys, field, value):
+    good = {"audio_id": "a", "question": "q?", "answer": "x",
+            "task": "caption", "closed": True, "unanswerable": False}
+    manifest = _jsonl(tmp_path / "m.jsonl", [good, dict(good, **{field: value})])
+    assert main(["validate", "--manifest", str(manifest)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"line 2: {field} must be")
+    for argv in (["stats"], ["train", "--audio-dir", str(tmp_path),
+                             "--out", str(tmp_path / "run")]):
+        assert main(argv + ["--manifest", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert f"{manifest}:2:" in err and field in err
+        assert "Traceback" not in err
 
 
 def test_validate_clean_manifest_exits_0(demo_dir, capsys):
@@ -676,6 +708,47 @@ def test_probe_counting_rejects_a_non_integer_count(tmp_path, capsys, count):
     captured = capsys.readouterr()
     assert "'b'" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, row", [
+    (["eval-classify", "--labels", "LABELS"], {"output": 5}),
+    (["eval-caption"], {"output": 5}),
+    (["eval-judge", "--mock-llm"], {"output": 7}),
+    (["eval-judge", "--mock-llm"], {"question": ["q"]}),
+    (["probe", "--kind", "order"], {"output": None}),
+    (["probe", "--kind", "counting"], {"output": 2}),
+], ids=["classify", "caption", "judge_output", "judge_question", "order",
+        "counting"])
+def test_prediction_row_of_the_wrong_type_exits_1(eval_files, tmp_path, capsys,
+                                                  argv, row):
+    _, truth, labels = eval_files
+    good = {"audio_id": "a", "question": "q?", "output": "a dog"}
+    preds = _jsonl(tmp_path / "p.jsonl", [good, dict(good, **row)])
+    argv = [str(labels) if a == "LABELS" else a for a in argv]
+    if argv[0] != "eval-judge":
+        argv += ["--truth", str(truth)]
+    assert main(argv + ["--pred", str(preds)]) == 1
+    captured = capsys.readouterr()
+    assert f"{preds}:2:" in captured.err and "must be a string" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("caption", [5, ["a dog", 3], None])
+def test_eval_caption_rejects_a_truth_caption_of_the_wrong_type(eval_files,
+                                                                 tmp_path,
+                                                                 capsys,
+                                                                 caption):
+    preds, _, _ = eval_files
+    truth = _jsonl(tmp_path / "t.jsonl", [
+        {"audio_id": "a", "caption": "a dog"},
+        {"audio_id": "b", "caption": caption},
+        {"audio_id": "c", "caption": "a dog"},
+    ])
+    assert main(["eval-caption", "--pred", str(preds),
+                 "--truth", str(truth)]) == 1
+    captured = capsys.readouterr()
+    assert f"{truth}:2:" in captured.err and "caption" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_eval_pred_truth_id_mismatch_exits_1(eval_files, tmp_path, capsys):

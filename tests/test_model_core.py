@@ -89,16 +89,21 @@ def test_lora_hand_case() -> None:
     np.testing.assert_array_equal(y, np.array([[7.0, 3.0]]))
 
 
-def test_lora_scale_and_validation() -> None:
-    assert AudioTextLm(DecoderConfig()).lora_scale() == 2.0
-    with pytest.raises(ValueError):
-        DecoderConfig(lora_targets=("value",))
+def test_lora_layout_constants() -> None:
+    assert decoder.LORA_RANK == 8 and decoder.LORA_SCALE == 2.0
+    assert decoder.LORA_TARGETS == ("query", "key")
+    model = AudioTextLm(tiny_cfg())
+    assert sorted(model.lora) == sorted(
+        f"layers.{i}.attn.{t}.lora_{m}"
+        for i in range(2) for t in ("query", "key") for m in "AB")
+    for name, arr in model.lora.items():
+        assert arr.shape == ((8, 16) if name.endswith("lora_A") else (16, 8))
 
 
 def test_count_lora_params_llama_and_toy() -> None:
     assert count_lora_params(llama_7b_geometry()) == 4_194_304
-    assert count_lora_params(DecoderConfig(n_layers=1, n_heads=1, d_model=4,
-                                           lora_rank=1, lora_targets=("query",))) == 8
+    # one layer, two adapters, A and B of 8 x 4 each
+    assert count_lora_params(DecoderConfig(n_layers=1, n_heads=1, d_model=4)) == 128
     toy = DecoderConfig()
     assert count_lora_params(toy) == 8192
     # cross-check by enumerating the trainable adapter tensors
@@ -177,18 +182,20 @@ def test_sgd_step_touches_only_trainables() -> None:
 
 # -- cached decoding ---------------------------------------------------------
 
-LORA_TARGET_SETS = [(), ("query",), ("key",), ("query", "key")]
+# the adapters given a live lora_B; each set checks that the cached path
+# carries exactly those adapters' contributions
+LIVE_TARGET_SETS = [(), ("query",), ("key",), ("query", "key")]
 
 
 def adapted_model(targets=("query", "key"), max_seq_len: int = 160,
                   seed: int = 41) -> AudioTextLm:
-    """A small model whose adapters are live: lora_B is nonzero."""
+    """A small model whose adapters on targets are live: lora_B is nonzero."""
     cfg = DecoderConfig(n_layers=2, n_heads=2, d_model=16, max_seq_len=max_seq_len,
-                        d_audio=8, lora_targets=targets)
+                        d_audio=8)
     model = AudioTextLm(cfg, seed=seed)
     rng = np.random.default_rng(seed)
     for name in model.lora:
-        if name.endswith("lora_B"):
+        if name.endswith("lora_B") and name.split(".")[3] in targets:
             model.lora[name] = rng.normal(0.0, 0.05, size=model.lora[name].shape)
     return model
 
@@ -206,7 +213,7 @@ def full_recompute_generate(model, audio, prompt_ids, cfg: GenerationConfig) -> 
     return generated
 
 
-@pytest.mark.parametrize("targets", LORA_TARGET_SETS)
+@pytest.mark.parametrize("targets", LIVE_TARGET_SETS)
 def test_prefill_and_step_match_forward_at_every_position(targets, monkeypatch) -> None:
     model = adapted_model(targets)
     rows = []
@@ -230,7 +237,7 @@ def test_prefill_and_step_match_forward_at_every_position(targets, monkeypatch) 
     assert np.abs(np.array(rows) - full).max() <= 1e-12
 
 
-@pytest.mark.parametrize("targets", LORA_TARGET_SETS)
+@pytest.mark.parametrize("targets", LIVE_TARGET_SETS)
 @pytest.mark.parametrize("temperature", [0.1, 0.0])
 def test_generate_equals_full_recompute(targets, temperature: float) -> None:
     model = adapted_model(targets)
@@ -428,27 +435,25 @@ def test_finite_diff_small_model_full_audio_path() -> None:
 
 @pytest.mark.parametrize("target", ["query", "key"])
 def test_single_lora_target(target: str) -> None:
-    cfg = DecoderConfig(n_layers=2, n_heads=2, d_model=16, max_seq_len=96,
-                        d_audio=8, lora_targets=(target,))
-    model = AudioTextLm(cfg, seed=27)
-    assert sorted(model.lora) == sorted(
-        f"layers.{i}.attn.{target}.lora_{m}" for i in range(2) for m in "AB")
-    audio = random_audio(cfg, 28)
+    other = "key" if target == "query" else "query"
+    model = adapted_model((other,), max_seq_len=96, seed=27)
+    audio = random_audio(model.cfg, 28)
     ids = np.array([BOS_ID, 104, 105, 106])
     ref = model.forward(audio, ids)
-    # scrambling A with B still zero must not move a single bit
+    # scrambling the target's A with its B still zero must not move a single
+    # bit, while the other adapter is live
     rng = np.random.default_rng(29)
     for name in model.lora:
-        if name.endswith("lora_A"):
+        if name.endswith(f"{target}.lora_A"):
             model.lora[name] = rng.normal(size=model.lora[name].shape)
     np.testing.assert_array_equal(model.forward(audio, ids), ref)
 
     for name in model.lora:
-        if name.endswith("lora_B"):
+        if name.endswith(f"{target}.lora_B"):
             model.lora[name] = rng.normal(0.0, 0.05, size=model.lora[name].shape)
     assert not np.array_equal(model.forward(audio, ids), ref)
-    err = finite_diff_check(model, random_example(cfg, seed=22), epsilon=1e-5,
-                            samples_per_tensor=6, seed=0)
+    err = finite_diff_check(model, random_example(model.cfg, seed=22),
+                            epsilon=1e-5, samples_per_tensor=6, seed=0)
     assert err < 1e-4
 
 
@@ -491,15 +496,50 @@ def test_checkpoint_roundtrip(tmp_path) -> None:
                                model.forward(audio, ids), rtol=1e-4, atol=1e-4)
 
 
-@pytest.mark.parametrize("targets", [(), ("query",)])
-def test_checkpoint_roundtrip_lora_targets(tmp_path, targets) -> None:
-    cfg = DecoderConfig(n_layers=2, n_heads=2, d_model=16, max_seq_len=96,
-                        d_audio=8, lora_targets=targets)
-    model = AudioTextLm(cfg, seed=33)
-    save_checkpoint(tmp_path / "ckpt", model)
-    loaded = load_checkpoint(tmp_path / "ckpt")
-    assert loaded.cfg == cfg
-    assert sorted(loaded.lora) == sorted(model.lora)
+# the header save_checkpoint writes for the default model; checkpoints on
+# disk are read by it, so any drift in the format fails here
+GOLDEN_MANIFEST_HEADER = [
+    "format=aqakit-checkpoint-v1", "lora_only=0", "config.n_layers=4",
+    "config.n_heads=4", "config.d_model=64", "config.vocab_size=260",
+    "config.max_seq_len=192", "config.lora_rank=8", "config.lora_alpha=16.0",
+    "config.d_audio=64", "config.n_audio_tokens=32", "config.mlp_ratio=4",
+    "config.lora_targets=query,key",
+]
+
+
+def test_manifest_header_is_pinned(tmp_path) -> None:
+    save_checkpoint(tmp_path / "ckpt", AudioTextLm(DecoderConfig(), seed=0))
+    lines = (tmp_path / "ckpt" / "manifest.txt").read_text(
+        encoding="utf-8").splitlines()
+    assert lines[:len(GOLDEN_MANIFEST_HEADER)] == GOLDEN_MANIFEST_HEADER
+    assert lines[len(GOLDEN_MANIFEST_HEADER)].startswith("tensor ")
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("config.lora_alpha=16.0", "config.lora_alpha=32.0", "config.lora_alpha"),
+    ("config.lora_targets=query,key", "config.lora_targets=query",
+     "config.lora_targets"),
+    ("config.lora_rank=8\n", "", "config.lora_rank"),
+], ids=["alpha_32", "query_only", "rank_missing"])
+def test_load_rejects_another_adapter_layout(tmp_path, capsys, old, new,
+                                             key) -> None:
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, AudioTextLm(tiny_cfg(), seed=33))
+    manifest = ckpt / "manifest.txt"
+    text = manifest.read_text(encoding="utf-8")
+    assert old in text
+    manifest.write_text(text.replace(old, new), encoding="utf-8")
+    with pytest.raises(ValueError, match=key) as err:
+        load_checkpoint(ckpt)
+    assert str(ckpt) in str(err.value)
+
+    wav = tmp_path / "clip.wav"
+    write_wav(wav, Waveform(np.zeros(16000)))
+    assert main(["answer", "--audio", str(wav), "--question", "what is it?",
+                 "--ckpt", str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    assert key in captured.err and str(ckpt) in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_load_rejects_adapter_only_checkpoint(tmp_path) -> None:
