@@ -65,16 +65,18 @@ def _load_json(path):
 
 def _rows(path, strings=(), texts=()):
     """JSON-lines rows whose strings fields hold a string and texts fields a
-    string or a list of strings (read as a list); read_jsonl names a bad row."""
+    string or a non-empty list of strings (read as a list); read_jsonl names
+    a bad row."""
     def parse(row):
         for f in strings:
             if not isinstance(row[f], str):
                 raise TypeError(f"{f!r} must be a string, got {row[f]!r}")
         for f in texts:
             value = [row[f]] if isinstance(row[f], str) else row[f]
-            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-                raise TypeError(f"{f!r} must be a string or a list of strings, "
-                                f"got {row[f]!r}")
+            if not (isinstance(value, list) and value
+                    and all(isinstance(v, str) for v in value)):
+                raise TypeError(f"{f!r} must be a string or a non-empty list "
+                                f"of strings, got {row[f]!r}")
             row[f] = value
         return row
     return read_jsonl(path, parse)

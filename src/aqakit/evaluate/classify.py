@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,10 @@ __all__ = [
 @dataclass(frozen=True)
 class LabelSet:
     names: tuple[str, ...]
+    # (provider, cols, unit-norm label rows restricted to cols) for the last
+    # provider the names were embedded with; see _label_matrix
+    _embedded: tuple | None = field(default=None, init=False, compare=False,
+                                    repr=False)
 
     def __post_init__(self):
         if not self.names:
@@ -41,16 +45,19 @@ class ClassificationResult:
     predictions: list[int]                  # argmax label index per sample
 
 
-def _label_matrix(labels: LabelSet, provider: EmbeddingProvider,
-                  cache: dict | None) -> np.ndarray:
-    """Unit-norm label embeddings, one row per label.
+def _label_matrix(labels: LabelSet,
+                  provider: EmbeddingProvider) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, compact): the embedding columns some label uses and the
+    unit-norm label rows on those columns, one row per label.
 
-    Rows are filled and normalized in place: stacking the embeddings first
-    would hold every label vector twice.
+    Built once per provider and kept on the LabelSet; a different provider
+    object rebuilds it. Columns no label uses add exact zeros to every
+    score, so dropping them keeps only the memory the labels need.
     """
-    key = (provider.name, labels.names)
-    if cache is not None and key in cache:
-        return cache[key]
+    if labels._embedded is not None and labels._embedded[0] is provider:
+        return labels._embedded[1:]
+    # rows are filled and normalized in place: stacking the embeddings first
+    # would hold every label vector twice
     matrix = np.empty((len(labels.names), provider.dimension))
     for row, name in zip(matrix, labels.names):
         row[:] = provider.embed(name)
@@ -58,41 +65,44 @@ def _label_matrix(labels: LabelSet, provider: EmbeddingProvider,
         if norm == 0.0:
             raise ValueError(f"label {name!r} embeds to a zero vector")
         row /= norm
-    if cache is not None:
-        cache[key] = matrix
-    return matrix
+    cols = np.flatnonzero(matrix.any(axis=0))
+    compact = matrix[:, cols]
+    object.__setattr__(labels, "_embedded", (provider, cols, compact))
+    return cols, compact
 
 
-def classify_output(text: str, labels: LabelSet, provider: EmbeddingProvider,
-                    cache: dict | None = None) -> tuple[np.ndarray, int]:
-    """Cosine of the output against every label; argmax index.
-
-    All labels are scored with one product of unit vectors, so labels that
-    embed identically get identical scores. Ties break to the lowest label
-    index. Label embeddings may be cached across calls; caching never
-    changes results.
-    """
-    e = provider.embed(text)
-    norm = np.linalg.norm(e)
-    if norm == 0.0:
-        raise ValueError(f"output {text!r} embeds to a zero vector")
-    scores = _label_matrix(labels, provider, cache) @ (e / norm)
-    # np.argmax already returns the first (lowest) index among equal maxima
-    return scores, int(np.argmax(scores))
+def classify_output(text: str, labels: LabelSet,
+                    provider: EmbeddingProvider) -> tuple[np.ndarray, int]:
+    """Cosine of the output against every label; argmax index. The one-row
+    case of classify_corpus."""
+    res = classify_corpus([text], labels, provider)
+    return res.scores[0], res.predictions[0]
 
 
 def classify_corpus(texts: list[str], labels: LabelSet,
                     provider: EmbeddingProvider) -> ClassificationResult:
+    """Cosine of every output against every label; argmax index per output.
+
+    All outputs are scored against all labels with one product of unit
+    vectors, so labels that embed identically get identical scores. Scores
+    agree with the per-label cosine to within 1e-12. Ties break to the
+    lowest label index.
+    """
     if not texts:
         raise ValueError("no outputs to classify")
-    cache: dict = {}
-    rows = []
-    preds = []
-    for t in texts:
-        scores, idx = classify_output(t, labels, provider, cache)
-        rows.append(scores)
-        preds.append(idx)
-    return ClassificationResult(labels, np.vstack(rows), preds)
+    cols, compact = _label_matrix(labels, provider)
+    # unit-norm outputs on the label columns only: the rest scores zero
+    out = np.empty((len(texts), len(cols)))
+    for row, t in zip(out, texts):
+        e = provider.embed(t)
+        norm = np.linalg.norm(e)
+        if norm == 0.0:
+            raise ValueError(f"output {t!r} embeds to a zero vector")
+        row[:] = e[cols] / norm
+    scores = out @ compact.T
+    # np.argmax already returns the first (lowest) index among equal maxima
+    return ClassificationResult(labels, scores,
+                                [int(i) for i in np.argmax(scores, axis=1)])
 
 
 def accuracy(preds: list, truths: list) -> float:
@@ -146,11 +156,12 @@ def mean_average_precision(scores: np.ndarray, truths: np.ndarray) -> float:
     if not truths.any():
         raise ValueError("no positive labels in truths")
 
+    positives = truths.sum(axis=0)
     aps = []
     skipped = []
     for c in range(scores.shape[1]):
         col_truth = truths[:, c]
-        n_pos = int(col_truth.sum())
+        n_pos = int(positives[c])
         if n_pos == 0:
             skipped.append(c)
             continue

@@ -84,8 +84,19 @@ def load_checkpoint(path: str | Path) -> AudioTextLm:
         if config.get("config." + f) != value:
             raise ValueError(f"{path}: config.{f} is {config.get('config.' + f)}, "
                              f"but the adapter layout is fixed at {f}={value}")
-    cfg = DecoderConfig(**{f: int(config["config." + f])
-                           for f in _CONFIG_LINES if f not in _LAYOUT})
+    sizes = {}
+    for f in _CONFIG_LINES:
+        if f in _LAYOUT:
+            continue
+        key = "config." + f
+        if key not in config:
+            raise ValueError(f"{path}: manifest lacks {key}")
+        try:
+            sizes[f] = int(config[key])
+        except ValueError:
+            raise ValueError(f"{path}: {key} is {config[key]!r}, "
+                             f"not an integer") from None
+    cfg = DecoderConfig(**sizes)
     model = AudioTextLm(cfg)
     tensors = _collect_tensors(model)
     missing = set(tensors) - {name for name, *_ in table}

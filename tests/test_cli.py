@@ -612,6 +612,21 @@ def test_eval_classify_rejects_unknown_truth_label(eval_files, tmp_path,
     assert "walrus" in capsys.readouterr().err
 
 
+def test_eval_classify_rejects_a_truth_row_without_labels(eval_files,
+                                                         tmp_path, capsys):
+    preds, _, labels = eval_files
+    truth = _jsonl(tmp_path / "t.jsonl", [
+        {"audio_id": "a", "labels": "dog"},
+        {"audio_id": "b", "labels": []},
+        {"audio_id": "c", "labels": ["dog"]},
+    ])
+    assert main(["eval-classify", "--pred", str(preds), "--truth", str(truth),
+                 "--labels", str(labels)]) == 1
+    captured = capsys.readouterr()
+    assert f"{truth}:2:" in captured.err and "non-empty" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_eval_caption_exact_overlap_mean(tmp_path, capsys):
     # 3/4 token overlap on both sides -> F1 0.75 for the single row
     preds = _jsonl(tmp_path / "p.jsonl",
@@ -733,7 +748,7 @@ def test_prediction_row_of_the_wrong_type_exits_1(eval_files, tmp_path, capsys,
     assert "Traceback" not in captured.err and captured.out == ""
 
 
-@pytest.mark.parametrize("caption", [5, ["a dog", 3], None])
+@pytest.mark.parametrize("caption", [5, ["a dog", 3], None, []])
 def test_eval_caption_rejects_a_truth_caption_of_the_wrong_type(eval_files,
                                                                  tmp_path,
                                                                  capsys,

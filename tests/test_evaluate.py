@@ -187,19 +187,26 @@ def test_classify_scale_invariance_of_argmax():
 
 def test_classify_label_cache_changes_nothing_but_saves_calls():
     labels = LabelSet(("dog", "cat", "owl"))
-    texts = ["dog barks", "cat purrs", "owl hoots", "dog again"]
-    uncached = []
-    p1 = CountingProvider()
-    for t in texts:
-        uncached.append(classify_output(t, labels, p1))
-    p2 = CountingProvider()
-    cache = {}
-    cached = [classify_output(t, labels, p2, cache) for t in texts]
-    for (s1, i1), (s2, i2) in zip(uncached, cached):
-        np.testing.assert_array_equal(s1, s2)
-        assert i1 == i2
-    assert p1.calls == len(texts) * (1 + len(labels.names))
-    assert p2.calls == len(texts) + len(labels.names)
+    batches = [["dog barks", "cat purrs"], ["owl hoots"], ["dog again", "cat"]]
+    p = CountingProvider()
+    results = [classify_corpus(b, labels, p) for b in batches]
+    # every label is embedded once over all calls with the same provider
+    assert p.calls == sum(map(len, batches)) + len(labels.names)
+    for b, res in zip(batches, results):
+        fresh = classify_corpus(b, LabelSet(labels.names),
+                                HashedBagOfWordsProvider())
+        np.testing.assert_array_equal(res.scores, fresh.scores)
+        assert res.predictions == fresh.predictions
+
+    # another provider rebuilds the matrix: exact-match scores, not hashed ones
+    q = ExactMatchProvider(dimension=16)
+    res = classify_corpus(["owl", "dog"], labels, q)
+    np.testing.assert_array_equal(res.scores, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    assert res.predictions == [2, 0]
+    # and going back to the first provider rebuilds it again
+    res = classify_corpus(batches[0], labels, p)
+    assert p.calls == sum(map(len, batches)) + len(batches[0]) + 2 * len(labels.names)
+    np.testing.assert_array_equal(res.scores, results[0].scores)
 
 
 def test_classify_rejects_zero_embedding_output():
@@ -241,6 +248,48 @@ def test_classify_rejects_zero_embedding_label():
     with pytest.raises(ValueError, match="'!!!' embeds to a zero vector"):
         classify_output("dog", LabelSet(("dog", "!!!")),
                         HashedBagOfWordsProvider())
+
+
+_BATCH = ["rain on a bell", "a siren and a crowd", "sound3 speech",
+          "engine engine wind", "music horn music sound5"]
+
+
+@pytest.mark.parametrize("provider", [HashedBagOfWordsProvider(),
+                                      ScaledProvider()], ids=["hashed", "scaled"])
+@pytest.mark.parametrize("n_labels", [8, 527])
+def test_classify_corpus_batch_matches_per_label_cosine(provider, n_labels):
+    names = _filler_labels(n_labels)
+    # the last label embeds exactly like label 1, so they tie on every row
+    names[-1] = names[1].upper()
+    labels = LabelSet(tuple(names))
+    texts = _BATCH + [names[1]]
+    res = classify_corpus(texts, labels, provider)
+    assert res.scores.shape == (len(texts), n_labels)
+    label_vecs = [provider.embed(n) for n in names]
+    for k, text in enumerate(texts):
+        e = provider.embed(text)
+        want = np.array([cosine(e, v) for v in label_vecs])
+        np.testing.assert_allclose(res.scores[k], want, rtol=0, atol=1e-12)
+        assert res.scores[k, 1] == res.scores[k, -1]
+        assert res.predictions[k] == int(np.argmax(res.scores[k]))
+        # labels that tie only up to rounding may go either way
+        assert want[res.predictions[k]] >= want.max() - 1e-12
+    # an exact tie goes to the lowest index
+    assert res.predictions[-1] == 1
+
+
+@pytest.mark.parametrize("provider", [HashedBagOfWordsProvider(),
+                                      ScaledProvider()], ids=["hashed", "scaled"])
+@pytest.mark.parametrize("n_labels", [8, 527])
+def test_classify_corpus_rejects_a_zero_norm_output_or_label(provider,
+                                                             n_labels):
+    names = _filler_labels(n_labels)
+    with pytest.raises(ValueError, match="output '!!!' embeds to a zero vector"):
+        classify_corpus(_BATCH[:2] + ["!!!"] + _BATCH[2:],
+                        LabelSet(tuple(names)), provider)
+    names[-1] = "??"
+    with pytest.raises(ValueError, match=r"label '\?\?' embeds to a zero vector"):
+        classify_corpus(_BATCH, LabelSet(tuple(names)), provider)
 
 
 def test_label_set_validation():
@@ -333,6 +382,42 @@ def test_map_excludes_positive_free_classes_with_warning():
         value = mean_average_precision(scores, truths)
     assert value == pytest.approx(1.0)
     assert any("without positives" in str(w.message) for w in caught)
+
+
+def _map_reference(scores, truths):
+    """Per-class AP with each column's positives counted in the loop."""
+    aps = []
+    for c in range(scores.shape[1]):
+        col_truth = truths[:, c]
+        n_pos = int(col_truth.sum())
+        if n_pos == 0:
+            continue
+        order = np.argsort(-scores[:, c], kind="stable")
+        hits = 0
+        ap = 0.0
+        for rank, idx in enumerate(order, start=1):
+            if col_truth[idx]:
+                hits += 1
+                ap += hits / rank
+        aps.append(ap / n_pos)
+    return float(np.mean(aps))
+
+
+@pytest.mark.parametrize("dtype", [int, bool])
+def test_map_matches_a_per_column_reference_loop(dtype):
+    rng = np.random.default_rng(11)
+    scores = rng.normal(size=(40, 30))
+    scores[5:9, 3] = scores[4, 3]                   # tied samples
+    truths = (rng.random((40, 30)) < 0.1).astype(dtype)
+    truths[:, [0, 7, 29]] = 0
+    skipped = [c for c in range(30) if not truths[:, c].any()]
+    assert {0, 7, 29} <= set(skipped) and len(skipped) < 30
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = mean_average_precision(scores, truths)
+    assert value == _map_reference(scores, truths)
+    assert [str(w.message) for w in caught] == [
+        f"classes without positives excluded from mAP: {skipped}"]
 
 
 def test_map_rejects_all_zero_truths():

@@ -542,6 +542,32 @@ def test_load_rejects_another_adapter_layout(tmp_path, capsys, old, new,
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("config.d_model=16\n", "", "config.d_model"),
+    ("config.n_heads=2\n", "config.n_heads=two\n", "config.n_heads"),
+    ("config.mlp_ratio=4\n", "config.mlp_ratio=4.5\n", "config.mlp_ratio"),
+], ids=["d_model_missing", "n_heads_word", "mlp_ratio_fraction"])
+def test_load_rejects_a_missing_or_non_integer_config_line(tmp_path, capsys,
+                                                           old, new, key) -> None:
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, AudioTextLm(tiny_cfg(), seed=33))
+    manifest = ckpt / "manifest.txt"
+    text = manifest.read_text(encoding="utf-8")
+    assert old in text
+    manifest.write_text(text.replace(old, new), encoding="utf-8")
+    with pytest.raises(ValueError, match=key) as err:
+        load_checkpoint(ckpt)
+    assert str(ckpt) in str(err.value)
+
+    wav = tmp_path / "clip.wav"
+    write_wav(wav, Waveform(np.zeros(16000)))
+    assert main(["answer", "--audio", str(wav), "--question", "what is it?",
+                 "--ckpt", str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    assert key in captured.err and str(ckpt) in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_load_rejects_adapter_only_checkpoint(tmp_path) -> None:
     save_checkpoint(tmp_path / "ckpt", AudioTextLm(tiny_cfg(), seed=33))
     manifest = tmp_path / "ckpt" / "manifest.txt"
