@@ -9,6 +9,7 @@ plus rename) and input files are never mutated.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .files import atomic_write, read_jsonl
+from .files import atomic_write, read_json, read_jsonl, read_names, string_list
 
 __all__ = ["main"]
 
@@ -43,50 +44,46 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
+@contextlib.contextmanager
+def _naming(*paths):
+    """A ValueError raised in the block names the given input files (None
+    skipped), unless its message already starts with one of them."""
+    try:
+        yield
+    except ValueError as exc:
+        msg = str(exc)
+        if any(p and msg.startswith(f"{p}:") for p in paths):
+            raise
+        named = ", ".join(str(p) for p in paths if p)
+        raise ValueError(f"{named}: {msg}") from exc
+
+
 def _clip_grid(path):
     """WAV file -> fbank -> patch grid; a ValueError names the file."""
     from .frontend import compute_fbank, patchify, read_wav
-    try:
+    with _naming(path):
         return patchify(compute_fbank(read_wav(path)))
-    except ValueError as exc:
-        msg = str(exc)
-        # read_wav already names the file on malformed chunks
-        raise ValueError(msg if msg.startswith(f"{path}:")
-                         else f"{path}: {msg}") from exc
 
 
-def _load_json(path):
-    """The JSON document in the file at path; bad JSON names the file."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
-def _rows(path, strings=(), texts=()):
-    """JSON-lines rows whose strings fields hold a string and texts fields a
-    string or a non-empty list of strings (read as a list); read_jsonl names
-    a bad row."""
+def _row_parser(strings=(), texts=()):
+    """A read_jsonl parse for rows whose strings fields hold a string and
+    texts fields a non-empty string or a list of them (read as a list)."""
     def parse(row):
         for f in strings:
             if not isinstance(row[f], str):
                 raise TypeError(f"{f!r} must be a string, got {row[f]!r}")
         for f in texts:
             value = [row[f]] if isinstance(row[f], str) else row[f]
-            if not (isinstance(value, list) and value
-                    and all(isinstance(v, str) for v in value)):
-                raise TypeError(f"{f!r} must be a string or a non-empty list "
-                                f"of strings, got {row[f]!r}")
-            row[f] = value
+            row[f] = string_list(value, repr(f))
         return row
-    return read_jsonl(path, parse)
+    return parse
 
 
 def _make_llm_client(args):
     if args.mock_llm:
         from .forge import ReplayLlmClient, SynthLlmClient
         if args.responses:
-            recorded = _load_json(args.responses)
+            recorded = read_json(args.responses)
             if not (isinstance(recorded, dict)
                     and all(isinstance(r, str) for r in recorded.values())):
                 raise ValueError(f"{args.responses}: expected a JSON object "
@@ -117,9 +114,10 @@ def _cmd_forge_closed(args) -> int:
     metas = read_meta_jsonl(args.meta)
     bank = load_feature_bank(args.feature_bank) if args.feature_bank else None
     pairs = []
-    for i, meta in enumerate(metas):
-        pairs.extend(gen_closed_qa(meta, np.random.default_rng([args.seed, i]),
-                                   feature_bank=bank))
+    with _naming(args.meta):
+        for i, meta in enumerate(metas):
+            pairs.extend(gen_closed_qa(
+                meta, np.random.default_rng([args.seed, i]), feature_bank=bank))
     skipped = len(metas) - sum(p.task == "acoustic_features" for p in pairs)
     if skipped:
         _eprint(f"forge-closed: no acoustic features for {skipped} clips "
@@ -148,16 +146,14 @@ def _cmd_forge_open(args) -> int:
 def _cmd_forge_features(args) -> int:
     from .forge import gen_feature_bank, read_meta_jsonl
     if args.classes:
-        classes = [ln.strip() for ln in
-                   Path(args.classes).read_text(encoding="utf-8").splitlines()
-                   if ln.strip()]
+        classes = read_names(args.classes)
     else:
         if not args.meta:
             raise UsageError("forge-features needs --classes or --meta")
         seen = {e.label for m in read_meta_jsonl(args.meta) for e in m.events}
         classes = sorted(seen)
     if not classes:
-        raise ValueError("no classes to describe")
+        raise ValueError(f"{args.classes or args.meta}: no classes to describe")
     client = _make_llm_client(args)
     bank = gen_feature_bank(classes, client, cache_path=args.out)
     missing = [c for c in classes if c not in bank]
@@ -172,15 +168,12 @@ def _cmd_forge_features(args) -> int:
 
 def _cmd_sample_audioset(args) -> int:
     from .forge import sample_audioset
-    labels_of = _load_json(args.labels)
+    labels_of = read_json(args.labels)
     if not isinstance(labels_of, dict):
         raise ValueError(f"{args.labels}: expected a JSON object mapping "
                          f"audio_id -> [class, ...]")
     for audio_id, classes in labels_of.items():
-        if not (isinstance(classes, list) and classes
-                and all(isinstance(c, str) and c for c in classes)):
-            raise ValueError(f"{args.labels}: audio {audio_id!r}: classes must "
-                             f"be a non-empty list of non-empty strings")
+        string_list(classes, f"{args.labels}: classes of {audio_id!r}")
     label_counts = Counter(c for classes in labels_of.values() for c in classes)
     chosen = sample_audioset(label_counts, labels_of, args.n)
     _emit("\n".join(chosen), args.out)
@@ -190,7 +183,8 @@ def _cmd_sample_audioset(args) -> int:
 
 def _cmd_stats(args) -> int:
     from .forge import compute_dataset_stats, read_manifest
-    stats = compute_dataset_stats(read_manifest(args.manifest))
+    with _naming(args.manifest):
+        stats = compute_dataset_stats(read_manifest(args.manifest))
     _emit(json.dumps(dataclasses.asdict(stats), indent=2, sort_keys=True),
           args.out)
     return 0
@@ -263,30 +257,34 @@ def _cmd_answer(args) -> int:
 
 
 def _join_truths(args, field: str, texts: bool = False):
-    """(prediction row, truth value) pairs from --pred and --truth by audio_id."""
-    preds = _rows(args.pred, ("audio_id", "output"))
+    """(prediction row, truth value) pairs from --pred and --truth by
+    audio_id; a truth row that repeats an audio_id is a bad row."""
+    preds = read_jsonl(args.pred, _row_parser(("audio_id", "output")))
+    parse = _row_parser(("audio_id",), (field,) if texts else ())
     by_id = {}
-    for t in _rows(args.truth, ("audio_id",), (field,) if texts else ()):
-        if field not in t:
-            raise ValueError(f"truth rows need {field!r}")
-        by_id[t["audio_id"]] = t[field]
+
+    def keep(row):
+        row = parse(row)
+        if row["audio_id"] in by_id:
+            raise ValueError(f"repeats audio_id {row['audio_id']!r}")
+        by_id[row["audio_id"]] = row[field]
+    read_jsonl(args.truth, keep)
     joined = []
     for p in preds:
         if p["audio_id"] not in by_id:
-            raise ValueError(f"no truth for audio_id {p['audio_id']!r}")
+            raise ValueError(f"{args.truth}: no truth for audio_id "
+                             f"{p['audio_id']!r} of {args.pred}")
         joined.append((p, by_id[p["audio_id"]]))
     if not joined:
-        raise ValueError("nothing to evaluate")
+        raise ValueError(f"{args.pred}: nothing to evaluate")
     return joined
 
 
 def _cmd_eval_classify(args) -> int:
     from .evaluate import (LabelSet, accuracy, classify_corpus,
                            mean_average_precision, micro_f1)
-    names = [ln.strip() for ln in
-             Path(args.labels).read_text(encoding="utf-8").splitlines()
-             if ln.strip()]
-    labels = LabelSet(tuple(names))
+    with _naming(args.labels):
+        labels = LabelSet(tuple(read_names(args.labels)))
     joined = _join_truths(args, "labels", texts=True)
     provider = _make_provider(args)
     result = classify_corpus([p["output"] for p, _ in joined], labels,
@@ -296,7 +294,8 @@ def _cmd_eval_classify(args) -> int:
     for _, truth_labels in joined:
         unknown = [t for t in truth_labels if t not in index]
         if unknown:
-            raise ValueError(f"truth labels outside the label set: {unknown}")
+            raise ValueError(f"{args.truth}: truth labels outside "
+                             f"{args.labels}: {unknown}")
         truth_sets.append({index[t] for t in truth_labels})
     truth_matrix = np.zeros((len(joined), len(labels.names)), dtype=int)
     for row, ts in zip(truth_matrix, truth_sets):
@@ -328,9 +327,10 @@ def _cmd_eval_caption(args) -> int:
 def _cmd_eval_judge(args) -> int:
     from .evaluate import judge_rate
     pairs = [(p["question"], p["output"])
-             for p in _rows(args.pred, ("question", "output"))]
+             for p in read_jsonl(args.pred, _row_parser(("question", "output")))]
     client = _make_llm_client(args)
-    report = judge_rate(pairs, client)
+    with _naming(args.pred, args.responses):
+        report = judge_rate(pairs, client)
     _emit(json.dumps({"rate": report.rate, "n_yes": report.n_yes,
                       "n_no": report.n_no,
                       "n_abstained": report.n_abstained},
@@ -341,15 +341,17 @@ def _cmd_eval_judge(args) -> int:
 def _cmd_probe(args) -> int:
     from .evaluate import counting_probe, order_accuracy, order_probe
     if args.kind == "order":
-        joined = _join_truths(args, "order")
+        joined = _join_truths(args, "order", texts=True)
         provider = _make_provider(args)
-        results = []
         for p, order in joined:
-            if not (isinstance(order, list) and len(order) == 2):
-                raise ValueError("order truth must be [first, second]")
-            results.append(order_probe(p["output"], order[0], order[1],
-                                       provider))
-        acc, n_followed, n_excluded = order_accuracy(results)
+            if len(order) != 2 or order[0] == order[1]:
+                raise ValueError(f"{args.truth}: order truth of "
+                                 f"{p['audio_id']!r} must be two distinct "
+                                 f"labels [first, second], got {order!r}")
+        with _naming(args.pred, args.truth):
+            results = [order_probe(p["output"], first, second, provider)
+                       for p, (first, second) in joined]
+            acc, n_followed, n_excluded = order_accuracy(results)
         report = {"order_accuracy": acc, "n_followed": n_followed,
                   "n_excluded": n_excluded}
     else:
@@ -358,10 +360,12 @@ def _cmd_probe(args) -> int:
         truths = []
         for p, count in joined:
             if not isinstance(count, int) or isinstance(count, bool):
-                raise ValueError(f"count for audio_id {p['audio_id']!r} must "
-                                 f"be an integer, got {count!r}")
+                raise ValueError(f"{args.truth}: count for audio_id "
+                                 f"{p['audio_id']!r} must be an integer, "
+                                 f"got {count!r}")
             truths.append(count)
-        pr = counting_probe(answers, truths)
+        with _naming(args.pred, args.truth):
+            pr = counting_probe(answers, truths)
         report = {"pearson_r": pr.pearson_r,
                   "double_single_ratio": pr.double_single_ratio,
                   "n_used": pr.n_used,

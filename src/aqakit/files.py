@@ -1,5 +1,5 @@
-"""Text files on disk: atomic writes and the JSON-lines row format that
-carries metas, manifests and predictions between subcommands."""
+"""Text files on disk: atomic writes, and the one reader of every JSON,
+JSON-lines and one-name-per-line input, so each error names its file."""
 
 from __future__ import annotations
 
@@ -26,21 +26,62 @@ def atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
-def read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:
-    """parse(row) for every JSON-object row; blank lines are skipped and a
-    bad row raises ValueError naming path and line."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
+def string_list(value, what: str) -> list[str]:
+    """value, when it is a non-empty list of non-empty strings; otherwise a
+    ValueError that starts with what."""
+    if not (isinstance(value, list) and value
+            and all(isinstance(v, str) and v for v in value)):
+        raise ValueError(f"{what} must be a non-empty list of non-empty "
+                         f"strings, got {value!r}")
+    return value
+
+
+def read_json(path: str | Path):
+    """The JSON document in the file at path; bad JSON or bytes that are
+    not UTF-8 raise ValueError naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def read_names(path: str | Path) -> list[str]:
+    """The stripped non-blank lines of the file at path, one name each."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return [ln.strip() for ln in text.splitlines() if ln.strip()]
+
+
+def jsonl_rows(path: str | Path, parse: Callable[[dict], object]):
+    """(line number, parse(row), None) per good row of the JSON-lines file
+    at path and (line number, None, problem) per bad one; blank lines are
+    skipped. A KeyError, TypeError or ValueError from parse is a problem."""
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
+                row = json.loads(line.decode("utf-8"))
                 if not isinstance(row, dict):
                     raise TypeError("row is not a JSON object")
-                rows.append(parse(row))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{line_no}: bad row: {exc}") from exc
+                item, problem = parse(row), None
+            except KeyError as exc:
+                item, problem = None, f"missing field {exc}"
+            except (TypeError, ValueError) as exc:
+                item, problem = None, str(exc)
+            yield line_no, item, problem
+
+
+def read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:
+    """parse(row) for every row; the first bad row raises ValueError naming
+    path and line."""
+    rows = []
+    for line_no, item, problem in jsonl_rows(path, parse):
+        if problem is not None:
+            raise ValueError(f"{path}:{line_no}: bad row: {problem}")
+        rows.append(item)
     return rows
 
 

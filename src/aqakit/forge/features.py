@@ -7,7 +7,7 @@ import json
 import warnings
 from pathlib import Path
 
-from ..files import atomic_write
+from ..files import atomic_write, read_json, string_list
 
 FEATURE_PROMPT_PREFIX = "describe the acoustic characteristic of "
 FEATURE_PROMPT_SUFFIX = " sound precisely with a sentence less than 10 words"
@@ -21,18 +21,11 @@ def feature_prompt(class_name: str) -> str:
 
 
 def load_feature_bank(path: str | Path) -> dict[str, list[str]]:
-    path = Path(path)
-    if not path.exists():
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        bank = json.load(fh)
+    bank = read_json(path)
     if not isinstance(bank, dict):
         raise ValueError(f"{path}: feature bank must be a JSON object")
     for label, features in bank.items():
-        if not (isinstance(features, list) and features
-                and all(isinstance(f, str) and f for f in features)):
-            raise ValueError(f"{path}: features of {label!r} must be a non-empty "
-                             f"list of non-empty strings")
+        string_list(features, f"{path}: features of {label!r}")
     return bank
 
 
@@ -50,7 +43,8 @@ def gen_feature_bank(classes: list[str], client,
     client keeps failing, the classes gathered so far are still returned
     (and cached); the missing ones are reported in a warning.
     """
-    bank = load_feature_bank(cache_path) if cache_path else {}
+    bank = (load_feature_bank(cache_path)
+            if cache_path and Path(cache_path).exists() else {})
     bank = {c: v for c, v in bank.items()
             if len(v) == DESCRIPTIONS_PER_CLASS}
     missing = []

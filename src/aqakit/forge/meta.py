@@ -9,10 +9,11 @@ decimal place; the timestamp clause is omitted for weak labels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..files import read_jsonl, write_jsonl
+from ..files import read_jsonl, string_list, write_jsonl
 
 
 @dataclass
@@ -23,6 +24,14 @@ class SoundEvent:
     offset_s: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("label", "feature"):
+            if not isinstance(getattr(self, name), str):
+                raise TypeError(f"{name} must be a string: "
+                                f"{getattr(self, name)!r}")
+        for t in (self.onset_s, self.offset_s):
+            if t is not None and (isinstance(t, bool) or not isinstance(
+                    t, (int, float)) or not math.isfinite(t)):
+                raise TypeError(f"timestamps must be finite numbers: {t!r}")
         if (self.onset_s is None) != (self.offset_s is None):
             raise ValueError("onset and offset must be given together")
         if self.onset_s is not None:
@@ -43,6 +52,12 @@ class AudioMeta:
     source: str = ""
 
     def __post_init__(self) -> None:
+        for name in ("audio_id", "source"):
+            if not isinstance(getattr(self, name), str):
+                raise TypeError(f"{name} must be a string: "
+                                f"{getattr(self, name)!r}")
+        if not (self.caption is None or isinstance(self.caption, str)):
+            string_list(self.caption, "caption")
         if not self.events and not self.caption:
             raise ValueError(f"{self.audio_id}: need events or a caption")
 
@@ -90,6 +105,8 @@ def meta_to_dict(m: AudioMeta) -> dict:
 
 
 def meta_from_dict(d: dict) -> AudioMeta:
+    if not isinstance(d.get("events", []), list):
+        raise TypeError(f"events must be a list: {d['events']!r}")
     events = [SoundEvent(label=e["label"], feature=e.get("feature", ""),
                          onset_s=e.get("onset_s"), offset_s=e.get("offset_s"))
               for e in d.get("events", [])]

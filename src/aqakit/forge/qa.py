@@ -3,11 +3,10 @@ and the JSON-lines manifest format every tool in the pipeline shares."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..files import read_jsonl, write_jsonl
+from ..files import jsonl_rows, read_jsonl, write_jsonl
 
 TASK_KINDS = ("classification", "acoustic_features", "caption", "temporal",
               "open_ended")
@@ -60,25 +59,5 @@ def write_manifest(path: str | Path, pairs: list[QAPair]) -> None:
 def validate_manifest(path: str | Path) -> list[tuple[int, str]]:
     """Schema check for a manifest file; returns (line number, problem)
     tuples, empty when the file is clean."""
-    problems: list[tuple[int, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                problems.append((line_no, f"not valid JSON: {exc.msg}"))
-                continue
-            if not isinstance(row, dict):
-                problems.append((line_no, "row is not a JSON object"))
-                continue
-            missing = [f for f in _FIELDS[:5] if f not in row]
-            if missing:
-                problems.append((line_no, f"missing fields: {', '.join(missing)}"))
-                continue
-            try:
-                qa_from_dict(row)
-            except (TypeError, ValueError) as exc:
-                problems.append((line_no, str(exc)))
-    return problems
+    return [(line_no, problem) for line_no, _, problem
+            in jsonl_rows(path, qa_from_dict) if problem is not None]

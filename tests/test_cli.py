@@ -771,3 +771,111 @@ def test_eval_pred_truth_id_mismatch_exits_1(eval_files, tmp_path, capsys):
     truth = _jsonl(tmp_path / "t.jsonl", [{"audio_id": "zz", "caption": "x"}])
     assert main(["eval-caption", "--pred", str(preds),
                  "--truth", str(truth)]) == 1
+
+
+# -- every JSON input is checked and named ------------------------------------------
+
+_GOOD_META = {"audio_id": "m1", "caption": "a dog barks", "source": "demo",
+              "events": [{"label": "dog", "feature": "sharp bark",
+                          "onset_s": 0, "offset_s": 1.5}]}
+
+
+def _event(**fields):
+    return dict(_GOOD_META, events=[dict(_GOOD_META["events"][0], **fields)])
+
+
+@pytest.mark.parametrize("row", [
+    _event(label=5), _event(feature=["bark"]), dict(_GOOD_META, audio_id=7),
+    dict(_GOOD_META, source=3), _event(onset_s=True),
+    _event(offset_s=float("inf")), _event(onset_s=float("nan")),
+    dict(_GOOD_META, caption=5), dict(_GOOD_META, caption=["a dog", 3]),
+    dict(_GOOD_META, caption=[""]), dict(_GOOD_META, events={}),
+], ids=["label", "feature", "audio_id", "source", "bool_onset",
+        "infinite_offset", "nan_onset", "caption_number", "caption_list_number",
+        "caption_empty_string", "events_object"])
+@pytest.mark.parametrize("command", [["forge-closed"],
+                                     ["forge-open", "--mock-llm"]],
+                         ids=["closed", "open"])
+def test_meta_row_of_the_wrong_type_exits_1(tmp_path, capsys, command, row):
+    meta = _jsonl(tmp_path / "meta.jsonl", [row, _GOOD_META])
+    out = tmp_path / "out.jsonl"
+    assert main(command + ["--meta", str(meta), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{meta}:1:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("order", [["dog", 5], ["dog", "dog"], ["dog"],
+                                   ["dog", "cat", "bird"], ["dog", ""]],
+                         ids=["number", "same", "one", "three", "empty"])
+def test_probe_order_rejects_a_malformed_truth(eval_files, tmp_path, capsys,
+                                               order):
+    preds, _, _ = eval_files
+    truth = _jsonl(tmp_path / "t.jsonl", [
+        {"audio_id": "a", "order": ["dog", "cat"]},
+        {"audio_id": "b", "order": order},
+        {"audio_id": "c", "order": ["dog", "cat"]},
+    ])
+    assert main(["probe", "--kind", "order", "--pred", str(preds),
+                 "--truth", str(truth)]) == 1
+    captured = capsys.readouterr()
+    assert str(truth) in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_forge_closed_missing_feature_bank_exits_2(demo_dir, tmp_path, capsys):
+    bank, out = tmp_path / "gone" / "bank.json", tmp_path / "closed.jsonl"
+    assert main(["forge-closed", "--meta", str(demo_dir / "meta.jsonl"),
+                 "--feature-bank", str(bank), "--out", str(out)]) == 2
+    assert str(bank) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_forge_closed_feature_bank_that_is_not_json_exits_1(demo_dir, tmp_path,
+                                                            capsys):
+    bank, out = tmp_path / "bank.json", tmp_path / "closed.jsonl"
+    bank.write_text("{not json", encoding="utf-8")
+    assert main(["forge-closed", "--meta", str(demo_dir / "meta.jsonl"),
+                 "--feature-bank", str(bank), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{bank}: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_eval_classify_rejects_a_repeated_truth_audio_id(eval_files, tmp_path,
+                                                         capsys):
+    preds, _, labels = eval_files
+    truth = _jsonl(tmp_path / "t.jsonl", [
+        {"audio_id": "a", "labels": "dog"}, {"audio_id": "b", "labels": "cat"},
+        {"audio_id": "c", "labels": "dog"}, {"audio_id": "a", "labels": "cat"},
+    ])
+    assert main(["eval-classify", "--pred", str(preds), "--truth", str(truth),
+                 "--labels", str(labels)]) == 1
+    captured = capsys.readouterr()
+    assert f"{truth}:4:" in captured.err and "'a'" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["stats"], "--manifest"), (["validate"], "--manifest"),
+    (["forge-closed", "--out", "OUT"], "--meta"),
+    (["forge-closed", "--meta", "META", "--out", "OUT"], "--feature-bank"),
+    (["forge-features", "--mock-llm", "--out", "OUT"], "--classes"),
+    (["sample-audioset", "--n", "1"], "--labels"),
+    (["eval-classify", "--pred", "PRED", "--truth", "TRUTH"], "--labels"),
+    (["eval-caption", "--truth", "TRUTH"], "--pred"),
+    (["eval-judge", "--pred", "PRED", "--mock-llm"], "--responses"),
+], ids=["stats", "validate", "meta", "feature_bank", "classes", "labels_json",
+        "labels_txt", "pred", "responses"])
+def test_input_that_is_not_utf8_names_its_file(demo_dir, eval_files, tmp_path,
+                                               capsys, command, flag):
+    preds, truth, _ = eval_files
+    bad = tmp_path / "bad"
+    bad.write_bytes(b'{"audio_id": "a\xff"}\n')
+    fill = {"OUT": str(tmp_path / "out"), "META": str(demo_dir / "meta.jsonl"),
+            "PRED": str(preds), "TRUTH": str(truth)}
+    argv = [fill.get(a, a) for a in command] + [flag, str(bad)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert str(bad) in captured.err and "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
