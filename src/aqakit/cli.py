@@ -132,9 +132,14 @@ def _cmd_forge_open(args) -> int:
     from .forge import gen_open_ended_qa, read_meta_jsonl, write_manifest
     metas = read_meta_jsonl(args.meta)
     client = _make_llm_client(args)
+    source = f"{args.responses}: " if args.responses else ""
     pairs = []
     for meta in metas:
-        qa = gen_open_ended_qa(meta, client)
+        try:
+            qa = gen_open_ended_qa(meta, client)
+        except ValueError as exc:
+            raise ValueError(f"{source}reply for audio_id {meta.audio_id!r}: "
+                             f"{exc}") from None
         _eprint(f"forge-open: {meta.audio_id}: {len(qa)} pairs")
         pairs.extend(qa)
     pairs.sort(key=lambda p: p.audio_id)
@@ -205,16 +210,16 @@ def _cmd_train(args) -> int:
     from .synthetic import corpus_items
     from .training import (TrainerConfig, default_curriculum, read_curriculum,
                            run_curriculum, scale_curriculum)
+    if args.curriculum:
+        stages = read_curriculum(args.curriculum)
+    else:
+        stages = scale_curriculum(default_curriculum(), args.factor)
     pairs = read_manifest(args.manifest)
     audio_dir = Path(args.audio_dir)
     grids = {}
     for audio_id in sorted({p.audio_id for p in pairs}):
         grids[audio_id] = _clip_grid(audio_dir / f"{audio_id}.wav")
     items = corpus_items(pairs, grids)
-    if args.curriculum:
-        stages = read_curriculum(args.curriculum)
-    else:
-        stages = scale_curriculum(default_curriculum(), args.factor)
     _eprint(f"train: {len(items)} pairs, {len(grids)} clips, stage budgets "
             f"{[s.n_samples for s in stages]}")
     # desk-scale init: wider output head and LoRA-A so the frozen-base model

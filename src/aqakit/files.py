@@ -1,5 +1,6 @@
-"""Text files on disk: atomic writes, and the one reader of every JSON,
-JSON-lines and one-name-per-line input, so each error names its file."""
+"""Text files on disk: atomic writes, and the one reader of every text
+input (JSON, JSON lines, one name per line, and the text read_text hands to
+the checkpoint and curriculum parsers), so each error names its file."""
 
 from __future__ import annotations
 
@@ -36,22 +37,28 @@ def string_list(value, what: str) -> list[str]:
     return value
 
 
+def read_text(path: str | Path) -> str:
+    """The text of the file at path; bytes that are not UTF-8 raise
+    ValueError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def read_json(path: str | Path):
     """The JSON document in the file at path; bad JSON or bytes that are
     not UTF-8 raise ValueError naming the file."""
+    text = read_text(path)
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(text)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
 def read_names(path: str | Path) -> list[str]:
     """The stripped non-blank lines of the file at path, one name each."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return [ln.strip() for ln in text.splitlines() if ln.strip()]
+    return [ln.strip() for ln in read_text(path).splitlines() if ln.strip()]
 
 
 def jsonl_rows(path: str | Path, parse: Callable[[dict], object]):

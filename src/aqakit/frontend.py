@@ -1,10 +1,10 @@
 """Audio frontend: 16 kHz WAV IO and waveform -> log-mel spectrogram -> 16x16
-patches, plus the patch encoder, token pooling and projection layer that the
-model chains (``AudioTextLm._audio_rows``, the one place they run together).
+patches, plus the stateless patch encoding and token pooling that
+``AudioTextLm._audio_rows`` chains with its own audio tensors.
 
-Every function is deterministic in its inputs and parameters, so it is safe
-to call concurrently. Parameters are plain numpy arrays; nothing here
-mutates them.
+Every function is deterministic in its inputs, so it is safe to call
+concurrently. Nothing here holds or mutates model parameters: the encoder
+weights come in as plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ MEL_FMIN_HZ = 0.0
 MEL_FMAX_HZ = 8000.0
 PATCH_SIDE = 16
 TOKEN_RATE_HZ = 3.2
-# std of the normal init of the patch encoder and the projection
-AUDIO_INIT_SCALE = 0.02
 # frames per batched rfft and mel product in compute_fbank; bounds the
 # transient spectrum buffers to a few MB whatever the clip length
 FBANK_BLOCK_FRAMES = 128
@@ -195,44 +193,23 @@ def reassemble_patches(g: PatchGrid) -> LogMelSpectrogram:
     return LogMelSpectrogram(frames.copy())
 
 
-@dataclass
-class PatchEncoder:
-    """Single linear layer over flattened patches plus learned positional
-    offsets, standing in for a pretrained audio transformer at toy scale."""
-
-    weight: np.ndarray  # (patch_values, d_audio)
-    bias: np.ndarray  # (d_audio,)
-    pos_offsets: np.ndarray  # (time_patches, freq_patches, d_audio)
-
-    @property
-    def d_audio(self) -> int:
-        return self.weight.shape[1]
-
-    @classmethod
-    def create(cls, d_audio: int = 64, grid_shape: tuple[int, int] = (64, 8),
-               seed: int = 0) -> "PatchEncoder":
-        rng = np.random.default_rng(seed)
-        weight = rng.normal(0.0, AUDIO_INIT_SCALE,
-                            size=(PATCH_SIDE * PATCH_SIDE, d_audio))
-        bias = np.zeros(d_audio)
-        pos = rng.normal(0.0, AUDIO_INIT_SCALE, size=(*grid_shape, d_audio))
-        return cls(weight=weight, bias=bias, pos_offsets=pos)
-
-
-def encode_patches(g: PatchGrid, enc: PatchEncoder) -> np.ndarray:
-    """One embedding per patch: (time_patches, freq_patches, d_audio)."""
-    if g.patches.shape[2] != enc.weight.shape[0]:
+def encode_patches(g: PatchGrid, weight: np.ndarray, bias: np.ndarray,
+                   pos: np.ndarray) -> np.ndarray:
+    """One embedding per patch, (time_patches, freq_patches, d_audio): a
+    linear layer over the flattened patches (weight is patch_values x
+    d_audio) plus a learned offset per grid cell (pos)."""
+    if g.patches.shape[2] != weight.shape[0]:
         raise ValueError(
             f"patch value count {g.patches.shape[2]} does not match encoder "
-            f"input dim {enc.weight.shape[0]}"
+            f"input dim {weight.shape[0]}"
         )
-    emb = g.patches @ enc.weight + enc.bias
-    if enc.pos_offsets.shape != emb.shape:
+    emb = g.patches @ weight + bias
+    if pos.shape != emb.shape:
         raise ValueError(
-            f"positional offsets shape {enc.pos_offsets.shape} does not "
+            f"positional offsets shape {pos.shape} does not "
             f"match embedding grid {emb.shape}"
         )
-    return emb + enc.pos_offsets
+    return emb + pos
 
 
 def pool_tokens(e: np.ndarray) -> np.ndarray:
@@ -249,20 +226,6 @@ def pool_tokens(e: np.ndarray) -> np.ndarray:
     if t_dim % 2:
         raise ValueError(f"time dimension {t_dim} must be even for 2x downsampling")
     return e.reshape(t_dim // 2, 2 * e.shape[1], e.shape[2]).mean(axis=1)
-
-
-@dataclass
-class ProjectionLayer:
-    """Affine map from the audio embedding width to the decoder width."""
-
-    weight: np.ndarray  # (d_audio, d_model)
-    bias: np.ndarray  # (d_model,)
-
-    @classmethod
-    def create(cls, d_audio: int, d_model: int, seed: int = 0) -> "ProjectionLayer":
-        rng = np.random.default_rng(seed)
-        return cls(weight=rng.normal(0.0, AUDIO_INIT_SCALE, size=(d_audio, d_model)),
-                   bias=np.zeros(d_model))
 
 
 # -- WAV persistence -------------------------------------------------------

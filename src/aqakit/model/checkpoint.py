@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..files import read_text
 from .decoder import LORA_ALPHA, LORA_RANK, LORA_TARGETS, AudioTextLm, DecoderConfig
 
 MANIFEST_NAME = "manifest.txt"
@@ -24,10 +25,9 @@ _CONFIG_LINES = ("n_layers", "n_heads", "d_model", "vocab_size", "max_seq_len",
 def _collect_tensors(model: AudioTextLm) -> dict[str, np.ndarray]:
     """Every tensor of the model by its checkpoint name; the arrays are the
     model's own, so writing into them changes the model."""
-    tensors = {"base." + name: arr for name, arr in model.base.items()}
-    for name, arr in model.trainable_parameters().items():
-        tensors[name if name.startswith("audio.") else "lora." + name] = arr
-    return tensors
+    return {**{"base." + name: arr for name, arr in model.base.items()},
+            **{"lora." + name: arr for name, arr in model.lora.items()},
+            **model.audio}
 
 
 def save_checkpoint(path: str | Path, model: AudioTextLm) -> None:
@@ -55,69 +55,105 @@ def save_checkpoint(path: str | Path, model: AudioTextLm) -> None:
     (path / MANIFEST_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_manifest(path: Path) -> tuple[dict[str, str], list[tuple[str, tuple[int, ...], int, int]]]:
-    config: dict[str, str] = {}
-    table: list[tuple[str, tuple[int, ...], int, int]] = []
-    for line in (path / MANIFEST_NAME).read_text(encoding="utf-8").splitlines():
+def _tensor_entry(line: str) -> tuple[str, tuple[int, ...], int, int]:
+    """(name, shape, offset, nbytes) of one tensor line."""
+    fields = line.split(" ")
+    if len(fields) != 6:
+        raise ValueError(f"tensor line has {len(fields)} fields, expected 6: "
+                         f"tensor NAME float32 SHAPE OFFSET NBYTES")
+    _, name, dtype, shape_s, offset_s, nbytes_s = fields
+    if dtype != "float32":
+        raise ValueError(f"unsupported tensor dtype {dtype}")
+    try:
+        shape = tuple() if shape_s == "scalar" else tuple(
+            int(s) for s in shape_s.split("x"))
+        return name, shape, int(offset_s), int(nbytes_s)
+    except ValueError:
+        raise ValueError(f"tensor {name}: shape {shape_s!r}, offset "
+                         f"{offset_s!r} and size {nbytes_s!r} must be "
+                         f"integers") from None
+
+
+def _parse_manifest(manifest: Path):
+    """The config and tensor table of a manifest file. config maps the key
+    of each key=value line to (value, line number); table holds (name,
+    shape, offset, nbytes, line number) per tensor line. Any other line,
+    or a tensor line that does not parse, raises ValueError naming the
+    file and the line."""
+    config: dict[str, tuple[str, int]] = {}
+    table = []
+    for line_no, line in enumerate(read_text(manifest).splitlines(), start=1):
         if not line.strip():
             continue
-        if line.startswith("tensor "):
-            _, name, dtype, shape_s, offset_s, nbytes_s = line.split(" ")
-            if dtype != "float32":
-                raise ValueError(f"unsupported tensor dtype {dtype}")
-            shape = tuple() if shape_s == "scalar" else tuple(
-                int(s) for s in shape_s.split("x"))
-            table.append((name, shape, int(offset_s), int(nbytes_s)))
-        elif "=" in line:
-            key, value = line.split("=", 1)
-            config[key] = value
+        try:
+            if line.startswith("tensor "):
+                table.append((*_tensor_entry(line), line_no))
+            elif "=" in line:
+                key, value = line.split("=", 1)
+                config[key] = (value, line_no)
+            else:
+                raise ValueError("neither key=value nor a tensor line")
+        except ValueError as exc:
+            raise ValueError(f"{manifest}:{line_no}: {exc}") from None
     return config, table
 
 
 def load_checkpoint(path: str | Path) -> AudioTextLm:
-    """Rebuild a full model from a directory written by save_checkpoint."""
-    path = Path(path)
-    config, table = _parse_manifest(path)
-    if config.get("lora_only") == "1":
-        raise ValueError(f"{path} holds only LoRA adapters, not a full model")
-    for f, value in _LAYOUT.items():
-        if config.get("config." + f) != value:
-            raise ValueError(f"{path}: config.{f} is {config.get('config.' + f)}, "
-                             f"but the adapter layout is fixed at {f}={value}")
+    """Rebuild a full model from a directory written by save_checkpoint.
+    A manifest that does not describe such a model raises ValueError
+    naming the manifest file, and the line at fault when there is one."""
+    manifest = Path(path) / MANIFEST_NAME
+    config, table = _parse_manifest(manifest)
+
+    def bad(problem, line_no: int | None = None) -> ValueError:
+        where = manifest if line_no is None else f"{manifest}:{line_no}"
+        return ValueError(f"{where}: {problem}")
+
+    value, line_no = config.get("lora_only", (None, None))
+    if value == "1":
+        raise bad("holds only LoRA adapters, not a full model", line_no)
+    for f, want in _LAYOUT.items():
+        value, line_no = config.get("config." + f, (None, None))
+        if value != want:
+            raise bad(f"config.{f} is {value}, but the adapter layout is "
+                      f"fixed at {f}={want}", line_no)
     sizes = {}
     for f in _CONFIG_LINES:
         if f in _LAYOUT:
             continue
         key = "config." + f
         if key not in config:
-            raise ValueError(f"{path}: manifest lacks {key}")
+            raise bad(f"manifest lacks {key}")
+        value, line_no = config[key]
         try:
-            sizes[f] = int(config[key])
+            sizes[f] = int(value)
         except ValueError:
-            raise ValueError(f"{path}: {key} is {config[key]!r}, "
-                             f"not an integer") from None
-    cfg = DecoderConfig(**sizes)
-    model = AudioTextLm(cfg)
+            raise bad(f"{key} is {value!r}, not an integer", line_no) from None
+    try:
+        model = AudioTextLm(DecoderConfig(**sizes))
+    except ValueError as exc:
+        raise bad(exc) from None
     tensors = _collect_tensors(model)
     missing = set(tensors) - {name for name, *_ in table}
     if missing:
-        raise ValueError(f"{path}: checkpoint lacks tensor {min(missing)}")
-    blob = (path / BLOB_NAME).read_bytes()
+        raise bad(f"checkpoint lacks tensor {min(missing)}")
+    blob = (Path(path) / BLOB_NAME).read_bytes()
     seen = set()
-    for name, shape, offset, nbytes in table:
+    for name, shape, offset, nbytes, line_no in table:
         if name not in tensors:
-            raise ValueError(f"{path}: unexpected tensor {name}")
+            raise bad(f"unexpected tensor {name}", line_no)
         if name in seen:
-            raise ValueError(f"{path}: tensor {name} is listed twice")
+            raise bad(f"tensor {name} is listed twice", line_no)
         seen.add(name)
         dst = tensors[name]
         if shape != dst.shape or nbytes != 4 * dst.size:
-            raise ValueError(f"{path}: tensor {name} has shape {shape} and {nbytes} "
-                             f"bytes, the model expects shape {dst.shape}")
+            raise bad(f"tensor {name} has shape {shape} and {nbytes} bytes, "
+                      f"the model expects shape {dst.shape}", line_no)
         if offset < 0 or offset + nbytes > len(blob):
-            raise ValueError(f"{path}: tensor {name} spans bytes {offset}.."
-                             f"{offset + nbytes} of {BLOB_NAME}, which holds "
-                             f"{len(blob)}")
+            raise bad(f"tensor {name} spans bytes {offset}..{offset + nbytes} "
+                      f"of {BLOB_NAME}, which holds {len(blob)}", line_no)
         raw = np.frombuffer(blob, dtype="<f4", count=dst.size, offset=offset)
+        if not np.isfinite(raw).all():
+            raise bad(f"tensor {name} holds non-finite values", line_no)
         dst[...] = raw.reshape(shape)
     return model

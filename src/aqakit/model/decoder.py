@@ -9,10 +9,14 @@ KvCache, that pass writes each layer's keys and values into it, so prefill
 fills an empty cache the same way step extends it.
 
 Everything runs in float64 with a hand-written backward pass so gradients
-can be audited against central finite differences. The frozen base (token
-and position embeddings, attention, MLP, layer norms, output head) is never
-touched by training; the trainable set is exactly the LoRA A/B matrices,
-the audio projection, and the patch encoder.
+can be audited against central finite differences. AudioTextLm creates and
+names every tensor of the model in three dicts: base, the frozen decoder
+(token and position embeddings, attention, MLP, layer norms, output head),
+never touched by training; lora, the adapters' A and B matrices; and audio,
+the patch encoder and the projection. The trainable set is lora plus audio.
+
+Each adapter adds scale * B A to a frozen query or key projection W. B
+starts at zero, so training starts exactly at the frozen model.
 """
 
 from __future__ import annotations
@@ -21,19 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..frontend import (
-    PatchEncoder,
-    PatchGrid,
-    ProjectionLayer,
-    encode_patches,
-    pool_tokens,
-)
-from .lora import lora_apply_rows
+from ..frontend import PATCH_SIDE, PatchGrid, encode_patches, pool_tokens
 from .tokenizer import VOCAB_SIZE
 
 LN_EPS = 1e-5
 # std of the normal init of the frozen attention and MLP weights
 BASE_SCALE = 0.1
+# std of the normal init of the patch encoder and the projection
+AUDIO_INIT_SCALE = 0.02
 # the paper's adapter layout, fixed: rank 8, alpha 16, on query and key in every layer
 LORA_RANK = 8
 LORA_ALPHA = 16.0
@@ -53,6 +52,12 @@ class DecoderConfig:
     mlp_ratio: int = 4
 
     def __post_init__(self) -> None:
+        if self.n_layers < 0:
+            raise ValueError(f"n_layers must be >= 0, got {self.n_layers}")
+        for name in ("n_heads", "d_model", "vocab_size", "max_seq_len",
+                     "d_audio", "n_audio_tokens", "mlp_ratio"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
 
@@ -136,21 +141,22 @@ class AudioTextLm:
                     0.0, lora_a_scale, size=(LORA_RANK, d))
                 self.lora[f"layers.{i}.attn.{t}.lora_B"] = np.zeros((d, LORA_RANK))
 
-        self.patch_encoder = PatchEncoder.create(
-            d_audio=c.d_audio, grid_shape=(2 * c.n_audio_tokens, 8),
-            seed=seed + 1)
-        self.projection = ProjectionLayer.create(c.d_audio, d, seed=seed + 2)
+        enc_rng = np.random.default_rng(seed + 1)
+        self.audio: dict[str, np.ndarray] = {
+            "audio.enc.weight": enc_rng.normal(
+                0.0, AUDIO_INIT_SCALE, size=(PATCH_SIDE * PATCH_SIDE, c.d_audio)),
+            "audio.enc.bias": np.zeros(c.d_audio),
+            "audio.enc.pos": enc_rng.normal(
+                0.0, AUDIO_INIT_SCALE, size=(2 * c.n_audio_tokens, 8, c.d_audio)),
+            "audio.proj.weight": np.random.default_rng(seed + 2).normal(
+                0.0, AUDIO_INIT_SCALE, size=(c.d_audio, d)),
+            "audio.proj.bias": np.zeros(d),
+        }
 
     # -- parameter bookkeeping ------------------------------------------
 
     def trainable_parameters(self) -> dict[str, np.ndarray]:
-        params = dict(self.lora)
-        params["audio.enc.weight"] = self.patch_encoder.weight
-        params["audio.enc.bias"] = self.patch_encoder.bias
-        params["audio.enc.pos"] = self.patch_encoder.pos_offsets
-        params["audio.proj.weight"] = self.projection.weight
-        params["audio.proj.bias"] = self.projection.bias
-        return params
+        return {**self.lora, **self.audio}
 
     # -- audio path ------------------------------------------------------
 
@@ -160,7 +166,9 @@ class AudioTextLm:
         encoder."""
         if not isinstance(audio, PatchGrid):
             raise TypeError(f"audio must be a PatchGrid, got {type(audio).__name__}")
-        emb = encode_patches(audio, self.patch_encoder)
+        a = self.audio
+        emb = encode_patches(audio, a["audio.enc.weight"], a["audio.enc.bias"],
+                             a["audio.enc.pos"])
         tokens = pool_tokens(emb)
         if tokens.shape[0] != self.cfg.n_audio_tokens:
             raise ValueError(
@@ -168,7 +176,7 @@ class AudioTextLm:
         if tokens.shape[1] != self.cfg.d_audio:
             raise ValueError(
                 f"audio token width {tokens.shape[1]} != d_audio {self.cfg.d_audio}")
-        rows = tokens @ self.projection.weight + self.projection.bias
+        rows = tokens @ a["audio.proj.weight"] + a["audio.proj.bias"]
         return rows, {"patches": audio.patches, "grid_shape": emb.shape,
                       "tokens": tokens}
 
@@ -239,11 +247,13 @@ class AudioTextLm:
         n = x.shape[0]
         h1, ln1_cache = _ln_forward(x, self.base[p + "ln1.gamma"],
                                     self.base[p + "ln1.beta"])
+        # adapted projections h1 W^T + scale * (h1 A^T) B^T; the backward
+        # pass reads u = h1 A^T
         qk, u = {}, {}
         for t, w in (("query", "attn.wq"), ("key", "attn.wk")):
-            qk[t], u[t] = lora_apply_rows(
-                h1, self.base[p + w], self.lora[p + f"attn.{t}.lora_A"],
-                self.lora[p + f"attn.{t}.lora_B"], LORA_SCALE)
+            u[t] = h1 @ self.lora[p + f"attn.{t}.lora_A"].T
+            qk[t] = (h1 @ self.base[p + w].T
+                     + LORA_SCALE * (u[t] @ self.lora[p + f"attn.{t}.lora_B"].T))
         q, k = qk["query"], qk["key"]
         v = h1 @ self.base[p + "attn.wv"].T
 
@@ -378,7 +388,7 @@ class AudioTextLm:
         ac = cache["audio"]
         grads["audio.proj.weight"] = ac["tokens"].T @ da
         grads["audio.proj.bias"] = da.sum(axis=0)
-        dtokens = da @ self.projection.weight.T
+        dtokens = da @ self.audio["audio.proj.weight"].T
         # pooling spread: each token averaged over 2 time rows x n_freq cells
         _, n_freq, _ = ac["grid_shape"]
         demb = np.repeat(dtokens[:, None, :], 2 * n_freq, axis=1) / (2 * n_freq)

@@ -21,6 +21,8 @@ import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from ..files import read_text
+
 TASK_FILTERS = ("clf_and_desc", "all_closed", "all")
 
 # openness rank; later stages must not move left
@@ -42,8 +44,8 @@ class StageConfig:
             raise ValueError(f"unknown task filter {self.tasks!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
@@ -113,10 +115,14 @@ _STAGE_KEYS = {"tasks", "n_samples", "lr", "epochs"}
 
 def read_curriculum(path: str | Path) -> list[StageConfig]:
     """Stages from an INI file: one [stageN] section per stage, each with
-    exactly the keys tasks, n_samples, lr and epochs."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path, encoding="utf-8"):
-        raise ValueError(f"cannot read curriculum file {path}")
+    exactly the keys tasks, n_samples, lr and epochs. Values are taken
+    as written (no % interpolation). A file that does not parse or does
+    not describe a valid curriculum raises ValueError naming it."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(read_text(path), source=str(path))
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {' '.join(str(exc).split())}") from None
     numbered = []
     for section in parser.sections():
         match = _SECTION.match(section)
@@ -139,5 +145,8 @@ def read_curriculum(path: str | Path) -> list[StageConfig]:
             ))
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: bad [stage{n}]: {exc}") from exc
-    validate_curriculum(stages)
+    try:
+        validate_curriculum(stages)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return stages

@@ -17,7 +17,7 @@ import pytest
 import aqakit
 from aqakit.cli import _build_parser, main
 from aqakit.evaluate import JUDGE_PROMPT
-from aqakit.forge import feature_prompt
+from aqakit.forge import build_aig_prompt, feature_prompt, read_meta_jsonl
 from aqakit.frontend import Waveform, write_wav
 from aqakit.model import AudioTextLm, DecoderConfig, save_checkpoint
 from aqakit.synthetic import write_demo_corpus
@@ -296,6 +296,24 @@ def test_forge_open_keeps_pairs_of_metas_sharing_an_audio_id(demo_dir, tmp_path,
     assert rows["both"] == rows["first"] + rows["second"]
 
 
+def test_forge_open_names_the_source_of_an_unparseable_reply(tmp_path,
+                                                             capsys):
+    meta = _jsonl(tmp_path / "meta.jsonl", [
+        {"audio_id": "m1", "caption": "a dog barks",
+         "events": [{"label": "dog", "feature": "sharp bark"}]}])
+    prompt = build_aig_prompt(read_meta_jsonl(meta)[0])
+    responses = tmp_path / "r.json"
+    responses.write_text(json.dumps({prompt: "not json at all"}),
+                         encoding="utf-8")
+    out = tmp_path / "qa.jsonl"
+    assert main(["forge-open", "--mock-llm", "--meta", str(meta),
+                 "--responses", str(responses), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{responses}: reply for audio_id 'm1': " in err
+    assert "not json at all" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_mock_llm_never_opens_network(demo_dir, tmp_path, monkeypatch,
                                       capsys):
     def boom(*args, **kwargs):
@@ -471,6 +489,32 @@ def test_train_then_answer_roundtrip(demo_dir, tmp_path, capsys):
     assert record["question"] == \
         "classify the sound events in the audio clip"
     assert isinstance(record["output"], str)
+
+
+CURRICULUM_FAULTS = {
+    "no_section_header": b"tasks = all\n",
+    "repeated_section": b"[stage1]\ntasks = all\n[stage1]\nepochs = 1\n",
+    "repeated_key": b"[stage1]\ntasks = all\ntasks = all\n",
+    "bad_continuation": b"[stage1]\n  continued\ntasks = all\n",
+    "not_utf8": b"[stage1]\ntasks = a\xffll\n",
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("raw", CURRICULUM_FAULTS.values(),
+                         ids=CURRICULUM_FAULTS)
+def test_train_names_a_malformed_curriculum_file(demo_dir, tmp_path, capsys,
+                                                 raw):
+    curriculum = tmp_path / "curriculum.ini"
+    curriculum.write_bytes(raw)
+    run = tmp_path / "run"
+    assert main(["train", "--manifest", str(demo_dir / "manifest.jsonl"),
+                 "--audio-dir", str(demo_dir / "audio"),
+                 "--curriculum", str(curriculum), "--out", str(run)]) == 1
+    captured = capsys.readouterr()
+    assert f"{curriculum}: " in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not run.exists()
 
 
 def test_answer_writes_single_json_line_to_out(demo_dir, tmp_path, capsys):

@@ -1,12 +1,12 @@
 """Frontend contract tests: WAV IO, fbank, patch tiling, and the audio-path
-pieces the model chains (patch encoder, token pooling, projection).
+pieces the model chains (patch encoding, token pooling, projection).
 
 The sine test verifies compute_fbank against a brute-force DFT plus an
 independently constructed mel filterbank so the check is not circular. The
 block-wise fbank is also checked against the per-frame loop it replaced,
 kept here as a reference. The projection runs only inside the model, so its
-tests go through AudioTextLm._audio_rows: patch encoder, pooling, then
-projection.
+tests go through AudioTextLm._audio_rows: patch encoding, pooling, then
+projection, with the model's audio tensors.
 """
 
 from __future__ import annotations
@@ -28,10 +28,8 @@ from aqakit.frontend import (
     FBANK_BLOCK_FRAMES,
     FbankConfig,
     LogMelSpectrogram,
-    PatchEncoder,
     PATCH_SIDE,
     PatchGrid,
-    ProjectionLayer,
     Waveform,
     compute_fbank,
     encode_patches,
@@ -248,13 +246,13 @@ def test_patchify_tiles_are_contiguous_blocks() -> None:
 
 def test_encode_shapes_and_identity_weight() -> None:
     grid = PatchGrid(np.full((64, 8, 256), 2.0))
-    enc = PatchEncoder.create(d_audio=16, seed=0)
-    emb = encode_patches(grid, enc)
+    rng = np.random.default_rng(0)
+    emb = encode_patches(grid, rng.normal(0.0, 0.02, size=(256, 16)),
+                         np.zeros(16), rng.normal(0.0, 0.02, size=(64, 8, 16)))
     assert emb.shape == (64, 8, 16)
 
-    ident = PatchEncoder(weight=np.eye(256)[:, :16], bias=np.zeros(16),
-                         pos_offsets=np.zeros((64, 8, 16)))
-    emb = encode_patches(grid, ident)
+    emb = encode_patches(grid, np.eye(256)[:, :16], np.zeros(16),
+                         np.zeros((64, 8, 16)))
     assert np.all(emb == 2.0)
 
 
@@ -262,17 +260,16 @@ def test_encode_identical_patches_identical_embeddings() -> None:
     rng = np.random.default_rng(3)
     patches = rng.normal(size=(64, 8, 256))
     patches[10, 3] = patches[50, 7]
-    enc = PatchEncoder.create(d_audio=32, seed=1)
-    enc.pos_offsets[:] = 0.0
-    emb = encode_patches(PatchGrid(patches), enc)
+    weight = np.random.default_rng(1).normal(0.0, 0.02, size=(256, 32))
+    emb = encode_patches(PatchGrid(patches), weight, np.zeros(32),
+                         np.zeros((64, 8, 32)))
     assert np.array_equal(emb[10, 3], emb[50, 7])
 
 
 def test_encode_rejects_dim_mismatch() -> None:
-    enc = PatchEncoder(weight=np.zeros((64, 8)), bias=np.zeros(8),
-                       pos_offsets=np.zeros((64, 8, 8)))
     with pytest.raises(ValueError):
-        encode_patches(PatchGrid(np.zeros((64, 8, 256))), enc)
+        encode_patches(PatchGrid(np.zeros((64, 8, 256))), np.zeros((64, 8)),
+                       np.zeros(8), np.zeros((64, 8, 8)))
 
 
 def test_pool_token_count_and_constant() -> None:
@@ -317,7 +314,8 @@ def test_project_llama_geometry_shape() -> None:
 
 def test_project_zero_weights() -> None:
     model = audio_model(4, 6)
-    model.projection = ProjectionLayer(weight=np.zeros((4, 6)), bias=np.zeros(6))
+    model.audio["audio.proj.weight"] = np.zeros((4, 6))
+    model.audio["audio.proj.bias"] = np.zeros(6)
     rows, _ = model._audio_rows(PatchGrid(np.ones((64, 8, 256))))
     assert np.all(rows == 0.0)
 
@@ -326,23 +324,25 @@ def test_project_hand_affine_oracle() -> None:
     # identity encoder, zero offsets: patch value 0 holds the grid row t and
     # value 1 the column f, so token k pools to [(4k + 1) / 2, 3.5]
     model = audio_model(2, 3, n_audio_tokens=2)
-    model.patch_encoder = PatchEncoder(weight=np.eye(256)[:, :2], bias=np.zeros(2),
-                                       pos_offsets=np.zeros((4, 8, 2)))
-    w = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    b = np.array([0.5, -0.5, 1.0])
-    model.projection = ProjectionLayer(weight=w, bias=b)
+    model.audio.update({
+        "audio.enc.weight": np.eye(256)[:, :2], "audio.enc.bias": np.zeros(2),
+        "audio.enc.pos": np.zeros((4, 8, 2)),
+        "audio.proj.weight": np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+        "audio.proj.bias": np.array([0.5, -0.5, 1.0])})
     patches = np.zeros((4, 8, 256))
     patches[..., 0] = np.arange(4.0)[:, None]
     patches[..., 1] = np.arange(8.0)[None, :]
     rows, _ = model._audio_rows(PatchGrid(patches))
-    # [0.5, 3.5] @ w + b and [2.5, 3.5] @ w + b
+    # [0.5, 3.5] and [2.5, 3.5], each @ proj.weight + proj.bias
     np.testing.assert_array_equal(rows, np.array([[15.0, 18.0, 23.5],
                                                   [17.0, 22.0, 29.5]]))
 
 
 def test_project_rejects_mismatch() -> None:
     model = audio_model(4, 3)
-    model.patch_encoder = PatchEncoder.create(d_audio=5)
+    model.audio["audio.enc.weight"] = np.zeros((256, 5))
+    model.audio["audio.enc.bias"] = np.zeros(5)
+    model.audio["audio.enc.pos"] = np.zeros((64, 8, 5))
     with pytest.raises(ValueError, match="d_audio 4"):
         model._audio_rows(PatchGrid(np.zeros((64, 8, 256))))
 

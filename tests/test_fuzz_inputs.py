@@ -1,19 +1,27 @@
-"""Hypothesis fuzzing of the CLI's JSON and JSON-lines inputs.
+"""Hypothesis fuzzing of the CLI's text inputs: JSON and JSON-lines files,
+the INI stage file of `train --curriculum` and the manifest of the
+checkpoint `answer --ckpt` loads.
 
 Each case takes a valid input file and mutates it once: a field dropped, a
 value swapped for one of another JSON type, the bytes truncated or one byte
-flipped, or the file emptied. The command must exit 0 or 1 (the files all
-exist, so never 2), print no traceback, name the mutated file on exit 1,
-and leave --out either absent or complete. `train` and `answer` read WAVs
-and checkpoints rather than JSON documents and are not covered here.
+flipped, or the file emptied. The INI file and the checkpoint manifest are
+held as documents too (sections of keys; one entry per line, the fields of
+a tensor line as an object) and written out in their own syntax, so the
+same mutations apply. The command must exit 0 or 1 (the files all exist,
+so never 2), print no traceback, name the mutated file on exit 1, and leave
+--out either absent or complete. The WAV files and the checkpoint's tensor
+blob are not mutated.
 """
 
 import contextlib
 import copy
 import io
 import json
+import shutil
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,6 +29,8 @@ from hypothesis import strategies as st
 
 from aqakit.cli import main
 from aqakit.evaluate import JUDGE_PROMPT
+from aqakit.frontend import Waveform, write_wav
+from aqakit.model import AudioTextLm, DecoderConfig, save_checkpoint
 
 META = [
     {"audio_id": "m1", "source": "demo", "caption": "a dog barks at a cat",
@@ -61,11 +71,55 @@ RESPONSES = {f"{JUDGE_PROMPT}\n\nQuestion: {p['question']}\n"
              f"Response: {p['output']}": reply
              for p, reply in zip(PRED, ("Yes.", "No.", "yes"))}
 
-# name -> (document, written as JSON lines)
-INPUTS = {"meta": (META, True), "bank": (BANK, False),
-          "manifest": (MANIFEST, True), "labels": (LABELS, False),
-          "pred": (PRED, True), "truth": (TRUTH, True),
-          "responses": (RESPONSES, False)}
+# one stage of one step on the one classification row of MANIFEST
+CURRICULUM = {"stage1": {"tasks": "clf_and_desc", "n_samples": 1,
+                         "lr": 0.001, "epochs": 1}}
+# the smallest model whose audio path takes a clip's 64 x 8 patch grid
+CKPT_MODEL = AudioTextLm(DecoderConfig(n_layers=1, n_heads=1, d_model=8,
+                                       max_seq_len=48, d_audio=4,
+                                       mlp_ratio=1))
+
+
+def _scalar(text: str):
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _checkpoint_doc() -> dict:
+    """CKPT_MODEL's manifest: key -> value per key=value line, "tensor NAME"
+    -> its fields per tensor line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(tmp, CKPT_MODEL)
+        lines = (Path(tmp) / "manifest.txt").read_text(
+            encoding="utf-8").splitlines()
+    doc = {}
+    for line in lines:
+        if line.startswith("tensor "):
+            _, name, dtype, shape, offset, nbytes = line.split(" ")
+            doc[f"tensor {name}"] = {"dtype": dtype, "shape": shape,
+                                     "offset": int(offset),
+                                     "nbytes": int(nbytes)}
+        else:
+            key, value = line.split("=", 1)
+            doc[key] = _scalar(value)
+    return doc
+
+
+# name -> (document, file format)
+INPUTS = {"meta": (META, "jsonl"), "bank": (BANK, "json"),
+          "manifest": (MANIFEST, "jsonl"), "labels": (LABELS, "json"),
+          "pred": (PRED, "jsonl"), "truth": (TRUTH, "jsonl"),
+          "responses": (RESPONSES, "json"),
+          "curriculum": (CURRICULUM, "ini"),
+          "checkpoint": (_checkpoint_doc(), "checkpoint")}
+# inputs that live under another name than their own
+PATHS = {"checkpoint": "ckpt/manifest.txt"}
+# names in argv that stand for fixed files or directories under the root
+FIXED = ("OUT", "NAMES", "AUDIO", "CLIP", "ckpt")
 
 EVAL = ["--pred", "pred", "--truth", "truth", "--out", "OUT"]
 # (argv with input names standing for their paths, inputs to mutate, --out
@@ -86,6 +140,10 @@ CASES = [
     (["probe", "--kind", "counting"] + EVAL, ("pred", "truth"), "json"),
     (["eval-judge", "--mock-llm", "--pred", "pred", "--responses",
       "responses", "--out", "OUT"], ("pred", "responses"), "json"),
+    (["train", "--manifest", "manifest", "--audio-dir", "AUDIO",
+      "--curriculum", "curriculum", "--out", "OUT"], ("curriculum",), None),
+    (["answer", "--audio", "CLIP", "--question", "q?", "--ckpt", "ckpt",
+      "--max-new-tokens", "1", "--out", "OUT"], ("checkpoint",), "json"),
 ]
 TARGETS = [(argv, name, out) for argv, names, out in CASES for name in names]
 TARGET_IDS = [f"{argv[0]}{'-' + argv[2] if argv[0] == 'probe' else ''}-{name}"
@@ -116,9 +174,28 @@ def _paths(doc, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
-def _serialize(doc, jsonl: bool) -> bytes:
-    text = ("".join(json.dumps(row) + "\n" for row in doc) if jsonl
-            else json.dumps(doc))
+def _text(value) -> str:
+    """A value as INI and manifest files write it: strings as they are."""
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _serialize(doc, fmt: str) -> bytes:
+    if fmt == "json":
+        text = json.dumps(doc)
+    elif fmt == "jsonl":
+        text = "".join(json.dumps(row) + "\n" for row in doc)
+    elif fmt == "ini":
+        lines = []
+        for section, body in doc.items():
+            lines.append(f"[{section}]")
+            lines += ([f"{k} = {_text(v)}" for k, v in body.items()]
+                      if isinstance(body, dict) else [_text(body)])
+        text = "".join(ln + "\n" for ln in lines)
+    else:
+        text = "".join(
+            (" ".join([key] + [_text(v) for v in value.values()])
+             if isinstance(value, dict) else f"{key}={_text(value)}") + "\n"
+            for key, value in doc.items())
     return text.encode("utf-8")
 
 
@@ -129,7 +206,7 @@ def _at(doc, path):
 
 
 def _mutated(data, name: str) -> bytes:
-    doc, jsonl = INPUTS[name]
+    doc, fmt = INPUTS[name]
     kind = data.draw(st.sampled_from(["drop", "swap", "truncate", "flip",
                                       "empty"]), label="mutation")
     if kind in ("drop", "swap"):
@@ -144,8 +221,8 @@ def _mutated(data, name: str) -> bytes:
             old = _kind(parent[path[-1]])
             parent[path[-1]] = data.draw(
                 JSON_VALUES.filter(lambda v: _kind(v) != old), label="value")
-        return _serialize(doc, jsonl)
-    raw = _serialize(doc, jsonl)
+        return _serialize(doc, fmt)
+    raw = _serialize(doc, fmt)
     if kind == "empty":
         return b""
     at = data.draw(st.integers(0, len(raw) - 1), label="byte")
@@ -155,15 +232,33 @@ def _mutated(data, name: str) -> bytes:
     return raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1:]
 
 
+def _path(root: Path, name: str) -> Path:
+    return root / PATHS.get(name, name)
+
+
+def _fixtures(root: Path) -> None:
+    """The files the inputs refer to and nothing mutates: a class list, a
+    clip per MANIFEST audio_id, the clip to answer about and the tensors
+    of CKPT_MODEL."""
+    (root / "NAMES").write_text("dog\ncat\n", encoding="utf-8")
+    clip = Waveform(np.random.default_rng(0).uniform(-0.5, 0.5, 8000))
+    (root / "AUDIO").mkdir()
+    for row in MANIFEST:
+        write_wav(root / "AUDIO" / f"{row['audio_id']}.wav", clip)
+    write_wav(root / "CLIP", clip)
+    save_checkpoint(root / "ckpt", CKPT_MODEL)
+
+
 def _run(root: Path, argv, mutated: dict):
     """main(argv) over fresh input files in root; (exit code, stderr)."""
-    for name, (doc, jsonl) in INPUTS.items():
-        (root / name).write_bytes(mutated[name] if name in mutated
-                                  else _serialize(doc, jsonl))
-    (root / "NAMES").write_text("dog\ncat\n", encoding="utf-8")
+    for name, (doc, fmt) in INPUTS.items():
+        _path(root, name).write_bytes(mutated[name] if name in mutated
+                                      else _serialize(doc, fmt))
     out = root / "OUT"
+    if out.is_dir():
+        shutil.rmtree(out)
     out.unlink(missing_ok=True)
-    argv = [str(root / a) if a in INPUTS or a in ("OUT", "NAMES") else a
+    argv = [str(_path(root, a)) if a in INPUTS or a in FIXED else a
             for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -185,6 +280,7 @@ def _check_out(out: Path, fmt: str) -> None:
 def test_mutated_input_exits_cleanly_and_names_the_file(argv, name, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
+        _fixtures(root)
         code, err = _run(root, argv, {})
         assert code == 0, err
 
@@ -198,7 +294,7 @@ def test_mutated_input_exits_cleanly_and_names_the_file(argv, name, fmt):
             assert "Traceback" not in err
             out = root / "OUT"
             if code == 1:
-                assert str(root / name) in err, err
+                assert str(_path(root, name)) in err, err
                 assert not out.exists()
             elif fmt is not None:
                 _check_out(out, fmt)

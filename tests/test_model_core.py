@@ -31,7 +31,6 @@ from aqakit.model import (
     save_checkpoint,
 )
 from aqakit.model import decoder, sampling
-from aqakit.model.lora import lora_apply_rows
 from aqakit.model.losses import masked_nll_and_dlogits
 from aqakit.model.tokenizer import BOS_ID, EOS_ID, SEP_ID
 
@@ -74,19 +73,39 @@ def test_qa_layout_and_mask() -> None:
 
 # -- LoRA --------------------------------------------------------------------
 
+def one_layer_model(d_model: int) -> AudioTextLm:
+    """A model to run one decoder block through: one layer, one head."""
+    return AudioTextLm(DecoderConfig(n_layers=1, n_heads=1, d_model=d_model,
+                                     d_audio=4))
+
+
 def test_lora_zero_b_is_frozen_map() -> None:
     rng = np.random.default_rng(0)
-    W, A = rng.normal(size=(4, 4)), rng.normal(size=(2, 4))
+    model = one_layer_model(4)
+    W = model.base["layers.0.attn.wq"] = rng.normal(size=(4, 4))
+    model.lora["layers.0.attn.query.lora_A"] = rng.normal(size=(8, 4))
+    assert not model.lora["layers.0.attn.query.lora_B"].any()
     x = rng.normal(size=(1, 4))
-    y, _ = lora_apply_rows(x, W, A, np.zeros((4, 2)), scale=16.0 / 2)
-    np.testing.assert_array_equal(y, x @ W.T)
+    _, cache = model._block(0, x, decoder._causal_mask(1, 0))
+    np.testing.assert_array_equal(cache["qh"][0], cache["h1"] @ W.T)
 
 
 def test_lora_hand_case() -> None:
-    y, u = lora_apply_rows(np.array([[2.0, 3.0]]), np.eye(2), np.array([[1.0, 1.0]]),
-                           np.array([[1.0], [0.0]]), scale=1.0)
-    np.testing.assert_array_equal(u, np.array([[5.0]]))
-    np.testing.assert_array_equal(y, np.array([[7.0, 3.0]]))
+    # ln1 with gamma 0 and beta [2, 3] hands h1 = [2, 3] to the adapter;
+    # with W = I, one live row [1, 1] in A and one live entry 1 in B:
+    # u = [5, 0, ...] and q = [2, 3] + LORA_SCALE * [5, 0] = [12, 3]
+    model = one_layer_model(2)
+    p = "layers.0."
+    model.base[p + "ln1.gamma"] = np.zeros(2)
+    model.base[p + "ln1.beta"] = np.array([2.0, 3.0])
+    model.base[p + "attn.wq"] = np.eye(2)
+    model.lora[p + "attn.query.lora_A"][0] = 1.0
+    model.lora[p + "attn.query.lora_A"][1:] = 0.0
+    model.lora[p + "attn.query.lora_B"][0, 0] = 1.0
+    _, cache = model._block(0, np.array([[0.3, -0.7]]),
+                            decoder._causal_mask(1, 0))
+    np.testing.assert_array_equal(cache["u"]["query"], [[5.0] + [0.0] * 7])
+    np.testing.assert_array_equal(cache["qh"], [[[12.0, 3.0]]])
 
 
 def test_lora_layout_constants() -> None:
@@ -469,7 +488,7 @@ def test_zero_b_means_zero_grad_for_a() -> None:
 def test_gradcheck_rejects_nonfinite_loss() -> None:
     cfg = tiny_cfg()
     model = AudioTextLm(cfg, seed=25)
-    model.projection.weight[:] = np.inf
+    model.audio["audio.proj.weight"][:] = np.inf
     with pytest.raises(ValueError):
         finite_diff_check(model, random_example(cfg, 26))
 
@@ -616,6 +635,56 @@ def test_load_rejects_a_tensor_table_that_does_not_fit(tmp_path, capsys, edit,
     captured = capsys.readouterr()
     assert tensor in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+# the first tensor line's fields -> the bytes written in its place
+MANIFEST_LINE_FAULTS = {
+    "short_tensor_line": lambda f: " ".join(f[:3]).encode(),
+    "bad_offset": lambda f: " ".join(f[:4] + ["x"] + f[5:]).encode(),
+    "bad_shape": lambda f: " ".join(f[:3] + ["8xq"] + f[4:]).encode(),
+    "float16": lambda f: " ".join(f[:2] + ["float16"] + f[3:]).encode(),
+    "not_utf8": lambda f: " ".join(f).encode() + b"\xff",
+}
+
+
+@pytest.mark.parametrize("fault", MANIFEST_LINE_FAULTS,
+                         ids=MANIFEST_LINE_FAULTS)
+def test_answer_names_the_manifest_line_at_fault(tmp_path, capsys,
+                                                 fault) -> None:
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, AudioTextLm(tiny_cfg(), seed=36))
+    manifest = ckpt / "manifest.txt"
+    lines = manifest.read_bytes().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith(b"tensor "))
+    lines[at] = MANIFEST_LINE_FAULTS[fault](lines[at].decode().split(" "))
+    manifest.write_bytes(b"\n".join(lines) + b"\n")
+
+    wav = tmp_path / "clip.wav"
+    write_wav(wav, Waveform(np.zeros(16000)))
+    out = tmp_path / "answer.json"
+    assert main(["answer", "--audio", str(wav), "--question", "what is it?",
+                 "--ckpt", str(ckpt), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    where = f"{manifest}: " if fault == "not_utf8" else f"{manifest}:{at + 1}: "
+    assert where in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_load_rejects_a_non_finite_tensor(tmp_path) -> None:
+    # an offset that points into the middle of other tensors can read NaN;
+    # the model must not load it and then fail inside sampling
+    model = AudioTextLm(tiny_cfg(), seed=37)
+    model.audio["audio.proj.weight"][1, 2] = np.nan
+    save_checkpoint(tmp_path / "ckpt", model)
+    manifest = tmp_path / "ckpt" / "manifest.txt"
+    line_no = next(i for i, ln in enumerate(
+        manifest.read_text(encoding="utf-8").splitlines(), start=1)
+        if ln.startswith("tensor audio.proj.weight "))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(tmp_path / "ckpt")
+    assert str(err.value) == (f"{manifest}:{line_no}: tensor audio.proj.weight "
+                              f"holds non-finite values")
 
 
 def test_load_rejects_a_truncated_blob(tmp_path, capsys) -> None:

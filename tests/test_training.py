@@ -93,6 +93,12 @@ def test_curriculum_file_roundtrip(tmp_path):
     assert [s.trainable for s in stages] == ["projection_only"] + 3 * ["all_non_lm"]
 
 
+@pytest.mark.parametrize("lr", [math.nan, math.inf])
+def test_stage_config_rejects_a_non_finite_lr(lr):
+    with pytest.raises(ValueError, match="lr must be positive and finite"):
+        StageConfig(2, "all", 10, lr, 1)
+
+
 def test_read_curriculum_rejects_garbage(tmp_path):
     path = tmp_path / "curriculum.ini"
     path.write_text("[stage1]\ntrainable = projection_only\n")
@@ -250,7 +256,7 @@ def test_run_stage_is_deterministic(demo_items):
 
 def test_run_stage_aborts_on_divergence(demo_items):
     model = _model()
-    model.projection.weight[:] = np.nan
+    model.audio["audio.proj.weight"][:] = np.nan
     stage = StageConfig(2, "clf_and_desc", 8, 1e-4, 1)
     report = run_stage(model, demo_items, stage, TrainerConfig(batch_size=8))
     assert report.aborted
