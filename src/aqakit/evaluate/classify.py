@@ -157,14 +157,11 @@ def mean_average_precision(scores: np.ndarray, truths: np.ndarray) -> float:
         raise ValueError("no positive labels in truths")
 
     positives = truths.sum(axis=0)
+    skipped = np.flatnonzero(positives == 0).tolist()
     aps = []
-    skipped = []
-    for c in range(scores.shape[1]):
+    for c in np.flatnonzero(positives):
         col_truth = truths[:, c]
         n_pos = int(positives[c])
-        if n_pos == 0:
-            skipped.append(c)
-            continue
         # stable sort on negated scores keeps ascending index among ties
         order = np.argsort(-scores[:, c], kind="stable")
         hits = 0

@@ -6,11 +6,12 @@ The extraction rules are reconstructions; the originals are unpublished.
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .providers import EmbeddingProvider, cosine
+from .providers import EmbeddingProvider
 
 __all__ = [
     "DEFAULT_ORDER_PATTERNS",
@@ -31,18 +32,45 @@ DEFAULT_ORDER_PATTERNS = (
     r"(?:the\s+)?([\w\s,&-]+?)\s+is\s+(?:the\s+)?first",
 )
 
+_ORDER_RES = tuple(re.compile(p, re.IGNORECASE) for p in DEFAULT_ORDER_PATTERNS)
 _ARTICLE_RE = re.compile(r"^(?:the|a|an)\s+", re.IGNORECASE)
+
+# label vectors order_probe keeps, least recently used evicted first; a
+# hashed-provider vector is 32 KB, so the cache holds at most 4 MB of them
+_LABEL_CACHE = 128
+# (id(provider), label) -> (provider, vector, norm); holding the provider
+# keeps its id from being reused while the entry lives
+_label_vectors: OrderedDict = OrderedDict()
 
 
 def extract_first_sound(text: str) -> str | None:
     """The clause naming the first-starting sound, or None when absent."""
-    for pat in DEFAULT_ORDER_PATTERNS:
-        m = re.search(pat, text, re.IGNORECASE)
+    for pattern in _ORDER_RES:
+        m = pattern.search(text)
         if m:
             clause = _ARTICLE_RE.sub("", m.group(1).strip())
             if clause:
                 return clause
     return None
+
+
+def _label_vector(label: str,
+                  provider: EmbeddingProvider) -> tuple[np.ndarray, float]:
+    """(embedding, norm) of a label name, embedded once per provider object.
+    A label that embeds to zero is never kept, so it raises on every call."""
+    key = (id(provider), label)
+    hit = _label_vectors.get(key)
+    if hit is not None:
+        _label_vectors.move_to_end(key)
+        return hit[1], hit[2]
+    lv = provider.embed(label)
+    norm = np.linalg.norm(lv)
+    if norm == 0.0:
+        raise ValueError(f"label {label!r} embeds to a zero vector")
+    _label_vectors[key] = (provider, lv, norm)
+    if len(_label_vectors) > _LABEL_CACHE:
+        _label_vectors.popitem(last=False)
+    return lv, norm
 
 
 def order_probe(answer_text: str, first_label: str, second_label: str,
@@ -51,20 +79,20 @@ def order_probe(answer_text: str, first_label: str, second_label: str,
 
     The extracted clause is assigned to whichever label embeds closer by
     cosine; ties resolve to first_label, matching the lowest-index tie-break
-    used for classification.
+    used for classification. Label vectors are kept per provider object
+    across calls.
     """
     clause = extract_first_sound(answer_text)
     if clause is None:
         return None
     e = provider.embed(clause)
-    if np.linalg.norm(e) == 0.0:
+    ne = np.linalg.norm(e)
+    if ne == 0.0:
         return None
-    sims = []
-    for label in (first_label, second_label):
-        lv = provider.embed(label)
-        if np.linalg.norm(lv) == 0.0:
-            raise ValueError(f"label {label!r} embeds to a zero vector")
-        sims.append(cosine(e, lv))
+    # providers.cosine's expression, with the clause norm taken once
+    sims = [float(np.dot(e, lv) / (ne * nl))
+            for lv, nl in (_label_vector(first_label, provider),
+                           _label_vector(second_label, provider))]
     return sims[0] >= sims[1]
 
 

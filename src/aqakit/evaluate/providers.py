@@ -9,6 +9,7 @@ embeddings-API shape and is only built when explicitly requested.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 import time
@@ -33,6 +34,17 @@ def _tokens(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+# distinct tokens whose hash is kept; answers and label names reuse a small
+# vocabulary, and an entry costs about 200 bytes with its token
+_TOKEN_HASH_CACHE = 8192
+
+
+@functools.lru_cache(maxsize=_TOKEN_HASH_CACHE)
+def _token_hash(token: str) -> int:
+    """The first 8 bytes of the token's MD5 as a big-endian integer."""
+    return int.from_bytes(hashlib.md5(token.encode("utf-8")).digest()[:8], "big")
+
+
 @runtime_checkable
 class EmbeddingProvider(Protocol):
     """text -> fixed-dimension vector; deterministic per text."""
@@ -54,14 +66,12 @@ class HashedBagOfWordsProvider:
     name = "hashed-bow"
     dimension = 4096
 
-    def _bucket(self, token: str) -> int:
-        digest = hashlib.md5(token.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") % self.dimension
-
     def embed(self, text: str) -> np.ndarray:
-        v = np.zeros(self.dimension)
-        for tok in _tokens(text):
-            v[self._bucket(tok)] += 1.0
+        d = self.dimension
+        buckets = np.array([_token_hash(tok) % d for tok in _tokens(text)],
+                           dtype=np.intp)
+        # integer counts are exact in float64
+        v = np.bincount(buckets, minlength=d).astype(float)
         n = np.linalg.norm(v)
         if n > 0:
             v /= n

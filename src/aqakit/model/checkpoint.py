@@ -139,6 +139,9 @@ def load_checkpoint(path: str | Path) -> AudioTextLm:
         raise bad(f"checkpoint lacks tensor {min(missing)}")
     blob = (Path(path) / BLOB_NAME).read_bytes()
     seen = set()
+    # save_checkpoint writes the tensors back to back in manifest order, so
+    # an offset anywhere else points into another tensor's bytes
+    end = 0
     for name, shape, offset, nbytes, line_no in table:
         if name not in tensors:
             raise bad(f"unexpected tensor {name}", line_no)
@@ -149,11 +152,19 @@ def load_checkpoint(path: str | Path) -> AudioTextLm:
         if shape != dst.shape or nbytes != 4 * dst.size:
             raise bad(f"tensor {name} has shape {shape} and {nbytes} bytes, "
                       f"the model expects shape {dst.shape}", line_no)
-        if offset < 0 or offset + nbytes > len(blob):
-            raise bad(f"tensor {name} spans bytes {offset}..{offset + nbytes} "
+        if offset != end:
+            raise bad(f"tensor {name} starts at byte {offset} of {BLOB_NAME}, "
+                      f"not at {end}: the tensors lie back to back in "
+                      f"manifest order", line_no)
+        end = offset + nbytes
+        if end > len(blob):
+            raise bad(f"tensor {name} spans bytes {offset}..{end} "
                       f"of {BLOB_NAME}, which holds {len(blob)}", line_no)
         raw = np.frombuffer(blob, dtype="<f4", count=dst.size, offset=offset)
         if not np.isfinite(raw).all():
             raise bad(f"tensor {name} holds non-finite values", line_no)
         dst[...] = raw.reshape(shape)
+    if end != len(blob):
+        raise bad(f"tensor {name} ends at byte {end}, but {BLOB_NAME} holds "
+                  f"{len(blob)}", line_no)
     return model

@@ -1,7 +1,9 @@
 """Embedding providers, classification metrics, caption overlap, judge,
 and the ordering/counting probes."""
 
+import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -65,6 +67,51 @@ def test_hashed_provider_is_deterministic_unit_norm():
 
 def test_hashed_provider_empty_text_is_zero():
     assert np.linalg.norm(HashedBagOfWordsProvider().embed("")) == 0.0
+
+
+def _hashed_reference(text, dimension=4096):
+    """One MD5 and one += per token, normalized after."""
+    v = np.zeros(dimension)
+    for tok in re.findall(r"[a-z0-9]+", text.lower()):
+        digest = hashlib.md5(tok.encode("utf-8")).digest()
+        v[int.from_bytes(digest[:8], "big") % dimension] += 1.0
+    n = np.linalg.norm(v)
+    if n > 0:
+        v /= n
+    return v
+
+
+_WORDS = ["dog", "bark", "siren", "rain", "engine", "bell", "7", "a1"]
+HASHED_ORACLE_TEXTS = {
+    "repeated": "dog dog dog bark dog bark",
+    "mixed_case": "Dog BARK dOg Siren",
+    "punctuation_only": "!!! ... ?? --",
+    "empty": "",
+    "non_ascii": "café naïve 東京 dog—bark Straße",
+    "long": " ".join(_WORDS[(i * 5) % len(_WORDS)] + str(i % 37)
+                     for i in range(500)),
+}
+
+
+@pytest.mark.parametrize("text", HASHED_ORACLE_TEXTS.values(),
+                         ids=HASHED_ORACLE_TEXTS)
+def test_hashed_provider_matches_per_token_reference(text):
+    got = HashedBagOfWordsProvider().embed(text)
+    assert got.dtype == np.float64 and got.shape == (4096,)
+    assert np.array_equal(got, _hashed_reference(text))
+
+
+def test_hashed_provider_subclass_buckets_into_its_own_dimension():
+    class Small(HashedBagOfWordsProvider):
+        dimension = 97
+
+    text = HASHED_ORACLE_TEXTS["long"]
+    # the token hashes are cached by the 4096-bucket call first
+    big = HashedBagOfWordsProvider().embed(text)
+    small = Small().embed(text)
+    assert small.shape == (97,)
+    assert np.array_equal(small, _hashed_reference(text, 97))
+    assert np.array_equal(big, _hashed_reference(text))
 
 
 def test_exact_match_provider_one_hot():
@@ -420,6 +467,24 @@ def test_map_matches_a_per_column_reference_loop(dtype):
         f"classes without positives excluded from mAP: {skipped}"]
 
 
+def test_map_at_audioset_size_loops_over_positive_classes_only():
+    # one eval batch: 16 samples, 527 classes, 8 of them with positives
+    rng = np.random.default_rng(12)
+    scores = rng.normal(size=(16, 527))
+    scores[3:7, 40] = scores[2, 40]                 # tied samples
+    positive = np.sort(rng.choice(527, size=8, replace=False))
+    truths = np.zeros((16, 527), dtype=int)
+    truths[np.arange(16), positive[np.arange(16) % 8]] = 1
+    skipped = [c for c in range(527) if not truths[:, c].any()]
+    assert len(skipped) == 519
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = mean_average_precision(scores, truths)
+    assert value == _map_reference(scores, truths)
+    assert [str(w.message) for w in caught] == [
+        f"classes without positives excluded from mAP: {skipped}"]
+
+
 def test_map_rejects_all_zero_truths():
     with pytest.raises(ValueError):
         mean_average_precision(np.ones((2, 2)), np.zeros((2, 2)))
@@ -558,6 +623,78 @@ def test_extract_first_sound_patterns():
     assert extract_first_sound("The first sound is a siren.") == "siren"
     assert extract_first_sound("rain comes first") == "rain"
     assert extract_first_sound("no ordering here") is None
+
+
+def _order_reference(answer, first, second, provider):
+    """order_probe with both labels embedded and compared by cosine."""
+    clause = extract_first_sound(answer)
+    if clause is None:
+        return None
+    e = provider.embed(clause)
+    if np.linalg.norm(e) == 0.0:
+        return None
+    return cosine(e, provider.embed(first)) >= cosine(e, provider.embed(second))
+
+
+ORDER_ANSWERS = ["the dog sound comes first.", "the cat starts first",
+                 "a dog and a cat come first", "the first sound is the cat.",
+                 "bark dog is first", "nothing in order here",
+                 "the !!! comes first", "the cat bark dog begins first"]
+
+
+@pytest.mark.parametrize("provider_cls", [CountingProvider, ScaledProvider],
+                         ids=["hashed", "scaled"])
+@pytest.mark.parametrize("first, second, tie", [
+    ("dog", "cat", False), ("cat", "dog bark", False),
+    # identical embeddings: every tie resolves to the first label
+    ("dog bark", "bark dog", True), ("Dog Bark", "dog bark", True),
+], ids=["dog-cat", "cat-dogbark", "tie", "tie_case"])
+def test_order_probe_matches_a_cosine_reference(provider_cls, first, second,
+                                                tie):
+    p, ref = provider_cls(), provider_cls()
+    want = [_order_reference(a, first, second, ref) for a in ORDER_ANSWERS]
+    assert None in want and (False not in want) == tie
+    for _ in range(2):   # the second pass reads the kept label vectors
+        assert [order_probe(a, first, second, p)
+                for a in ORDER_ANSWERS] == want
+
+
+def test_order_probe_embeds_each_label_once_per_provider():
+    p = CountingProvider()
+    answers = [ORDER_ANSWERS[k % 5] for k in range(50)]
+    for a in answers:
+        order_probe(a, "dog", "cat", p)
+    clauses = sum(extract_first_sound(a) is not None for a in answers)
+    # one embed per clause, and each label once over all 50 calls
+    assert p.calls == clauses + 2
+    q = CountingProvider()
+    order_probe(answers[0], "dog", "cat", q)
+    assert q.calls == 1 + 2
+    order_probe(answers[0], "cat", "dog", q)
+    assert q.calls == 2 + 2
+
+
+def test_order_probe_zero_norm_label_raises_every_time():
+    p = CountingProvider()
+    for _ in range(3):
+        before = p.calls
+        with pytest.raises(ValueError, match="'!!!' embeds to a zero vector"):
+            order_probe("the dog comes first", "!!!", "dog", p)
+        assert p.calls == before + 2   # the clause, and the label again
+        with pytest.raises(ValueError, match="'...' embeds to a zero vector"):
+            order_probe("the dog comes first", "dog", "...", p)
+
+
+def test_order_probe_label_cache_is_bounded():
+    from aqakit.evaluate import probes
+    p = CountingProvider()
+    for k in range(probes._LABEL_CACHE + 40):
+        assert order_probe("the dog comes first", f"dog{k}", "dog", p) is False
+    assert len(probes._label_vectors) <= probes._LABEL_CACHE
+    # "dog" is used on every call, so it stays; the oldest labels are gone
+    calls = p.calls
+    order_probe("the dog comes first", "dog0", "dog", p)
+    assert p.calls == calls + 2
 
 
 def test_order_accuracy_planted_fixtures():

@@ -706,3 +706,53 @@ def test_load_rejects_a_truncated_blob(tmp_path, capsys) -> None:
     assert f"tensor {tensor} spans" in captured.err
     assert "tensors.bin" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def _shift_offset(manifest, name: str, by: int) -> None:
+    lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+    at = next(i for i, ln in enumerate(lines) if ln.startswith(f"tensor {name} "))
+    fields = lines[at].split(" ")
+    fields[4] = str(int(fields[4]) + by)
+    lines[at] = " ".join(fields)
+    manifest.write_text("".join(lines), encoding="utf-8")
+
+
+# fault -> what the error says; an offset moved into another tensor stays
+# aligned and inside the blob
+TILING_FAULTS = {"offset_into_other_tensor": "not at",
+                 "first_not_at_zero": "not at 0:",
+                 "trailing_bytes": "ends at byte"}
+
+
+@pytest.mark.parametrize("fault", TILING_FAULTS)
+def test_load_rejects_tensors_that_do_not_tile_the_blob(tmp_path, capsys,
+                                                       fault) -> None:
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, AudioTextLm(tiny_cfg(), seed=38))
+    manifest = ckpt / "manifest.txt"
+    blob = ckpt / "tensors.bin"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    table = {ln.split(" ")[1]: line_no for line_no, ln in enumerate(lines, start=1)
+             if ln.startswith("tensor ")}
+    if fault == "offset_into_other_tensor":
+        tensor = "base.out.w"
+        _shift_offset(manifest, tensor, -400)
+    elif fault == "first_not_at_zero":
+        tensor = next(iter(table))
+        _shift_offset(manifest, tensor, 4)
+    else:   # the last tensor is named
+        tensor = list(table)[-1]
+        blob.write_bytes(blob.read_bytes() + b"\0" * 8)
+    where = f"{manifest}:{table[tensor]}: tensor {tensor} "
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(ckpt)
+    assert str(err.value).startswith(where)
+    assert TILING_FAULTS[fault] in str(err.value)
+
+    wav = tmp_path / "clip.wav"
+    write_wav(wav, Waveform(np.zeros(16000)))
+    assert main(["answer", "--audio", str(wav), "--question", "what is it?",
+                 "--ckpt", str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    assert where in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
