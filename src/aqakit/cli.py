@@ -292,8 +292,19 @@ def _cmd_eval_classify(args) -> int:
         labels = LabelSet(tuple(read_names(args.labels)))
     joined = _join_truths(args, "labels", texts=True)
     provider = _make_provider(args)
-    result = classify_corpus([p["output"] for p, _ in joined], labels,
-                             provider)
+    try:
+        result = classify_corpus([p["output"] for p, _ in joined], labels,
+                                 provider)
+    except ValueError as exc:
+        if not str(exc).startswith("output "):
+            raise
+        # classify_corpus names the text of an output with no word; name
+        # the file and the row too
+        for p, _ in joined:
+            if not provider.embed(p["output"]).any():
+                raise ValueError(f"{args.pred}: audio_id {p['audio_id']!r}: "
+                                 f"{exc}") from exc
+        raise
     index = {n: i for i, n in enumerate(labels.names)}
     truth_sets = []
     for _, truth_labels in joined:

@@ -1,7 +1,7 @@
 """Toy autoregressive decoder with a frozen base and LoRA adapters on the
 key/query projections, conditioned on 32 audio tokens. The audio input is
-always a clip's PatchGrid: the patch encoder, token pooling and projection
-run inside forward, so gradients reach every audio parameter.
+always a clip's PatchGrid: token pooling, then the patch encoder, then the
+projection run inside forward, so gradients reach every audio parameter.
 
 forward (training and scoring), prefill (the prompt of a decode) and step
 (one new token) all run the rows through one layer pass, _run. Given a
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..frontend import PATCH_SIDE, PatchGrid, encode_patches, pool_tokens
+from ..frontend import (PATCH_SIDE, PatchGrid, check_encoder_shapes, encode_patches,
+                        pool_tokens)
 from .tokenizer import VOCAB_SIZE
 
 LN_EPS = 1e-5
@@ -161,15 +162,25 @@ class AudioTextLm:
     # -- audio path ------------------------------------------------------
 
     def _audio_rows(self, audio: PatchGrid) -> tuple[np.ndarray, dict]:
-        """Encode, pool and project the clip's patches to d_model rows,
+        """Pool, encode and project the clip's patches to d_model rows,
         keeping the intermediates needed to push gradients back into the
-        encoder."""
+        encoder.
+
+        The patch encoder is linear and pooling is a mean, so pooling the
+        patches and the offsets first gives pool_tokens(encode_patches(...))
+        to float64 rounding while encoding one row per token rather than
+        one per patch. Shapes are checked against the full grid first.
+        """
         if not isinstance(audio, PatchGrid):
             raise TypeError(f"audio must be a PatchGrid, got {type(audio).__name__}")
         a = self.audio
-        emb = encode_patches(audio, a["audio.enc.weight"], a["audio.enc.bias"],
-                             a["audio.enc.pos"])
-        tokens = pool_tokens(emb)
+        weight, pos = a["audio.enc.weight"], a["audio.enc.pos"]
+        grid_shape = check_encoder_shapes(audio.patches.shape, weight, pos)
+        pooled = pool_tokens(audio.patches)
+        # one grid row of n_audio_tokens cells: numpy then makes the encoder
+        # a single matrix product instead of one per token
+        tokens = encode_patches(PatchGrid(pooled[None]), weight, a["audio.enc.bias"],
+                                pool_tokens(pos)[None])[0]
         if tokens.shape[0] != self.cfg.n_audio_tokens:
             raise ValueError(
                 f"expected {self.cfg.n_audio_tokens} audio tokens, got {tokens.shape[0]}")
@@ -177,8 +188,7 @@ class AudioTextLm:
             raise ValueError(
                 f"audio token width {tokens.shape[1]} != d_audio {self.cfg.d_audio}")
         rows = tokens @ a["audio.proj.weight"] + a["audio.proj.bias"]
-        return rows, {"patches": audio.patches, "grid_shape": emb.shape,
-                      "tokens": tokens}
+        return rows, {"pooled": pooled, "grid_shape": grid_shape, "tokens": tokens}
 
     # -- forward ---------------------------------------------------------
 
@@ -384,21 +394,22 @@ class AudioTextLm:
             dx = dx_mid + _ln_backward(dh1, lc["ln1"], self.base[p + "ln1.gamma"])
 
         # embedding layer: audio rows are trainable, text rows are frozen
-        da = dx[:na]
-        ac = cache["audio"]
-        grads["audio.proj.weight"] = ac["tokens"].T @ da
-        grads["audio.proj.bias"] = da.sum(axis=0)
+        grads.update(self._audio_backward(dx[:na], cache["audio"]))
+        return grads
+
+    def _audio_backward(self, da: np.ndarray, ac: dict) -> dict[str, np.ndarray]:
+        """Gradients of the five audio tensors, given da, the gradient on
+        the audio rows, and _audio_rows' intermediates ac."""
+        grads = {"audio.proj.weight": ac["tokens"].T @ da,
+                 "audio.proj.bias": da.sum(axis=0)}
         dtokens = da @ self.audio["audio.proj.weight"].T
-        # pooling spread: each token averaged over 2 time rows x n_freq cells
+        # the encoder saw the pooled patches; each offset cell is averaged
+        # into its token over 2 time rows x n_freq cells
+        grads["audio.enc.weight"] = ac["pooled"].T @ dtokens
+        grads["audio.enc.bias"] = dtokens.sum(axis=0)
         _, n_freq, _ = ac["grid_shape"]
         demb = np.repeat(dtokens[:, None, :], 2 * n_freq, axis=1) / (2 * n_freq)
-        demb = demb.reshape(2 * na, n_freq, c.d_audio)
-        patches = ac["patches"]
-        flat_p = patches.reshape(-1, patches.shape[2])
-        flat_d = demb.reshape(-1, c.d_audio)
-        grads["audio.enc.weight"] = flat_p.T @ flat_d
-        grads["audio.enc.bias"] = flat_d.sum(axis=0)
-        grads["audio.enc.pos"] = demb
+        grads["audio.enc.pos"] = demb.reshape(ac["grid_shape"])
         return grads
 
     def sgd_step(self, grads: dict[str, np.ndarray], lr: float,

@@ -671,6 +671,22 @@ def test_eval_classify_rejects_a_truth_row_without_labels(eval_files,
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+def test_eval_classify_names_the_row_whose_output_holds_no_word(eval_files,
+                                                              tmp_path, capsys):
+    _, truth, labels = eval_files
+    preds = _jsonl(tmp_path / "p.jsonl", [
+        {"audio_id": "b", "output": "a cat meows"},
+        {"audio_id": "a", "output": "\u00ff\u00fe "},
+    ])
+    out = tmp_path / "report.json"
+    assert main(["eval-classify", "--pred", str(preds), "--truth", str(truth),
+                 "--labels", str(labels), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{preds}: audio_id 'a': " in err and "zero vector" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_eval_caption_exact_overlap_mean(tmp_path, capsys):
     # 3/4 token overlap on both sides -> F1 0.75 for the single row
     preds = _jsonl(tmp_path / "p.jsonl",

@@ -5,7 +5,7 @@ The sine test verifies compute_fbank against a brute-force DFT plus an
 independently constructed mel filterbank so the check is not circular. The
 block-wise fbank is also checked against the per-frame loop it replaced,
 kept here as a reference. The projection runs only inside the model, so its
-tests go through AudioTextLm._audio_rows: patch encoding, pooling, then
+tests go through AudioTextLm._audio_rows: pooling, patch encoding, then
 projection, with the model's audio tensors.
 """
 
@@ -26,6 +26,7 @@ from aqakit.frontend import (
     MEL_FMAX_HZ,
     MEL_FMIN_HZ,
     FBANK_BLOCK_FRAMES,
+    FBANK_MEL_BANDS,
     FbankConfig,
     LogMelSpectrogram,
     PATCH_SIDE,
@@ -34,6 +35,7 @@ from aqakit.frontend import (
     compute_fbank,
     encode_patches,
     hz_to_mel,
+    mel_bands,
     mel_filterbank,
     mel_to_hz,
     patchify,
@@ -179,6 +181,29 @@ def test_mel_filterbank_is_built_once_and_read_only() -> None:
     with pytest.raises(ValueError):
         bank[0, 0] = 1.0
     np.testing.assert_allclose(bank, oracle_mel_bank(cfg), rtol=0, atol=1e-12)
+
+
+def test_mel_bands_tile_the_bank() -> None:
+    cfg = FbankConfig()
+    bank = mel_filterbank(cfg.n_mels, cfg.n_fft)
+    bands = mel_bands(cfg.n_mels, cfg.n_fft)
+    assert mel_bands(cfg.n_mels, cfg.n_fft) is bands
+    assert len(bands) == FBANK_MEL_BANDS
+    rebuilt = np.zeros_like(bank)
+    next_row = 0
+    for m0, m1, b0, b1, weights in bands:
+        assert m0 == next_row < m1
+        next_row = m1
+        assert weights.shape == (b1 - b0, m1 - m0)
+        with pytest.raises(ValueError):
+            weights[0, 0] = 1.0
+        # the bin range covers every nonzero of the band's rows
+        assert not bank[m0:m1, :b0].any() and not bank[m0:m1, b1:].any()
+        rebuilt[m0:m1, b0:b1] = weights.T
+    assert next_row == cfg.n_mels
+    assert np.array_equal(rebuilt, bank)
+    # the banded product's multiply-adds per frame, against 128 x 257 dense
+    assert sum(w.size for *_, w in bands) == 4304
 
 
 def test_fbank_sine_matches_dft_oracle() -> None:

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aqakit.cli import main
-from aqakit.frontend import PatchGrid, Waveform, write_wav
+from aqakit.frontend import PatchGrid, Waveform, encode_patches, pool_tokens, write_wav
 from aqakit.model import (
     AlignmentBatch,
     AudioTextLm,
@@ -440,6 +440,59 @@ def test_alignment_rejects_degenerate() -> None:
     bad_a[0] = 0.0
     with pytest.raises(ValueError):
         alignment_losses(AlignmentBatch(e_a=bad_a, e_t=bad))
+
+
+# -- audio path --------------------------------------------------------------
+
+def encode_then_pool(model: AudioTextLm, audio: PatchGrid, da: np.ndarray):
+    """Reference: the audio path that encodes every patch and pools after.
+    Returns its audio rows and, from da, the gradient on those rows, the
+    gradients of the five audio tensors."""
+    a = model.audio
+    emb = encode_patches(audio, a["audio.enc.weight"], a["audio.enc.bias"],
+                         a["audio.enc.pos"])
+    tokens = pool_tokens(emb)
+    rows = tokens @ a["audio.proj.weight"] + a["audio.proj.bias"]
+    dtokens = da @ a["audio.proj.weight"].T
+    t_dim, n_freq, d_audio = emb.shape
+    demb = np.repeat(dtokens[:, None, :], 2 * n_freq, axis=1) / (2 * n_freq)
+    demb = demb.reshape(t_dim, n_freq, d_audio)
+    flat_p = audio.patches.reshape(-1, audio.patches.shape[2])
+    flat_d = demb.reshape(-1, d_audio)
+    return rows, {"audio.proj.weight": tokens.T @ da,
+                  "audio.proj.bias": da.sum(axis=0),
+                  "audio.enc.weight": flat_p.T @ flat_d,
+                  "audio.enc.bias": flat_d.sum(axis=0),
+                  "audio.enc.pos": demb}
+
+
+@pytest.mark.parametrize("cfg", [DecoderConfig(),
+                                 DecoderConfig(d_audio=24, n_audio_tokens=2)],
+                         ids=["default", "d_audio_24_two_tokens"])
+def test_pooling_before_encoding_matches_encode_then_pool(cfg, monkeypatch) -> None:
+    model = AudioTextLm(cfg, seed=41)
+    rng = np.random.default_rng(42)
+    for name in ("audio.enc.bias", "audio.proj.bias"):
+        model.audio[name] = rng.normal(0.0, 0.02, size=model.audio[name].shape)
+    ex = random_example(cfg, seed=43)
+    seen = []
+    real = model._audio_backward
+
+    def spy(da, ac):
+        seen.append(da)
+        return real(da, ac)
+
+    monkeypatch.setattr(model, "_audio_backward", spy)
+    _, grads = model.loss_and_grads(ex)
+    assert len(seen) == 1 and seen[0].any()
+    want_rows, want_grads = encode_then_pool(model, ex.audio, seen[0])
+    rows, _ = model._audio_rows(ex.audio)
+    np.testing.assert_allclose(rows, want_rows, rtol=0, atol=1e-12)
+    assert sorted(n for n in grads if n.startswith("audio.")) == sorted(want_grads)
+    for name, want in want_grads.items():
+        assert grads[name].shape == want.shape
+        np.testing.assert_allclose(grads[name], want, rtol=0, atol=1e-12,
+                                   err_msg=name)
 
 
 # -- gradient check ----------------------------------------------------------
