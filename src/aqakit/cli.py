@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .files import atomic_write, read_json, read_jsonl, read_names, string_list
+from .files import (atomic_write, read_json, read_jsonl, read_names, read_text,
+                    string_list)
 
 __all__ = ["main"]
 
@@ -296,14 +297,18 @@ def _cmd_eval_classify(args) -> int:
         result = classify_corpus([p["output"] for p, _ in joined], labels,
                                  provider)
     except ValueError as exc:
-        if not str(exc).startswith("output "):
-            raise
-        # classify_corpus names the text of an output with no word; name
-        # the file and the row too
-        for p, _ in joined:
-            if not provider.embed(p["output"]).any():
-                raise ValueError(f"{args.pred}: audio_id {p['audio_id']!r}: "
-                                 f"{exc}") from exc
+        # classify_corpus names the text of a label or an output with no
+        # word; name the file and the line or row too
+        if str(exc).startswith("label "):
+            lines = read_text(args.labels).splitlines()
+            for line_no, line in enumerate(lines, start=1):
+                if line.strip() and not provider.embed(line.strip()).any():
+                    raise ValueError(f"{args.labels}:{line_no}: {exc}") from exc
+        elif str(exc).startswith("output "):
+            for p, _ in joined:
+                if not provider.embed(p["output"]).any():
+                    raise ValueError(f"{args.pred}: audio_id {p['audio_id']!r}: "
+                                     f"{exc}") from exc
         raise
     index = {n: i for i, n in enumerate(labels.names)}
     truth_sets = []

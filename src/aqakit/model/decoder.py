@@ -8,6 +8,12 @@ forward (training and scoring), prefill (the prompt of a decode) and step
 KvCache, that pass writes each layer's keys and values into it, so prefill
 fills an empty cache the same way step extends it.
 
+The adapters are merged into their frozen projections once per forward or
+prefill: each layer gets q, k and v from one product with the matrix
+[Wq + scale Bq Aq | Wk + scale Bk Ak | Wv]. prefill keeps the merged
+weights on its KvCache, so a request decodes with the weights its prefill
+merged, and a later change to lora reaches the next forward or prefill.
+
 Everything runs in float64 with a hand-written backward pass so gradients
 can be audited against central finite differences. AudioTextLm creates and
 names every tensor of the model in three dicts: base, the frozen decoder
@@ -98,11 +104,14 @@ class TrainingExample:
 class KvCache:
     """Keys and values of every position run so far, for incremental
     decoding: buffers of shape (n_layers, n_heads, max_seq_len, d_head)
-    whose first `length` positions are filled."""
+    whose first `length` positions are filled. w_qkv holds each layer's
+    merged q/k/v weights as prefill built them; every step of the request
+    uses these, not the model's adapters of the moment."""
 
     keys: np.ndarray
     values: np.ndarray
     length: int
+    w_qkv: list[np.ndarray]
 
 
 class AudioTextLm:
@@ -202,12 +211,27 @@ class AudioTextLm:
         """
         na = self.cfg.n_audio_tokens
         audio_rows, audio_cache = self._audio_rows(audio)
-        xf, lnf_cache, layer_caches = self._run(self._input_rows(audio_rows, text_ids))
+        w_qkv = self._merged_qkv()
+        xf, lnf_cache, layer_caches = self._run(self._input_rows(audio_rows, text_ids),
+                                                w_qkv)
         logits = xf[na:] @ self.base["out.w"].T
         if not want_cache:
             return logits
-        return logits, {"audio": audio_cache, "layers": layer_caches,
+        return logits, {"audio": audio_cache, "layers": layer_caches, "w_qkv": w_qkv,
                         "lnf": lnf_cache, "na": na, "total": xf.shape[0]}
+
+    def _merged_qkv(self) -> list[np.ndarray]:
+        """Per layer, the (d_model, 3 d_model) matrix W for which h1 @ W is
+        [q | k | v]: the transpose of [Wq + scale Bq Aq | Wk + scale Bk Ak | Wv]
+        stacked by rows, each adapter merged into its frozen projection."""
+        merged = []
+        for i in range(self.cfg.n_layers):
+            p = f"layers.{i}.attn."
+            rows = [self.base[p + w] + LORA_SCALE * (self.lora[p + f"{t}.lora_B"]
+                                                     @ self.lora[p + f"{t}.lora_A"])
+                    for t, w in zip(LORA_TARGETS, ("wq", "wk"))]
+            merged.append(np.concatenate([*rows, self.base[p + "wv"]]).T)
+        return merged
 
     def _input_rows(self, audio_rows: np.ndarray, text_ids) -> np.ndarray:
         """[audio rows | token embeddings], before position embeddings."""
@@ -216,8 +240,9 @@ class AudioTextLm:
             raise ValueError("at least one text token is required")
         return np.concatenate([audio_rows, self.base["tok_emb"][text_ids]])
 
-    def _run(self, x: np.ndarray, past: KvCache | None = None):
-        """The one pass through the layer stack and the final norm.
+    def _run(self, x: np.ndarray, w_qkv: list[np.ndarray], past: KvCache | None = None):
+        """The one pass through the layer stack and the final norm, with
+        w_qkv the merged q/k/v weights of every layer.
 
         The rows x take the positions after past.length, or from 0 without
         a cache. With past, their keys and values are written into it and
@@ -226,14 +251,16 @@ class AudioTextLm:
         intermediates and every layer's intermediates.
         """
         c = self.cfg
+        n = x.shape[0]
         start = 0 if past is None else past.length
-        end = start + x.shape[0]
+        end = start + n
         _check_length(end, c.max_seq_len)
         x = x + self.base["pos_emb"][start:end]
-        causal = _causal_mask(x.shape[0], start)
+        # a single row may attend to every position so far: its mask is all zeros
+        causal = _causal_mask(n, start) if n > 1 else None
         layer_caches = []
         for i in range(c.n_layers):
-            x, layer_cache = self._block(i, x, causal, past)
+            x, layer_cache = self._block(i, x, w_qkv[i], causal, past)
             layer_caches.append(layer_cache)
         if past is not None:
             past.length = end
@@ -241,42 +268,34 @@ class AudioTextLm:
                                     self.base["final_ln.beta"])
         return xf, lnf_cache, layer_caches
 
-    def _block(self, i: int, x: np.ndarray, causal: np.ndarray,
+    def _block(self, i: int, x: np.ndarray, w_qkv: np.ndarray,
+               causal: np.ndarray | None,
                past: KvCache | None = None) -> tuple[np.ndarray, dict]:
         """Decoder layer i over the rows x; returns the layer's output rows
         and the intermediates the backward pass reads.
 
-        Without past the rows attend among themselves. With past they
-        follow its first past.length positions: their keys and values are
-        written into past's buffers for layer i and they attend to every
-        position up to their own. causal is the additive mask of shape
-        (len(x), positions attended to).
+        w_qkv is the layer's merged q/k/v matrix from _merged_qkv. Without
+        past the rows attend among themselves. With past they follow its
+        first past.length positions: their keys and values are written into
+        past's buffers for layer i and they attend to every position up to
+        their own. causal is the additive mask of shape (len(x), positions
+        attended to), or None for no mask.
         """
         c = self.cfg
         p = f"layers.{i}."
         n = x.shape[0]
         h1, ln1_cache = _ln_forward(x, self.base[p + "ln1.gamma"],
                                     self.base[p + "ln1.beta"])
-        # adapted projections h1 W^T + scale * (h1 A^T) B^T; the backward
-        # pass reads u = h1 A^T
-        qk, u = {}, {}
-        for t, w in (("query", "attn.wq"), ("key", "attn.wk")):
-            u[t] = h1 @ self.lora[p + f"attn.{t}.lora_A"].T
-            qk[t] = (h1 @ self.base[p + w].T
-                     + LORA_SCALE * (u[t] @ self.lora[p + f"attn.{t}.lora_B"].T))
-        q, k = qk["query"], qk["key"]
-        v = h1 @ self.base[p + "attn.wv"].T
-
-        qh = q.reshape(n, c.n_heads, c.d_head).transpose(1, 0, 2)
-        kh = k.reshape(n, c.n_heads, c.d_head).transpose(1, 0, 2)
-        vh = v.reshape(n, c.n_heads, c.d_head).transpose(1, 0, 2)
+        qh, kh, vh = (h1 @ w_qkv).reshape(n, 3, c.n_heads, c.d_head).transpose(1, 2, 0, 3)
         keys, values = kh, vh
         if past is not None:
             end = past.length + n
             past.keys[i, :, past.length:end] = kh
             past.values[i, :, past.length:end] = vh
             keys, values = past.keys[i, :, :end], past.values[i, :, :end]
-        scores = qh @ keys.transpose(0, 2, 1) / np.sqrt(c.d_head) + causal
+        scores = qh @ keys.transpose(0, 2, 1) / np.sqrt(c.d_head)
+        if causal is not None:
+            scores += causal
         probs = _softmax_rows(scores)
         ctx = probs @ values
         ctx_flat = ctx.transpose(1, 0, 2).reshape(n, c.d_model)
@@ -289,7 +308,7 @@ class AudioTextLm:
         t = np.tanh(z)
         mlp_out = t @ self.base[p + "mlp.w2"].T + self.base[p + "mlp.b2"]
         return x_mid + mlp_out, {
-            "h1": h1, "ln1": ln1_cache, "u": u, "qh": qh, "kh": kh, "vh": vh,
+            "h1": h1, "ln1": ln1_cache, "qh": qh, "kh": kh, "vh": vh,
             "probs": probs, "ln2": ln2_cache, "t": t,
         }
 
@@ -303,9 +322,9 @@ class AudioTextLm:
         """
         c = self.cfg
         shape = (c.n_layers, c.n_heads, c.max_seq_len, c.d_head)
-        kv = KvCache(np.empty(shape), np.empty(shape), 0)
+        kv = KvCache(np.empty(shape), np.empty(shape), 0, self._merged_qkv())
         audio_rows, _ = self._audio_rows(audio)
-        xf, _, _ = self._run(self._input_rows(audio_rows, prompt_ids), kv)
+        xf, _, _ = self._run(self._input_rows(audio_rows, prompt_ids), kv.w_qkv, kv)
         return xf[c.n_audio_tokens:] @ self.base["out.w"].T, kv
 
     def step(self, kv: KvCache, token_id: int) -> np.ndarray:
@@ -316,7 +335,7 @@ class AudioTextLm:
         rounding. Raises forward's ValueError when the token would pass
         max_seq_len, leaving the cache as it was.
         """
-        xf, _, _ = self._run(self.base["tok_emb"][[int(token_id)]], kv)
+        xf, _, _ = self._run(self.base["tok_emb"][[int(token_id)]], kv.w_qkv, kv)
         return (xf @ self.base["out.w"].T)[0]
 
     # -- loss and gradients ----------------------------------------------
@@ -374,22 +393,18 @@ class AudioTextLm:
             dqh = dscores @ kh
             dkh = dscores.transpose(0, 2, 1) @ qh
 
-            dq = dqh.transpose(1, 0, 2).reshape(total, c.d_model)
-            dk = dkh.transpose(1, 0, 2).reshape(total, c.d_model)
-            dv = dvh.transpose(1, 0, 2).reshape(total, c.d_model)
-
+            # [dq | dk | dv], laid out like h1 @ w_qkv
+            dqkv = np.stack([dqh, dkh, dvh]).transpose(2, 0, 1, 3).reshape(
+                total, 3 * c.d_model)
             h1 = lc["h1"]
-            dh1 = dv @ self.base[p + "attn.wv"]
-            dh1 = dh1 + dq @ self.base[p + "attn.wq"]
-            dh1 = dh1 + dk @ self.base[p + "attn.wk"]
-            # adapter terms after the base ones, query before key
-            for target, dy in (("query", dq), ("key", dk)):
+            dh1 = dqkv @ cache["w_qkv"][i].T
+            # q and k are h1 W^T + scale (h1 A^T) B^T for their adapter's A, B
+            for j, target in enumerate(LORA_TARGETS):
                 a_name = p + f"attn.{target}.lora_A"
                 b_name = p + f"attn.{target}.lora_B"
-                du = LORA_SCALE * (dy @ self.lora[b_name])
-                grads[b_name] = LORA_SCALE * (dy.T @ lc["u"][target])
-                grads[a_name] = du.T @ h1
-                dh1 = dh1 + du @ self.lora[a_name]
+                dy = dqkv[:, j * c.d_model:(j + 1) * c.d_model]
+                grads[b_name] = LORA_SCALE * (dy.T @ (h1 @ self.lora[a_name].T))
+                grads[a_name] = (LORA_SCALE * (dy @ self.lora[b_name])).T @ h1
 
             dx = dx_mid + _ln_backward(dh1, lc["ln1"], self.base[p + "ln1.gamma"])
 

@@ -3,6 +3,7 @@ top-p nucleus truncation, then one renormalized draw per step."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ class GenerationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("temperature", "repetition_penalty"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError("top_p must be in (0, 1]")
         if self.top_k < 1:

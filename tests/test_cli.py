@@ -687,6 +687,20 @@ def test_eval_classify_names_the_row_whose_output_holds_no_word(eval_files,
     assert not out.exists()
 
 
+def test_eval_classify_names_the_line_of_a_label_that_holds_no_word(eval_files,
+                                                                    tmp_path, capsys):
+    preds, truth, labels = eval_files
+    # the blank line counts: the name '??' sits on line 3
+    labels.write_text("dog\n\n??\ncat\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["eval-classify", "--pred", str(preds), "--truth", str(truth),
+                 "--labels", str(labels), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{labels}:3: label '??' embeds to a zero vector" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_eval_caption_exact_overlap_mean(tmp_path, capsys):
     # 3/4 token overlap on both sides -> F1 0.75 for the single row
     preds = _jsonl(tmp_path / "p.jsonl",

@@ -86,14 +86,14 @@ def test_lora_zero_b_is_frozen_map() -> None:
     model.lora["layers.0.attn.query.lora_A"] = rng.normal(size=(8, 4))
     assert not model.lora["layers.0.attn.query.lora_B"].any()
     x = rng.normal(size=(1, 4))
-    _, cache = model._block(0, x, decoder._causal_mask(1, 0))
+    _, cache = model._block(0, x, model._merged_qkv()[0], None)
     np.testing.assert_array_equal(cache["qh"][0], cache["h1"] @ W.T)
 
 
 def test_lora_hand_case() -> None:
     # ln1 with gamma 0 and beta [2, 3] hands h1 = [2, 3] to the adapter;
     # with W = I, one live row [1, 1] in A and one live entry 1 in B:
-    # u = [5, 0, ...] and q = [2, 3] + LORA_SCALE * [5, 0] = [12, 3]
+    # h1 A^T = [5, 0, ...] and q = [2, 3] + LORA_SCALE * [5, 0] = [12, 3]
     model = one_layer_model(2)
     p = "layers.0."
     model.base[p + "ln1.gamma"] = np.zeros(2)
@@ -102,9 +102,7 @@ def test_lora_hand_case() -> None:
     model.lora[p + "attn.query.lora_A"][0] = 1.0
     model.lora[p + "attn.query.lora_A"][1:] = 0.0
     model.lora[p + "attn.query.lora_B"][0, 0] = 1.0
-    _, cache = model._block(0, np.array([[0.3, -0.7]]),
-                            decoder._causal_mask(1, 0))
-    np.testing.assert_array_equal(cache["u"]["query"], [[5.0] + [0.0] * 7])
+    _, cache = model._block(0, np.array([[0.3, -0.7]]), model._merged_qkv()[0], None)
     np.testing.assert_array_equal(cache["qh"], [[[12.0, 3.0]]])
 
 
@@ -219,6 +217,25 @@ def adapted_model(targets=("query", "key"), max_seq_len: int = 160,
     return model
 
 
+@pytest.mark.parametrize("targets", LIVE_TARGET_SETS)
+def test_merged_projection_matches_factored_lora(targets) -> None:
+    model = adapted_model(targets)
+    c, n = model.cfg, 7
+    x = np.random.default_rng(48).normal(size=(n, c.d_model))
+    for i, w_qkv in enumerate(model._merged_qkv()):
+        _, cache = model._block(i, x, w_qkv, decoder._causal_mask(n, 0))
+        h1 = cache["h1"]
+        p = f"layers.{i}.attn."
+        for t, w, heads in (("query", "wq", cache["qh"]), ("key", "wk", cache["kh"]),
+                            (None, "wv", cache["vh"])):
+            want = h1 @ model.base[p + w].T
+            if t is not None:
+                want += decoder.LORA_SCALE * ((h1 @ model.lora[p + f"{t}.lora_A"].T)
+                                              @ model.lora[p + f"{t}.lora_B"].T)
+            got = heads.transpose(1, 0, 2).reshape(n, c.d_model)
+            assert np.abs(got - want).max() <= 1e-12
+
+
 def full_recompute_generate(model, audio, prompt_ids, cfg: GenerationConfig) -> list[int]:
     """Reference decoder: one full forward over the whole sequence per token."""
     rng = np.random.default_rng(cfg.seed)
@@ -307,6 +324,29 @@ def test_generate_encodes_the_clip_once(monkeypatch) -> None:
     out = generate(model, random_audio(model.cfg, 45), np.array([BOS_ID, 97]), cfg)
     assert out.size == 24
     assert len(calls) == 1
+
+
+def test_generate_merges_the_adapters_once(monkeypatch) -> None:
+    model = adapted_model()
+    calls = []
+    real = model._merged_qkv
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(model, "_merged_qkv", counting)
+    cfg = GenerationConfig(max_new_tokens=24, seed=1)
+    out = generate(model, random_audio(model.cfg, 45), np.array([BOS_ID, 97]), cfg)
+    assert out.size == 24
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("field", ["temperature", "repetition_penalty"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_generation_config_rejects_non_finite_values(field: str, value: float) -> None:
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        GenerationConfig(**{field: value})
 
 
 def test_step_past_the_context_leaves_the_cache_as_it_was() -> None:
