@@ -14,6 +14,20 @@ prefill: each layer gets q, k and v from one product with the matrix
 weights on its KvCache, so a request decodes with the weights its prefill
 merged, and a later change to lora reaches the next forward or prefill.
 
+Training runs only the rows its loss reads. loss_and_grads finds the read
+span, the text rows from the first to the last supervised target (row t
+predicts token t + 1), and stops the forward after the span: a causal row
+feeds only the rows after it. Rows before the span still feed it through
+the last layer's keys and values, so that layer computes keys and values
+for every row but its queries, attention output, MLP, final norm and head
+on the span alone (forward's read_from), and _backward mirrors this.
+
+The causal mask is boolean, True where a key may be attended to. The
+softmax takes each row's max over the kept lanes and exponentiates only
+those, so no -inf reaches exp (which is several times slower on -inf than
+on finite values); kept-lane probabilities equal those of an additive -inf
+mask bit for bit.
+
 Everything runs in float64 with a hand-written backward pass so gradients
 can be audited against central finite differences. AudioTextLm creates and
 names every tensor of the model in three dicts: base, the frozen decoder
@@ -202,23 +216,32 @@ class AudioTextLm:
     # -- forward ---------------------------------------------------------
 
     def forward(self, audio, text_ids: np.ndarray,
-                want_cache: bool = False):
+                want_cache: bool = False, read_from: int = 0):
         """Causal forward over [audio rows | text embeddings].
 
-        Returns logits of shape (len(text_ids), vocab): row t is the
-        next-token distribution computed at text position t, so it sees
-        text tokens 0..t and every audio token.
+        Returns logits of shape (len(text_ids) - read_from, vocab): row t
+        is the next-token distribution computed at text position
+        read_from + t, so it sees text tokens 0..read_from + t and every
+        audio token. With read_from > 0 the last layer runs its queries and
+        everything after them only from that text row on; 0 runs every row.
         """
         na = self.cfg.n_audio_tokens
         audio_rows, audio_cache = self._audio_rows(audio)
+        x = self._input_rows(audio_rows, text_ids)
+        n_out = x.shape[0] - na - read_from
+        if read_from < 0 or n_out < 1:
+            raise ValueError(f"read_from {read_from} is outside the {x.shape[0] - na} "
+                             "text rows")
         w_qkv = self._merged_qkv()
-        xf, lnf_cache, layer_caches = self._run(self._input_rows(audio_rows, text_ids),
-                                                w_qkv)
-        logits = xf[na:] @ self.base["out.w"].T
+        first = na + read_from if read_from else 0
+        xf, lnf_cache, layer_caches = self._run(x, w_qkv, first=first)
+        # the logits are the trailing rows of xf, which holds every row only
+        # when the last layer ran them all
+        logits = xf[xf.shape[0] - n_out:] @ self.base["out.w"].T
         if not want_cache:
             return logits
         return logits, {"audio": audio_cache, "layers": layer_caches, "w_qkv": w_qkv,
-                        "lnf": lnf_cache, "na": na, "total": xf.shape[0]}
+                        "lnf": lnf_cache, "na": na, "total": x.shape[0]}
 
     def _merged_qkv(self) -> list[np.ndarray]:
         """Per layer, the (d_model, 3 d_model) matrix W for which h1 @ W is
@@ -240,15 +263,18 @@ class AudioTextLm:
             raise ValueError("at least one text token is required")
         return np.concatenate([audio_rows, self.base["tok_emb"][text_ids]])
 
-    def _run(self, x: np.ndarray, w_qkv: list[np.ndarray], past: KvCache | None = None):
+    def _run(self, x: np.ndarray, w_qkv: list[np.ndarray], past: KvCache | None = None,
+             first: int = 0):
         """The one pass through the layer stack and the final norm, with
         w_qkv the merged q/k/v weights of every layer.
 
         The rows x take the positions after past.length, or from 0 without
         a cache. With past, their keys and values are written into it and
         past.length advances; a sequence past max_seq_len raises ValueError
-        before past is touched. Returns the normed rows, the final norm's
-        intermediates and every layer's intermediates.
+        before past is touched. The last layer runs its queries and all
+        after them only on the rows from first on, so only those leave it.
+        Returns the normed rows, the final norm's intermediates and every
+        layer's intermediates.
         """
         c = self.cfg
         n = x.shape[0]
@@ -256,11 +282,16 @@ class AudioTextLm:
         end = start + n
         _check_length(end, c.max_seq_len)
         x = x + self.base["pos_emb"][start:end]
-        # a single row may attend to every position so far: its mask is all zeros
+        # a single row may attend to every position so far: it needs no mask
         causal = _causal_mask(n, start) if n > 1 else None
         layer_caches = []
         for i in range(c.n_layers):
-            x, layer_cache = self._block(i, x, w_qkv[i], causal, past)
+            # rows before first still need every earlier layer: they feed the
+            # last layer's keys and values
+            skip = first if i == c.n_layers - 1 else 0
+            x, layer_cache = self._block(i, x, w_qkv[i],
+                                         None if causal is None else causal[skip:],
+                                         past, skip)
             layer_caches.append(layer_cache)
         if past is not None:
             past.length = end
@@ -270,7 +301,7 @@ class AudioTextLm:
 
     def _block(self, i: int, x: np.ndarray, w_qkv: np.ndarray,
                causal: np.ndarray | None,
-               past: KvCache | None = None) -> tuple[np.ndarray, dict]:
+               past: KvCache | None = None, first: int = 0) -> tuple[np.ndarray, dict]:
         """Decoder layer i over the rows x; returns the layer's output rows
         and the intermediates the backward pass reads.
 
@@ -278,8 +309,9 @@ class AudioTextLm:
         past the rows attend among themselves. With past they follow its
         first past.length positions: their keys and values are written into
         past's buffers for layer i and they attend to every position up to
-        their own. causal is the additive mask of shape (len(x), positions
-        attended to), or None for no mask.
+        their own. Every row gets a key and a value, but only the rows from
+        first on get a query and an output. causal is the boolean mask of
+        shape (len(x) - first, positions attended to), or None for no mask.
         """
         c = self.cfg
         p = f"layers.{i}."
@@ -287,20 +319,20 @@ class AudioTextLm:
         h1, ln1_cache = _ln_forward(x, self.base[p + "ln1.gamma"],
                                     self.base[p + "ln1.beta"])
         qh, kh, vh = (h1 @ w_qkv).reshape(n, 3, c.n_heads, c.d_head).transpose(1, 2, 0, 3)
+        qh = qh[:, first:]
         keys, values = kh, vh
         if past is not None:
             end = past.length + n
             past.keys[i, :, past.length:end] = kh
             past.values[i, :, past.length:end] = vh
             keys, values = past.keys[i, :, :end], past.values[i, :, :end]
-        scores = qh @ keys.transpose(0, 2, 1) / np.sqrt(c.d_head)
-        if causal is not None:
-            scores += causal
-        probs = _softmax_rows(scores)
+        scores = qh @ keys.transpose(0, 2, 1)
+        scores /= np.sqrt(c.d_head)
+        probs = _softmax_rows(scores, causal)
         ctx = probs @ values
-        ctx_flat = ctx.transpose(1, 0, 2).reshape(n, c.d_model)
+        ctx_flat = ctx.transpose(1, 0, 2).reshape(n - first, c.d_model)
         attn_out = ctx_flat @ self.base[p + "attn.wo"].T
-        x_mid = x + attn_out
+        x_mid = x[first:] + attn_out
 
         h2, ln2_cache = _ln_forward(x_mid, self.base[p + "ln2.gamma"],
                                     self.base[p + "ln2.beta"])
@@ -309,7 +341,7 @@ class AudioTextLm:
         mlp_out = t @ self.base[p + "mlp.w2"].T + self.base[p + "mlp.b2"]
         return x_mid + mlp_out, {
             "h1": h1, "ln1": ln1_cache, "qh": qh, "kh": kh, "vh": vh,
-            "probs": probs, "ln2": ln2_cache, "t": t,
+            "probs": probs, "ln2": ln2_cache, "t": t, "first": first,
         }
 
     # -- incremental decoding --------------------------------------------
@@ -343,17 +375,29 @@ class AudioTextLm:
     def loss_and_grads(self, ex: TrainingExample):
         """Mean masked next-token NLL and gradients for every trainable
         tensor. Returns (loss, grads) with grads keyed like
-        trainable_parameters()."""
+        trainable_parameters().
+
+        Only the read span runs in full: the text rows from the first to
+        the last supervised target's row. The forward stops after it, and
+        its last layer computes only keys and values before it (forward's
+        read_from). Loss and gradients equal those of a forward over every
+        row and _backward to float64 rounding. A sequence longer than
+        max_seq_len raises forward's ValueError even when the rows past the
+        span would fit.
+        """
         from .losses import masked_nll_and_dlogits
 
-        logits, cache = self.forward(ex.audio, ex.text_tokens, want_cache=True)
-        targets = ex.text_tokens[1:]
+        _check_length(self.cfg.n_audio_tokens + ex.text_tokens.size, self.cfg.max_seq_len)
         mask = ex.loss_mask[1:]
-        loss, drows = masked_nll_and_dlogits(logits[:-1], targets, mask)
-        dlogits = np.zeros_like(logits)
-        dlogits[:-1] = drows
-        grads = self._backward(dlogits, cache)
-        return loss, grads
+        read = np.flatnonzero(mask)
+        if read.size == 0:
+            raise ValueError("empty loss mask")
+        first, end = int(read[0]), int(read[-1]) + 1
+        logits, cache = self.forward(ex.audio, ex.text_tokens[:end], want_cache=True,
+                                     read_from=first)
+        loss, dlogits = masked_nll_and_dlogits(logits, ex.text_tokens[first + 1:end + 1],
+                                               mask[first:end])
+        return loss, self._backward(dlogits, cache)
 
     def loss_only(self, ex: TrainingExample) -> float:
         from .losses import next_token_loss
@@ -362,17 +406,22 @@ class AudioTextLm:
         return next_token_loss(logits[:-1], ex.text_tokens[1:], ex.loss_mask[1:])
 
     def _backward(self, dlogits: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
+        """Gradients of every trainable tensor from dlogits, the gradient on
+        forward's logits, and forward's cache."""
         c = self.cfg
         na, total = cache["na"], cache["total"]
         grads: dict[str, np.ndarray] = {}
 
-        dxf = np.zeros((total, c.d_model))
-        dxf[na:] = dlogits @ self.base["out.w"]
+        # the logits are the trailing rows of the final norm's output
+        dxf = np.zeros_like(cache["lnf"][0])
+        dxf[dxf.shape[0] - dlogits.shape[0]:] = dlogits @ self.base["out.w"]
         dx = _ln_backward(dxf, cache["lnf"], self.base["final_ln.gamma"])
 
         for i in reversed(range(c.n_layers)):
             p = f"layers.{i}."
             lc = cache["layers"][i]
+            # dx covers the rows from `first` on, the ones that had a query
+            first = lc["first"]
 
             # MLP branch: x = x_mid + mlp(h2)
             dmlp = dx
@@ -384,18 +433,22 @@ class AudioTextLm:
             # attention branch: x_mid = x_in + attn(h1)
             dattn = dx_mid
             dctx_flat = dattn @ self.base[p + "attn.wo"]
-            dctx = dctx_flat.reshape(total, c.n_heads, c.d_head).transpose(1, 0, 2)
+            dctx = dctx_flat.reshape(total - first, c.n_heads, c.d_head).transpose(1, 0, 2)
             probs, vh, qh, kh = lc["probs"], lc["vh"], lc["qh"], lc["kh"]
-            dprobs = dctx @ vh.transpose(0, 2, 1)
             dvh = probs.transpose(0, 2, 1) @ dctx
-            dscores = probs * (dprobs - (dprobs * probs).sum(axis=2, keepdims=True))
+            # probs * (dprobs - sum(dprobs * probs)), formed in place in dprobs
+            dscores = dctx @ vh.transpose(0, 2, 1)
+            dscores -= (dscores * probs).sum(axis=2, keepdims=True)
+            dscores *= probs
             dscores /= np.sqrt(c.d_head)
-            dqh = dscores @ kh
-            dkh = dscores.transpose(0, 2, 1) @ qh
 
-            # [dq | dk | dv], laid out like h1 @ w_qkv
-            dqkv = np.stack([dqh, dkh, dvh]).transpose(2, 0, 1, 3).reshape(
-                total, 3 * c.d_model)
+            # [dq | dk | dv], laid out like h1 @ w_qkv; dq is 0 before first
+            dqkv = np.empty((total, 3, c.n_heads, c.d_head))
+            dqkv[:first, 0] = 0.0
+            dqkv[first:, 0] = (dscores @ kh).transpose(1, 0, 2)
+            dqkv[:, 1] = (dscores.transpose(0, 2, 1) @ qh).transpose(1, 0, 2)
+            dqkv[:, 2] = dvh.transpose(1, 0, 2)
+            dqkv = dqkv.reshape(total, 3 * c.d_model)
             h1 = lc["h1"]
             dh1 = dqkv @ cache["w_qkv"][i].T
             # q and k are h1 W^T + scale (h1 A^T) B^T for their adapter's A, B
@@ -406,7 +459,8 @@ class AudioTextLm:
                 grads[b_name] = LORA_SCALE * (dy.T @ (h1 @ self.lora[a_name].T))
                 grads[a_name] = (LORA_SCALE * (dy @ self.lora[b_name])).T @ h1
 
-            dx = dx_mid + _ln_backward(dh1, lc["ln1"], self.base[p + "ln1.gamma"])
+            dx = _ln_backward(dh1, lc["ln1"], self.base[p + "ln1.gamma"])
+            dx[first:] += dx_mid
 
         # embedding layer: audio rows are trainable, text rows are frozen
         grads.update(self._audio_backward(dx[:na], cache["audio"]))
@@ -443,9 +497,9 @@ def _check_length(total: int, max_seq_len: int) -> None:
 
 
 def _causal_mask(n: int, start: int) -> np.ndarray:
-    """Additive mask for n rows at positions start.. attending to positions
-    0..start+n-1: -inf where the key lies after the query."""
-    return np.triu(np.full((n, start + n), -np.inf), k=start + 1)
+    """Mask for n rows at positions start.. attending to positions
+    0..start+n-1: True where the key lies at or before the query."""
+    return np.tri(n, start + n, k=start, dtype=bool)
 
 
 def _ln_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
@@ -465,7 +519,14 @@ def _ln_backward(dy: np.ndarray, ln_cache, gamma: np.ndarray) -> np.ndarray:
     return ivar * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    m = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - m)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_rows(scores: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis; scores is overwritten. Lanes where the
+    mask keep is False get probability 0 and are never exponentiated, and
+    the kept lanes come out as with -inf added to the dropped ones."""
+    where = True if keep is None else keep
+    scores -= scores.max(axis=-1, keepdims=True, where=where, initial=-np.inf)
+    np.exp(scores, out=scores, where=where)
+    if keep is not None:
+        np.copyto(scores, 0.0, where=~keep)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores

@@ -4,6 +4,7 @@ top-p nucleus truncation, then one renormalized draw per step."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,12 @@ class GenerationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("top_k", "max_new_tokens"):
+            try:
+                setattr(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer, got {getattr(self, name)}") from None
         for name in ("temperature", "repetition_penalty"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

@@ -349,6 +349,59 @@ def test_generation_config_rejects_non_finite_values(field: str, value: float) -
         GenerationConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["top_k", "max_new_tokens"])
+def test_generation_config_takes_only_integer_counts(field: str) -> None:
+    with pytest.raises(ValueError) as err:
+        GenerationConfig(**{field: 2.5})
+    assert str(err.value) == f"{field} must be an integer, got 2.5"
+    cfg = GenerationConfig(**{field: np.int64(3)})
+    assert getattr(cfg, field) == 3 and type(getattr(cfg, field)) is int
+
+
+def additive_softmax(scores: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
+    """Reference: softmax with -inf added to the lanes keep drops."""
+    if keep is not None:
+        scores = scores + np.where(keep, 0.0, -np.inf)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("n, start", [(1, 0), (5, 0), (4, 3), (1, 6)])
+def test_causal_mask_keeps_the_keys_up_to_each_query(n: int, start: int) -> None:
+    additive = np.triu(np.full((n, start + n), -np.inf), k=start + 1)
+    assert np.array_equal(decoder._causal_mask(n, start), additive == 0.0)
+
+
+def test_softmax_matches_the_additive_mask_bit_for_bit(monkeypatch) -> None:
+    model = adapted_model()
+    calls = []
+    real = decoder._softmax_rows
+
+    def recorded(scores, keep=None):
+        before = scores.copy()
+        out = real(scores, keep)
+        calls.append((before, keep, out.copy()))
+        return out
+
+    monkeypatch.setattr(decoder, "_softmax_rows", recorded)
+    audio = random_audio(model.cfg, 47)
+    ids = np.array([BOS_ID] + encode_text("what sound") + [SEP_ID, 97, 98])
+    model.forward(audio, ids)
+    _, kv = model.prefill(audio, ids[:-1])
+    model.step(kv, ids[-1])
+    model.loss_and_grads(TrainingExample(audio, ids, np.arange(ids.size) >= ids.size - 2))
+    layers = model.cfg.n_layers
+    assert len(calls) == 4 * layers
+    # step's single row needs no mask; the read span's last layer keeps only
+    # the rows of its two targets' logits
+    assert [keep is None for _, keep, _ in calls] == [False] * 2 * layers + [True] * layers \
+        + [False] * layers
+    assert calls[-1][1].shape == (2, 32 + ids.size - 1)
+    for before, keep, got in calls:
+        want = additive_softmax(before, keep)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_step_past_the_context_leaves_the_cache_as_it_was() -> None:
     model = adapted_model(max_seq_len=96)
     prompt = np.array([BOS_ID] + encode_text("x" * 62) + [SEP_ID])
@@ -584,6 +637,105 @@ def test_gradcheck_rejects_nonfinite_loss() -> None:
     model.audio["audio.proj.weight"][:] = np.inf
     with pytest.raises(ValueError):
         finite_diff_check(model, random_example(cfg, 26))
+
+
+# -- read span ---------------------------------------------------------------
+
+def full_row_loss_and_grads(model: AudioTextLm, ex: TrainingExample):
+    """Reference: a forward over every row, then _backward with a zero
+    gradient on the logits the loss does not read."""
+    logits, cache = model.forward(ex.audio, ex.text_tokens, want_cache=True)
+    loss, drows = masked_nll_and_dlogits(logits[:-1], ex.text_tokens[1:],
+                                         ex.loss_mask[1:])
+    dlogits = np.zeros_like(logits)
+    dlogits[:-1] = drows
+    return loss, model._backward(dlogits, cache)
+
+
+def read_span_model(n_layers: int, max_seq_len: int = 96) -> AudioTextLm:
+    """A small model with live adapters and audio biases."""
+    cfg = DecoderConfig(n_layers=n_layers, n_heads=2, d_model=16,
+                        max_seq_len=max_seq_len, d_audio=8)
+    model = AudioTextLm(cfg, seed=51)
+    rng = np.random.default_rng(52)
+    params = model.trainable_parameters()
+    for name in [n for n in params if n.endswith("lora_B")] + ["audio.enc.bias",
+                                                               "audio.proj.bias"]:
+        params[name][:] = rng.normal(0.0, 0.05, size=params[name].shape)
+    return model
+
+
+def read_span_example(kind: str) -> TrainingExample:
+    # text positions: BOS 0, question 1-18, SEP 19, answer 20-36, EOS 37
+    ids, mask = build_qa_ids("what sound is this", "a dog barks twice")
+    if kind == "interior_gaps":
+        mask[[20, 25, 26, 27, 33]] = False
+    elif kind == "final_target_only":
+        mask[:-1] = False
+    elif kind == "first_target_at_1":
+        mask[1] = True
+    elif kind == "text_cutoff":
+        ids, mask = build_qa_ids("what sound is this", "a dog barks twice", cutoff=30)
+    return TrainingExample(audio=random_audio(DecoderConfig(), 53), text_tokens=ids,
+                           loss_mask=mask)
+
+
+# kind -> (text rows the forward runs, read_from): row t predicts token t + 1
+READ_SPANS = {"answer_only": (37, 19), "interior_gaps": (37, 20),
+              "final_target_only": (37, 36), "first_target_at_1": (37, 0),
+              "text_cutoff": (29, 19)}
+
+
+@pytest.mark.parametrize("n_layers", [2, 1, 0])
+@pytest.mark.parametrize("kind", sorted(READ_SPANS))
+def test_read_span_matches_the_full_row_path(kind: str, n_layers: int,
+                                             monkeypatch) -> None:
+    model = read_span_model(n_layers)
+    ex = read_span_example(kind)
+    want_loss, want = full_row_loss_and_grads(model, ex)
+    spans = []
+    real = model.forward
+
+    def spy(audio, text_ids, want_cache=False, read_from=0):
+        spans.append((len(text_ids), read_from))
+        return real(audio, text_ids, want_cache, read_from)
+
+    monkeypatch.setattr(model, "forward", spy)
+    loss, got = model.loss_and_grads(ex)
+    assert spans == [READ_SPANS[kind]]
+    assert math.isclose(loss, want_loss, rel_tol=1e-12, abs_tol=0.0)
+    assert sorted(got) == sorted(want)
+    for name, w in want.items():
+        assert got[name].shape == w.shape
+        assert np.abs(got[name] - w).max() <= 1e-12 * max(np.abs(w).max(), 1.0), name
+
+
+@pytest.mark.parametrize("read_from", [-1, 38])
+def test_forward_rejects_a_read_from_outside_the_text(read_from: int) -> None:
+    ex = read_span_example("answer_only")
+    with pytest.raises(ValueError) as err:
+        read_span_model(2).forward(ex.audio, ex.text_tokens, read_from=read_from)
+    assert str(err.value) == f"read_from {read_from} is outside the 38 text rows"
+
+
+def test_loss_and_grads_rejects_an_empty_loss_mask() -> None:
+    ex = read_span_example("answer_only")
+    ex.loss_mask[:] = False
+    with pytest.raises(ValueError) as err:
+        read_span_model(2).loss_and_grads(ex)
+    assert str(err.value) == "empty loss mask"
+
+
+def test_loss_and_grads_checks_the_length_of_the_whole_sequence() -> None:
+    # 32 audio + 38 text rows; the span, text rows 0-1, would fit in 64
+    model = read_span_model(2, max_seq_len=64)
+    ex = read_span_example("answer_only")
+    ex.loss_mask[:] = False
+    ex.loss_mask[2] = True
+    for run in (model.loss_and_grads, model.loss_only):
+        with pytest.raises(ValueError) as err:
+            run(ex)
+        assert str(err.value) == "sequence length 70 exceeds max 64"
 
 
 # -- checkpoints -------------------------------------------------------------
