@@ -5,8 +5,8 @@ The extraction rules are reconstructions; the originals are unpublished.
 
 from __future__ import annotations
 
+import functools
 import re
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +38,6 @@ _ARTICLE_RE = re.compile(r"^(?:the|a|an)\s+", re.IGNORECASE)
 # label vectors order_probe keeps, least recently used evicted first; a
 # hashed-provider vector is 32 KB, so the cache holds at most 4 MB of them
 _LABEL_CACHE = 128
-# (id(provider), label) -> (provider, vector, norm); holding the provider
-# keeps its id from being reused while the entry lives
-_label_vectors: OrderedDict = OrderedDict()
 
 
 def extract_first_sound(text: str) -> str | None:
@@ -54,22 +51,15 @@ def extract_first_sound(text: str) -> str | None:
     return None
 
 
-def _label_vector(label: str,
-                  provider: EmbeddingProvider) -> tuple[np.ndarray, float]:
+@functools.lru_cache(maxsize=_LABEL_CACHE)
+def _label_vector(provider: EmbeddingProvider,
+                  label: str) -> tuple[np.ndarray, float]:
     """(embedding, norm) of a label name, embedded once per provider object.
     A label that embeds to zero is never kept, so it raises on every call."""
-    key = (id(provider), label)
-    hit = _label_vectors.get(key)
-    if hit is not None:
-        _label_vectors.move_to_end(key)
-        return hit[1], hit[2]
     lv = provider.embed(label)
     norm = np.linalg.norm(lv)
     if norm == 0.0:
         raise ValueError(f"label {label!r} embeds to a zero vector")
-    _label_vectors[key] = (provider, lv, norm)
-    if len(_label_vectors) > _LABEL_CACHE:
-        _label_vectors.popitem(last=False)
     return lv, norm
 
 
@@ -91,8 +81,8 @@ def order_probe(answer_text: str, first_label: str, second_label: str,
         return None
     # providers.cosine's expression, with the clause norm taken once
     sims = [float(np.dot(e, lv) / (ne * nl))
-            for lv, nl in (_label_vector(first_label, provider),
-                           _label_vector(second_label, provider))]
+            for lv, nl in (_label_vector(provider, first_label),
+                           _label_vector(provider, second_label))]
     return sims[0] >= sims[1]
 
 

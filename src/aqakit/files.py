@@ -93,5 +93,7 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    atomic_write(path, "".join(json.dumps(row, ensure_ascii=False) + "\n"
+    """One JSON object per line; a NaN or infinity raises ValueError."""
+    atomic_write(path, "".join(json.dumps(row, ensure_ascii=False,
+                                          allow_nan=False) + "\n"
                                for row in rows))

@@ -31,9 +31,9 @@ def _collect_tensors(model: AudioTextLm) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(path: str | Path, model: AudioTextLm) -> None:
-    """Write manifest + blob into the directory at path (created if needed)."""
+    """Write manifest + blob into the directory at path (created if needed).
+    A tensor not finite in float32 raises RuntimeError before any write."""
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
     tensors = _collect_tensors(model)
 
     # lora_only=1 marked adapter-only directories, which load_checkpoint
@@ -44,13 +44,17 @@ def save_checkpoint(path: str | Path, model: AudioTextLm) -> None:
 
     blob = bytearray()
     for name in sorted(tensors):
-        arr = tensors[name].astype("<f4")
+        with np.errstate(over="ignore"):
+            arr = tensors[name].astype("<f4")
+        if not np.isfinite(arr).all():
+            raise RuntimeError(f"{path}: tensor {name} does not fit float32")
         offset = len(blob)
         raw = arr.tobytes()
         blob.extend(raw)
         shape = "x".join(str(s) for s in arr.shape) if arr.shape else "scalar"
         lines.append(f"tensor {name} float32 {shape} {offset} {len(raw)}")
 
+    path.mkdir(parents=True, exist_ok=True)
     (path / BLOB_NAME).write_bytes(bytes(blob))
     (path / MANIFEST_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

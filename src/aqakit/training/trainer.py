@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from math import ceil
+from math import ceil, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -73,18 +73,27 @@ def make_example(item: CorpusItem, text_cutoff: int) -> TrainingExample:
 
 
 def _batch_loss_and_grads(model, batch: list[TrainingExample]):
-    losses = []
-    total: dict[str, np.ndarray] = {}
-    for ex in batch:
+    first, *rest = batch
+    loss, total = model.loss_and_grads(first)
+    losses = [loss]
+    for ex in rest:
         loss, grads = model.loss_and_grads(ex)
         losses.append(loss)
         for name, g in grads.items():
-            if name in total:
-                total[name] += g
-            else:
-                total[name] = g.copy()
+            total[name] += g
     n = len(batch)
     return float(np.mean(losses)), {k: g / n for k, g in total.items()}
+
+
+def _batches(pool: list[CorpusItem], n: int, stage: StageConfig,
+             cfg: TrainerConfig):
+    """The stage's batches in order, each epoch's examples made as it starts."""
+    for epoch in range(stage.epochs):
+        rng = np.random.default_rng([cfg.seed, stage.stage, epoch])
+        order = rng.permutation(len(pool))[:n]
+        examples = [make_example(pool[i], cfg.text_cutoff) for i in order]
+        for lo in range(0, n, cfg.batch_size):
+            yield examples[lo:lo + cfg.batch_size]
 
 
 def run_stage(model, corpus: list[CorpusItem], stage: StageConfig,
@@ -98,36 +107,30 @@ def run_stage(model, corpus: list[CorpusItem], stage: StageConfig,
     allowed = _PROJECTION_ONLY if stage.trainable == "projection_only" else None
 
     start = time.perf_counter()
-    step = 0
-    initial = None
-    last = None
-    epoch_means: list[float] = []
-    for epoch in range(stage.epochs):
-        rng = np.random.default_rng([cfg.seed, stage.stage, epoch])
-        order = rng.permutation(len(pool))[:n]
-        examples = [make_example(pool[i], cfg.text_cutoff) for i in order]
-        batch_losses = []
-        for lo in range(0, n, cfg.batch_size):
-            batch = examples[lo:lo + cfg.batch_size]
-            loss, grads = _batch_loss_and_grads(model, batch)
-            if initial is None:
-                initial = loss
-            last = loss
-            if not np.isfinite(loss):
-                epoch_means.append(float(np.mean(batch_losses + [loss])))
-                return StageReport(stage=stage.stage, steps=step,
-                                   initial_loss=initial, final_loss=loss,
-                                   epoch_mean_losses=epoch_means,
-                                   wall_time_s=time.perf_counter() - start,
-                                   aborted=True)
-            model.sgd_step(grads, lr_at(step, total_steps, stage.lr),
-                           allowed=allowed)
-            batch_losses.append(loss)
-            step += 1
-        epoch_means.append(float(np.mean(batch_losses)))
-    return StageReport(stage=stage.stage, steps=step, initial_loss=initial,
-                       final_loss=last, epoch_mean_losses=epoch_means,
-                       wall_time_s=time.perf_counter() - start)
+    losses: list[float] = []
+    for batch in _batches(pool, n, stage, cfg):
+        loss, grads = _batch_loss_and_grads(model, batch)
+        losses.append(loss)
+        if not isfinite(loss):
+            break
+        model.sgd_step(grads, lr_at(len(losses) - 1, total_steps, stage.lr),
+                       allowed=allowed)
+    aborted = not isfinite(losses[-1])
+    return StageReport(
+        stage=stage.stage, steps=len(losses) - aborted,
+        initial_loss=losses[0], final_loss=losses[-1],
+        epoch_mean_losses=[float(np.mean(losses[lo:lo + steps_per_epoch]))
+                           for lo in range(0, len(losses), steps_per_epoch)],
+        wall_time_s=time.perf_counter() - start, aborted=aborted)
+
+
+def _report_row(report: StageReport) -> dict:
+    """The report as a strict JSON object: a non-finite loss becomes null."""
+    def loss(x: float) -> float | None:
+        return x if isfinite(x) else None
+    return {**asdict(report), "initial_loss": loss(report.initial_loss),
+            "final_loss": loss(report.final_loss),
+            "epoch_mean_losses": [loss(x) for x in report.epoch_mean_losses]}
 
 
 def run_curriculum(model, corpus: list[CorpusItem],
@@ -136,9 +139,9 @@ def run_curriculum(model, corpus: list[CorpusItem],
                    checkpoint_root: str | Path | None = None,
                    ) -> list[StageReport]:
     """All stages in order on one model. report_path is rewritten after
-    each stage with one JSON line per stage finished in this run;
-    checkpoints land under checkpoint_root after each stage. Stops early
-    if a stage aborts."""
+    each stage with one JSON line (non-finite losses as null) per stage
+    finished in this run; checkpoints land under checkpoint_root after
+    each stage. Stops early if a stage aborts."""
     validate_curriculum(stages)
     if report_path is not None:
         write_jsonl(report_path, [])  # no lines left from an earlier run
@@ -147,10 +150,10 @@ def run_curriculum(model, corpus: list[CorpusItem],
         report = run_stage(model, corpus, stage, cfg)
         reports.append(report)
         if report_path is not None:
-            write_jsonl(report_path, (asdict(r) for r in reports))
-        if checkpoint_root is not None and not report.aborted:
-            save_checkpoint(Path(checkpoint_root) / f"stage{stage.stage}",
-                            model)
+            write_jsonl(report_path, map(_report_row, reports))
         if report.aborted:
             break
+        if checkpoint_root is not None:
+            save_checkpoint(Path(checkpoint_root) / f"stage{stage.stage}",
+                            model)
     return reports

@@ -491,6 +491,26 @@ def test_train_then_answer_roundtrip(demo_dir, tmp_path, capsys):
     assert isinstance(record["output"], str)
 
 
+def test_train_refuses_a_checkpoint_past_float32_range(tmp_path, capsys):
+    # lr = 1e300 keeps the batch loss finite (layer norms absorb the scale),
+    # but the projection bias no longer fits float32
+    demo = tmp_path / "demo"
+    write_demo_corpus(demo, clips_per_class=1)
+    curriculum = tmp_path / "curriculum.ini"
+    curriculum.write_text("[stage1]\ntasks = clf_and_desc\nn_samples = 8\n"
+                          "lr = 1e300\nepochs = 1\n", encoding="utf-8")
+    run = tmp_path / "run"
+    assert main(["train", "--manifest", str(demo / "manifest.jsonl"),
+                 "--audio-dir", str(demo / "audio"),
+                 "--curriculum", str(curriculum), "--batch", "8",
+                 "--out", str(run)]) == 2
+    captured = capsys.readouterr()
+    assert f"{run / 'stage1'}: tensor audio.proj.bias " in captured.err
+    assert "does not fit float32" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (run / "stage1" / "manifest.txt").exists()
+
+
 CURRICULUM_FAULTS = {
     "no_section_header": b"tasks = all\n",
     "repeated_section": b"[stage1]\ntasks = all\n[stage1]\nepochs = 1\n",

@@ -690,7 +690,7 @@ def test_order_probe_label_cache_is_bounded():
     p = CountingProvider()
     for k in range(probes._LABEL_CACHE + 40):
         assert order_probe("the dog comes first", f"dog{k}", "dog", p) is False
-    assert len(probes._label_vectors) <= probes._LABEL_CACHE
+    assert probes._label_vector.cache_info().currsize <= probes._LABEL_CACHE
     # "dog" is used on every call, so it stays; the oldest labels are gone
     calls = p.calls
     order_probe("the dog comes first", "dog0", "dog", p)

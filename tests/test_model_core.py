@@ -916,16 +916,32 @@ def test_answer_names_the_manifest_line_at_fault(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [np.nan, 1e300], ids=["nan", "overflow"])
+def test_save_refuses_a_tensor_not_finite_in_float32(tmp_path, value) -> None:
+    model = AudioTextLm(tiny_cfg(), seed=37)
+    model.audio["audio.proj.weight"][1, 2] = value
+    ckpt = tmp_path / "ckpt"
+    with pytest.raises(RuntimeError) as err:
+        save_checkpoint(ckpt, model)
+    assert str(err.value) == f"{ckpt}: tensor audio.proj.weight does not fit float32"
+    assert not ckpt.exists()
+
+
 def test_load_rejects_a_non_finite_tensor(tmp_path) -> None:
     # an offset that points into the middle of other tensors can read NaN;
-    # the model must not load it and then fail inside sampling
+    # the model must not load it and then fail inside sampling.
+    # save_checkpoint refuses a NaN, so the NaN is written into the blob
     model = AudioTextLm(tiny_cfg(), seed=37)
-    model.audio["audio.proj.weight"][1, 2] = np.nan
     save_checkpoint(tmp_path / "ckpt", model)
     manifest = tmp_path / "ckpt" / "manifest.txt"
-    line_no = next(i for i, ln in enumerate(
+    line_no, line = next((i, ln) for i, ln in enumerate(
         manifest.read_text(encoding="utf-8").splitlines(), start=1)
         if ln.startswith("tensor audio.proj.weight "))
+    cols = model.audio["audio.proj.weight"].shape[1]
+    blob = bytearray((tmp_path / "ckpt" / "tensors.bin").read_bytes())
+    at = int(line.split()[4]) + 4 * (1 * cols + 2)
+    blob[at:at + 4] = np.float32(np.nan).tobytes()
+    (tmp_path / "ckpt" / "tensors.bin").write_bytes(bytes(blob))
     with pytest.raises(ValueError) as err:
         load_checkpoint(tmp_path / "ckpt")
     assert str(err.value) == (f"{manifest}:{line_no}: tensor audio.proj.weight "

@@ -264,6 +264,59 @@ def test_run_stage_aborts_on_divergence(demo_items):
     assert not np.isfinite(report.final_loss)
 
 
+def test_run_stage_aborts_mid_stage(demo_items, monkeypatch):
+    from aqakit.training import trainer
+    real = trainer._batch_loss_and_grads
+    calls = []
+
+    def poisoned(model, batch):
+        loss, grads = real(model, batch)
+        calls.append(batch)
+        return (math.nan if len(calls) == 5 else loss), grads
+
+    monkeypatch.setattr(trainer, "_batch_loss_and_grads", poisoned)
+    stage = StageConfig(2, "clf_and_desc", 24, 1e-4, 2)
+    report = run_stage(_model(), demo_items, stage, TrainerConfig(batch_size=8))
+    # 3 batches per epoch: the 5th is epoch 2's second, after 4 updates
+    assert report.aborted
+    assert report.steps == 4 and type(report.steps) is int
+    assert math.isfinite(report.initial_loss)
+    assert math.isnan(report.final_loss)
+    assert math.isfinite(report.epoch_mean_losses[0])
+    assert math.isnan(report.epoch_mean_losses[1])
+
+
+def test_aborted_stage_report_line_is_strict_json(demo_items, tmp_path):
+    model = _model()
+    model.audio["audio.proj.weight"][:] = np.nan
+    report_path = tmp_path / "reports.jsonl"
+    ckpt_root = tmp_path / "ckpts"
+    reports = run_curriculum(model, demo_items,
+                             [StageConfig(1, "clf_and_desc", 8, 1e-3, 1)],
+                             TrainerConfig(batch_size=8),
+                             report_path=report_path,
+                             checkpoint_root=ckpt_root)
+    assert reports[0].aborted and math.isnan(reports[0].final_loss)
+
+    def no_constants(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    [line] = report_path.read_text().splitlines()
+    row = json.loads(line, parse_constant=no_constants)
+    assert row["aborted"] and row["steps"] == 0
+    assert row["initial_loss"] is None and row["final_loss"] is None
+    assert row["epoch_mean_losses"] == [None]
+    assert not ckpt_root.exists()
+
+
+def test_write_jsonl_refuses_nan(tmp_path):
+    from aqakit.files import write_jsonl
+    path = tmp_path / "rows.jsonl"
+    with pytest.raises(ValueError):
+        write_jsonl(path, [{"loss": 1.0}, {"loss": math.nan}])
+    assert not path.exists()
+
+
 def test_overfit_drives_loss_down(demo_items):
     # memorization recipe: larger output head and LoRA-A init, single-example
     # steps; 80 epochs is the short version of the 200-epoch sanity run
