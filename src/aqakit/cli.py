@@ -246,13 +246,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_answer(args) -> int:
-    from .model import (BOS_ID, SEP_ID, GenerationConfig, decode_ids,
-                        encode_text, generate, load_checkpoint)
+    from .model import (GenerationConfig, decode_ids, generate,
+                        load_checkpoint, prompt_ids)
     cfg = GenerationConfig(max_new_tokens=args.max_new_tokens, seed=args.seed)
     model = load_checkpoint(args.ckpt)
     grid = _clip_grid(args.audio)
-    prompt = np.array([BOS_ID] + encode_text(args.question) + [SEP_ID],
-                      dtype=np.int64)
+    prompt = np.array(prompt_ids(args.question), dtype=np.int64)
     new_ids = generate(model, grid, prompt, cfg)
     output = decode_ids(new_ids)
     record = {"audio_id": Path(args.audio).stem,
@@ -312,21 +311,20 @@ def _cmd_eval_classify(args) -> int:
         raise
     index = {n: i for i, n in enumerate(labels.names)}
     truth_sets = []
-    for _, truth_labels in joined:
+    truth_matrix = np.zeros((len(joined), len(labels.names)), dtype=int)
+    for row, (_, truth_labels) in zip(truth_matrix, joined):
         unknown = [t for t in truth_labels if t not in index]
         if unknown:
             raise ValueError(f"{args.truth}: truth labels outside "
                              f"{args.labels}: {unknown}")
-        truth_sets.append({index[t] for t in truth_labels})
-    truth_matrix = np.zeros((len(joined), len(labels.names)), dtype=int)
-    for row, ts in zip(truth_matrix, truth_sets):
+        ts = {index[t] for t in truth_labels}
+        truth_sets.append(ts)
         row[list(ts)] = 1
     report = {
         "n": len(joined),
         "provider": provider.name,
         "accuracy": accuracy(result.predictions,
-                             [min(ts) if len(ts) == 1 else -1
-                              for ts in truth_sets])
+                             [min(ts) for ts in truth_sets])
         if all(len(ts) == 1 for ts in truth_sets) else None,
         "micro_f1": micro_f1([{p} for p in result.predictions], truth_sets),
         "map": mean_average_precision(result.scores, truth_matrix),

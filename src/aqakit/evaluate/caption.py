@@ -6,8 +6,6 @@ from collections import Counter
 
 from .providers import _tokens
 
-__all__ = ["caption_overlap_f1"]
-
 
 def caption_overlap_f1(prediction: str, references: list[str]) -> float:
     """Max over references of the token-multiset F1.

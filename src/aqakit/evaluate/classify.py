@@ -9,16 +9,6 @@ import numpy as np
 
 from .providers import EmbeddingProvider
 
-__all__ = [
-    "LabelSet",
-    "ClassificationResult",
-    "classify_output",
-    "classify_corpus",
-    "accuracy",
-    "micro_f1",
-    "mean_average_precision",
-]
-
 
 @dataclass(frozen=True)
 class LabelSet:
@@ -40,7 +30,6 @@ class LabelSet:
 
 @dataclass
 class ClassificationResult:
-    labels: LabelSet
     scores: np.ndarray                      # samples x classes cosine matrix
     predictions: list[int]                  # argmax label index per sample
 
@@ -101,7 +90,7 @@ def classify_corpus(texts: list[str], labels: LabelSet,
         row[:] = e[cols] / norm
     scores = out @ compact.T
     # np.argmax already returns the first (lowest) index among equal maxima
-    return ClassificationResult(labels, scores,
+    return ClassificationResult(scores,
                                 [int(i) for i in np.argmax(scores, axis=1)])
 
 

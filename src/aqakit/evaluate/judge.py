@@ -5,13 +5,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-__all__ = [
-    "JUDGE_PROMPT",
-    "JudgeReport",
-    "judge_instruction_following",
-    "judge_rate",
-]
-
 JUDGE_PROMPT = ("Below is a pair of question and response. Identify if the "
                 "response answers the question. Return yes or no.")
 

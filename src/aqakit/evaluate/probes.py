@@ -13,17 +13,6 @@ import numpy as np
 
 from .providers import EmbeddingProvider
 
-__all__ = [
-    "DEFAULT_ORDER_PATTERNS",
-    "ProbeReport",
-    "extract_first_sound",
-    "order_probe",
-    "order_accuracy",
-    "parse_count",
-    "counting_probe",
-    "pearson",
-]
-
 DEFAULT_ORDER_PATTERNS = (
     r"(?:the\s+)?([\w\s,&-]+?)\s+(?:sounds?\s+)?(?:starts?|begins?)"
     r"(?:\s+and\s+ends?)?\s+first",

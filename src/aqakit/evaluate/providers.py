@@ -13,19 +13,11 @@ import functools
 import hashlib
 import re
 import time
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
 from ..remote import api_key, post_json
-
-__all__ = [
-    "EmbeddingProvider",
-    "HashedBagOfWordsProvider",
-    "ExactMatchProvider",
-    "RemoteEmbeddingProvider",
-    "cosine",
-]
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -45,7 +37,6 @@ def _token_hash(token: str) -> int:
     return int.from_bytes(hashlib.md5(token.encode("utf-8")).digest()[:8], "big")
 
 
-@runtime_checkable
 class EmbeddingProvider(Protocol):
     """text -> fixed-dimension vector; deterministic per text."""
 

@@ -3,9 +3,9 @@
 from .aig import (AIG_PROMPT, DEFAULT_UNANSWERABLE_PATTERNS, build_aig_prompt,
                   detect_unanswerable, gen_open_ended_qa, open_ended_quota,
                   parse_aig_response)
-from .closed import (DEFAULT_QUESTION_BANK, QuestionBank,
-                     gen_acoustic_feature_qa, gen_caption_qa,
-                     gen_classification_qa, gen_closed_qa, gen_temporal_qa)
+from .closed import (DEFAULT_QUESTION_BANK, gen_acoustic_feature_qa,
+                     gen_caption_qa, gen_classification_qa, gen_closed_qa,
+                     gen_temporal_qa)
 from .features import (feature_prompt, gen_feature_bank, load_feature_bank,
                        save_feature_bank)
 from .llm import RateLimiter, RealLlmClient, ReplayLlmClient, SynthLlmClient
@@ -20,7 +20,7 @@ from .stats import DatasetStats, compute_dataset_stats
 __all__ = [
     "AIG_PROMPT", "DEFAULT_UNANSWERABLE_PATTERNS", "build_aig_prompt",
     "detect_unanswerable", "gen_open_ended_qa", "open_ended_quota",
-    "parse_aig_response", "DEFAULT_QUESTION_BANK", "QuestionBank",
+    "parse_aig_response", "DEFAULT_QUESTION_BANK",
     "gen_acoustic_feature_qa", "gen_caption_qa", "gen_classification_qa",
     "gen_closed_qa", "gen_temporal_qa", "feature_prompt", "gen_feature_bank",
     "load_feature_bank", "save_feature_bank", "RateLimiter", "RealLlmClient",

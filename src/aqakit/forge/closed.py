@@ -8,47 +8,22 @@ fully determined by the meta (plus, for acoustic features, a feature bank):
   caption            repeat a reference caption
   temporal           timestamps of all events / one event / which comes first
 
-Questions are drawn uniformly from a paraphrase bank whose first entry is the
-canonical phrasing. Given the same meta, bank, and rng seed the output is
-byte-for-byte reproducible: draws happen in a fixed order (question first,
-then any per-event draws in event order).
+Questions are drawn uniformly from a paraphrase set of DEFAULT_QUESTION_BANK
+whose first entry is the canonical phrasing. Given the same meta, feature
+bank, and rng seed the output is byte-for-byte reproducible: draws happen in
+a fixed order (question first, then any per-event draws in event order).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .meta import AudioMeta, SoundEvent, format_span
 from .qa import QAPair
 
 
-@dataclass(frozen=True)
-class QuestionBank:
-    """Paraphrase sets, canonical phrasing first in each tuple.
-
-    temporal_specific entries are str.format templates with a {label} slot.
-    """
-
-    classification: tuple[str, ...]
-    acoustic_features: tuple[str, ...]
-    caption: tuple[str, ...]
-    temporal_all: tuple[str, ...]
-    temporal_specific: tuple[str, ...]
-    temporal_order: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        for name in ("classification", "acoustic_features", "caption",
-                     "temporal_all", "temporal_specific", "temporal_order"):
-            if not getattr(self, name):
-                raise ValueError(f"empty question set {name!r}")
-
-    def draw(self, family: str, rng) -> str:
-        questions = getattr(self, family)
-        return questions[int(rng.integers(len(questions)))]
-
-
-DEFAULT_QUESTION_BANK = QuestionBank(
-    classification=(
+# paraphrase sets, canonical phrasing first; temporal_specific entries are
+# str.format templates with a {label} slot
+DEFAULT_QUESTION_BANK: dict[str, tuple[str, ...]] = {
+    "classification": (
         "Classify the sound events in the audio clip.",
         "What sound events are present in the audio clip?",
         "Identify the sound events that occur in the audio clip.",
@@ -58,7 +33,7 @@ DEFAULT_QUESTION_BANK = QuestionBank(
         "What sounds occur in this audio clip?",
         "Tell me the sound events that appear in the audio clip.",
     ),
-    acoustic_features=(
+    "acoustic_features": (
         "Classify the sound events in the audio clip based on acoustic features.",
         "Identify the sound events in the audio clip from their acoustic features.",
         "Based on the acoustic features, what sound events are in the audio clip?",
@@ -68,7 +43,7 @@ DEFAULT_QUESTION_BANK = QuestionBank(
         "Which sound events do the acoustic features in this clip point to?",
         "Classify each sound in the audio clip according to its acoustic feature.",
     ),
-    caption=(
+    "caption": (
         "Write an audio caption describing the sound.",
         "Describe the audio clip in one sentence.",
         "Summarize the content of the audio clip.",
@@ -78,7 +53,7 @@ DEFAULT_QUESTION_BANK = QuestionBank(
         "Describe what you hear in the audio clip.",
         "Caption the sound in the audio clip.",
     ),
-    temporal_all=(
+    "temporal_all": (
         "Classify the sound events in the audio clip, also output the "
         "timestamp of each audio event.",
         "List the sound events in the audio clip together with their timestamps.",
@@ -90,7 +65,7 @@ DEFAULT_QUESTION_BANK = QuestionBank(
         "Give the timestamps of all sound events in the audio clip.",
         "Classify the sounds in the audio clip and report when each occurs.",
     ),
-    temporal_specific=(
+    "temporal_specific": (
         "What are the timestamps of the {label} sound in the audio clip?",
         "When does the {label} sound occur in the audio clip?",
         "At what time does the {label} sound appear in the audio clip?",
@@ -100,7 +75,7 @@ DEFAULT_QUESTION_BANK = QuestionBank(
         "During which time span does the {label} sound occur?",
         "Report when the {label} sound starts and ends in the audio clip.",
     ),
-    temporal_order=(
+    "temporal_order": (
         "Which sound begins and ends first?",
         "Which sound event occurs first in the audio clip?",
         "What is the first sound event in the audio clip?",
@@ -110,21 +85,25 @@ DEFAULT_QUESTION_BANK = QuestionBank(
         "What sound occurs at the beginning of the audio clip?",
         "Which sound event begins before all the others?",
     ),
-)
+}
+
+
+def draw(family: str, rng) -> str:
+    questions = DEFAULT_QUESTION_BANK[family]
+    return questions[int(rng.integers(len(questions)))]
 
 
 def _timed_order(events: list[SoundEvent]) -> list[SoundEvent]:
     return sorted(events, key=lambda e: (e.onset_s, e.label))
 
 
-def gen_classification_qa(m: AudioMeta, bank: QuestionBank | None,
-                          rng) -> QAPair:
+def gen_classification_qa(m: AudioMeta, bank: None, rng) -> QAPair:
     """Answer: "; "-joined distinct labels, onset order when every event is
-    timed, insertion order otherwise."""
+    timed, insertion order otherwise. bank is unused: the question comes
+    from DEFAULT_QUESTION_BANK."""
     if not m.events:
         raise ValueError(f"{m.audio_id}: no sound events to classify")
-    bank = bank or DEFAULT_QUESTION_BANK
-    question = bank.draw("classification", rng)
+    question = draw("classification", rng)
     events = (_timed_order(m.events) if all(e.timed for e in m.events)
               else m.events)
     labels: list[str] = []
@@ -137,7 +116,7 @@ def gen_classification_qa(m: AudioMeta, bank: QuestionBank | None,
 
 def gen_acoustic_feature_qa(m: AudioMeta, rng, *,
                             feature_bank: dict[str, list[str]] | None = None,
-                            bank: QuestionBank | None = None) -> QAPair:
+                            ) -> QAPair:
     """Answer: "feature → label" segments joined by "; " in event order.
 
     When a feature bank covers the event's label, the description is drawn
@@ -145,8 +124,7 @@ def gen_acoustic_feature_qa(m: AudioMeta, rng, *,
     """
     if not m.events:
         raise ValueError(f"{m.audio_id}: no sound events")
-    bank = bank or DEFAULT_QUESTION_BANK
-    question = bank.draw("acoustic_features", rng)
+    question = draw("acoustic_features", rng)
     segments = []
     for ev in m.events:
         if feature_bank and ev.label in feature_bank:
@@ -163,24 +141,18 @@ def gen_acoustic_feature_qa(m: AudioMeta, rng, *,
                   closed=True)
 
 
-def gen_caption_qa(m: AudioMeta, rng, *,
-                   bank: QuestionBank | None = None) -> list[QAPair]:
+def gen_caption_qa(m: AudioMeta, rng) -> list[QAPair]:
     """One pair per reference caption; answers are the captions verbatim
     apart from surrounding-whitespace trimming."""
     captions = [c.strip() for c in m.captions() if c.strip()]
     if not captions:
         raise ValueError(f"{m.audio_id}: no caption")
-    bank = bank or DEFAULT_QUESTION_BANK
-    pairs = []
-    for cap in captions:
-        question = bank.draw("caption", rng)
-        pairs.append(QAPair(audio_id=m.audio_id, question=question,
-                            answer=cap, task="caption", closed=True))
-    return pairs
+    return [QAPair(audio_id=m.audio_id, question=draw("caption", rng),
+                   answer=cap, task="caption", closed=True)
+            for cap in captions]
 
 
-def gen_temporal_qa(m: AudioMeta, rng, *,
-                    bank: QuestionBank | None = None) -> list[QAPair]:
+def gen_temporal_qa(m: AudioMeta, rng) -> list[QAPair]:
     """Three question families over timestamped events.
 
     all-timestamps  every event as "Label: [on s-off s]", onset order
@@ -194,18 +166,17 @@ def gen_temporal_qa(m: AudioMeta, rng, *,
         if not ev.timed:
             raise ValueError(
                 f"{m.audio_id}: event {ev.label!r} has no timestamps")
-    bank = bank or DEFAULT_QUESTION_BANK
     ordered = _timed_order(m.events)
 
     def span_line(ev: SoundEvent) -> str:
         return f"{ev.label}: {format_span(ev.onset_s, ev.offset_s)}"
 
     pairs = [QAPair(audio_id=m.audio_id,
-                    question=bank.draw("temporal_all", rng),
+                    question=draw("temporal_all", rng),
                     answer="; ".join(span_line(e) for e in ordered),
                     task="temporal", closed=True)]
 
-    template = bank.draw("temporal_specific", rng)
+    template = draw("temporal_specific", rng)
     chosen = m.events[int(rng.integers(len(m.events)))]
     matching = [e for e in ordered if e.label == chosen.label]
     pairs.append(QAPair(audio_id=m.audio_id,
@@ -216,7 +187,7 @@ def gen_temporal_qa(m: AudioMeta, rng, *,
     if len(m.events) >= 2:
         first = min(m.events, key=lambda e: (e.onset_s, e.offset_s, e.label))
         pairs.append(QAPair(audio_id=m.audio_id,
-                            question=bank.draw("temporal_order", rng),
+                            question=draw("temporal_order", rng),
                             answer=first.label, task="temporal", closed=True))
     return pairs
 

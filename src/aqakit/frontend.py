@@ -46,29 +46,17 @@ class Waveform:
             raise ValueError("waveform contains non-finite samples")
 
 
-@dataclass
 class FbankConfig:
-    n_mels: int = 128
-    window_ms: float = 25.0
-    hop_ms: float = 10.0
-    target_frames: int = 1024
-    log_floor: float = 1e-10
+    """The fixed fbank settings: 128 mel bins from 25 ms windows every
+    10 ms, padded or cut to 1024 frames."""
+
+    n_mels = 128
+    window_samples = 25 * SAMPLE_RATE_HZ // 1000
+    hop_samples = 10 * SAMPLE_RATE_HZ // 1000
+    target_frames = 1024
+    log_floor = 1e-10
     # smallest power of two >= the 400-sample window
-    n_fft: int = 512
-
-    def __post_init__(self) -> None:
-        if self.window_ms <= self.hop_ms:
-            raise ValueError("window must be longer than hop")
-        if self.log_floor <= 0:
-            raise ValueError("log_floor must be positive")
-
-    @property
-    def window_samples(self) -> int:
-        return int(round(self.window_ms * SAMPLE_RATE_HZ / 1000.0))
-
-    @property
-    def hop_samples(self) -> int:
-        return int(round(self.hop_ms * SAMPLE_RATE_HZ / 1000.0))
+    n_fft = 512
 
 
 @dataclass
@@ -108,14 +96,15 @@ def mel_to_hz(mel: np.ndarray | float) -> np.ndarray | float:
 
 
 @functools.cache
-def mel_filterbank(n_mels: int, n_fft: int) -> np.ndarray:
+def mel_filterbank() -> np.ndarray:
     """Triangular mel filters as an (n_mels, n_fft//2 + 1) matrix.
 
     Filter centers are spaced evenly on the HTK mel scale between
     MEL_FMIN_HZ and MEL_FMAX_HZ; each filter ramps linearly in Hz from its
     left neighbor's center to its own and back down to its right neighbor's.
-    Built once per (n_mels, n_fft) and shared, so the array is read-only.
+    Built once and shared, so the array is read-only.
     """
+    n_mels, n_fft = FbankConfig.n_mels, FbankConfig.n_fft
     mel_points = np.linspace(hz_to_mel(MEL_FMIN_HZ), hz_to_mel(MEL_FMAX_HZ), n_mels + 2)
     hz_points = mel_to_hz(mel_points)
     bin_freqs = np.arange(n_fft // 2 + 1) * SAMPLE_RATE_HZ / n_fft
@@ -131,17 +120,17 @@ def mel_filterbank(n_mels: int, n_fft: int) -> np.ndarray:
 
 
 @functools.cache
-def mel_bands(n_mels: int,
-              n_fft: int) -> tuple[tuple[int, int, int, int, np.ndarray], ...]:
+def mel_bands() -> tuple[tuple[int, int, int, int, np.ndarray], ...]:
     """mel_filterbank cut into FBANK_MEL_BANDS runs of consecutive mel rows.
 
     Each band is (m0, m1, b0, b1, weights): mel rows m0..m1-1, the FFT bins
     b0..b1-1 that hold every nonzero weight of those rows, and weights, the
     (bins x mels) slice bank[m0:m1, b0:b1].T. Outside its bins a band's rows
-    are zero, so the bands tile the bank. Built once per (n_mels, n_fft) from
-    mel_filterbank and shared, so the weights are read-only.
+    are zero, so the bands tile the bank. Built once from mel_filterbank and
+    shared, so the weights are read-only.
     """
-    bank = mel_filterbank(n_mels, n_fft)
+    bank = mel_filterbank()
+    n_mels = FbankConfig.n_mels
     edges = [n_mels * k // FBANK_MEL_BANDS for k in range(FBANK_MEL_BANDS + 1)]
     bands = []
     for m0, m1 in zip(edges, edges[1:]):
@@ -157,9 +146,10 @@ def compute_fbank(w: Waveform) -> LogMelSpectrogram:
     """Log mel filterbank features: 25 ms Hanning window every 10 ms.
 
     Windowed frames are zero-padded right to n_fft, power spectra are pushed
-    through the mel filterbank, and energies are clamped at cfg.log_floor
-    before the natural log. Output is padded with log(log_floor) rows, or
-    truncated, to exactly cfg.target_frames rows.
+    through the mel filterbank, and energies are clamped at
+    FbankConfig.log_floor before the natural log. Output is padded with
+    log(log_floor) rows, or truncated, to exactly FbankConfig.target_frames
+    rows.
 
     Frames are strided views of the samples and go through the FFT and the
     mel product FBANK_BLOCK_FRAMES at a time. Each block is windowed into
@@ -171,7 +161,7 @@ def compute_fbank(w: Waveform) -> LogMelSpectrogram:
     result is not bit-identical to a frame-by-frame loop but stays within
     1e-12 of it. It is deterministic for a fixed BLAS thread count.
     """
-    cfg = FbankConfig()
+    cfg = FbankConfig
     win = cfg.window_samples
     hop = cfg.hop_samples
     x = w.samples
@@ -179,7 +169,7 @@ def compute_fbank(w: Waveform) -> LogMelSpectrogram:
         raise ValueError(f"waveform shorter than one window ({win} samples)")
 
     window = np.hanning(win)
-    bands = mel_bands(cfg.n_mels, cfg.n_fft)
+    bands = mel_bands()
     segs = np.lib.stride_tricks.sliding_window_view(x, win)[::hop]
 
     n_keep = min(segs.shape[0], cfg.target_frames)

@@ -26,6 +26,7 @@ from .tokenizer import (
     build_qa_ids,
     decode_ids,
     encode_text,
+    prompt_ids,
 )
 
 __all__ = [
@@ -35,5 +36,5 @@ __all__ = [
     "GenerationConfig", "generate", "sample_next_id",
     "truncated_distribution", "save_checkpoint", "load_checkpoint",
     "BOS_ID", "EOS_ID", "PAD_ID", "SEP_ID", "VOCAB_SIZE",
-    "build_qa_ids", "decode_ids", "encode_text",
+    "build_qa_ids", "decode_ids", "encode_text", "prompt_ids",
 ]

@@ -23,18 +23,23 @@ def decode_ids(ids) -> str:
     return payload.decode("utf-8", errors="replace")
 
 
+def prompt_ids(question: str) -> list[int]:
+    """Prompt layout the model answers after: [BOS] question [SEP]."""
+    return [BOS_ID] + encode_text(question) + [SEP_ID]
+
+
 def build_qa_ids(question: str, answer: str,
                  cutoff: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Token layout for one QA example: [BOS] question [SEP] answer [EOS].
+    """Token layout for one QA example: prompt_ids(question) answer [EOS].
 
     Returns (text_ids, loss_mask) where loss_mask marks the supervised
     positions: the answer bytes and the closing EOS. With a cutoff both
     arrays are truncated to that many tokens.
     """
-    q = encode_text(question)
+    prompt = prompt_ids(question)
     a = encode_text(answer)
-    ids = [BOS_ID] + q + [SEP_ID] + a + [EOS_ID]
-    mask = [False] * (len(q) + 2) + [True] * (len(a) + 1)
+    ids = prompt + a + [EOS_ID]
+    mask = [False] * len(prompt) + [True] * (len(a) + 1)
     if cutoff is not None:
         ids = ids[:cutoff]
         mask = mask[:cutoff]

@@ -30,14 +30,13 @@ _PROJECTION_ONLY = ("audio.proj.weight", "audio.proj.bias")
 @dataclass
 class TrainerConfig:
     batch_size: int = 256
-    text_cutoff: int = 108
     seed: int = 0
+    # the paper's text cutoff in tokens; fixed, not settable
+    text_cutoff: int = field(default=108, init=False)
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.text_cutoff < 1:
-            raise ValueError("text_cutoff must be >= 1")
 
 
 @dataclass
@@ -138,22 +137,23 @@ def run_curriculum(model, corpus: list[CorpusItem],
                    report_path: str | Path | None = None,
                    checkpoint_root: str | Path | None = None,
                    ) -> list[StageReport]:
-    """All stages in order on one model. report_path is rewritten after
-    each stage with one JSON line (non-finite losses as null) per stage
-    finished in this run; checkpoints land under checkpoint_root after
-    each stage. Stops early if a stage aborts."""
+    """All stages in order on one model. After each stage its checkpoint
+    lands under checkpoint_root, then report_path is rewritten with one
+    JSON line (non-finite losses as null) per stage finished in this run,
+    so a stage whose checkpoint save raises gets no line. An aborted stage
+    gets its line and no checkpoint, and ends the run."""
     validate_curriculum(stages)
     if report_path is not None:
         write_jsonl(report_path, [])  # no lines left from an earlier run
     reports = []
     for stage in stages:
         report = run_stage(model, corpus, stage, cfg)
+        if not report.aborted and checkpoint_root is not None:
+            save_checkpoint(Path(checkpoint_root) / f"stage{stage.stage}",
+                            model)
         reports.append(report)
         if report_path is not None:
             write_jsonl(report_path, map(_report_row, reports))
         if report.aborted:
             break
-        if checkpoint_root is not None:
-            save_checkpoint(Path(checkpoint_root) / f"stage{stage.stage}",
-                            model)
     return reports

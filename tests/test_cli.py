@@ -509,6 +509,32 @@ def test_train_refuses_a_checkpoint_past_float32_range(tmp_path, capsys):
     assert "does not fit float32" in captured.err
     assert "Traceback" not in captured.err
     assert not (run / "stage1" / "manifest.txt").exists()
+    assert (run / "stage_reports.jsonl").read_text(encoding="utf-8") == ""
+
+
+def test_train_reports_a_stage_only_after_its_checkpoint(tmp_path, capsys):
+    # stage 2 takes one step at the full lr = 1e300, and its checkpoint
+    # save raises: stage 1 keeps its checkpoint and its report line
+    demo = tmp_path / "demo"
+    write_demo_corpus(demo, clips_per_class=1)
+    curriculum = tmp_path / "curriculum.ini"
+    curriculum.write_text("[stage1]\ntasks = clf_and_desc\nn_samples = 8\n"
+                          "lr = 1e-3\nepochs = 1\n"
+                          "[stage2]\ntasks = clf_and_desc\nn_samples = 8\n"
+                          "lr = 1e300\nepochs = 1\n", encoding="utf-8")
+    run = tmp_path / "run"
+    assert main(["train", "--manifest", str(demo / "manifest.jsonl"),
+                 "--audio-dir", str(demo / "audio"),
+                 "--curriculum", str(curriculum), "--batch", "8",
+                 "--out", str(run)]) == 2
+    captured = capsys.readouterr()
+    assert f"{run / 'stage2'}: tensor " in captured.err
+    assert "Traceback" not in captured.err
+    assert (run / "stage1" / "manifest.txt").exists()
+    assert not (run / "stage2").exists()
+    lines = (run / "stage_reports.jsonl").read_text(
+        encoding="utf-8").splitlines()
+    assert [json.loads(line)["stage"] for line in lines] == [1]
 
 
 CURRICULUM_FAULTS = {

@@ -5,6 +5,7 @@ The long literals below are frozen oracles; the generators must reproduce
 them byte for byte.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from aqakit.forge import (
     write_meta_jsonl,
 )
 from aqakit.forge.llm import ReplayLlmClient
+from aqakit.synthetic import write_demo_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -203,7 +205,7 @@ def test_classification_golden_answer():
     qa = gen_classification_qa(ambulance_meta(), None, np.random.default_rng(0))
     assert qa.answer == CLASSIFICATION_ANSWER
     assert qa.task == "classification" and qa.closed
-    assert qa.question in DEFAULT_QUESTION_BANK.classification
+    assert qa.question in DEFAULT_QUESTION_BANK["classification"]
     assert qa.audio_id == "amb01"
 
 
@@ -242,7 +244,7 @@ def test_question_draw_covers_bank_including_base():
         qa = gen_classification_qa(ambulance_meta(), None,
                                    np.random.default_rng(seed))
         seen.add(qa.question)
-    assert DEFAULT_QUESTION_BANK.classification[0] in seen
+    assert DEFAULT_QUESTION_BANK["classification"][0] in seen
     assert len(seen) > 1
 
 
@@ -253,7 +255,7 @@ def test_acoustic_golden_answer_via_feature_bank():
                                  feature_bank=bank)
     assert qa.answer == ACOUSTIC_ANSWER
     assert qa.task == "acoustic_features" and qa.closed
-    assert qa.question in DEFAULT_QUESTION_BANK.acoustic_features
+    assert qa.question in DEFAULT_QUESTION_BANK["acoustic_features"]
 
 
 def test_acoustic_uses_event_features_without_bank():
@@ -288,7 +290,7 @@ def test_caption_golden_answer():
     assert len(pairs) == 1
     assert pairs[0].answer == AMBULANCE_CAPTION
     assert pairs[0].task == "caption" and pairs[0].closed
-    assert pairs[0].question in DEFAULT_QUESTION_BANK.caption
+    assert pairs[0].question in DEFAULT_QUESTION_BANK["caption"]
 
 
 def test_caption_trims_whitespace():
@@ -312,7 +314,7 @@ def test_caption_missing_rejected():
 def test_temporal_golden_all_timestamps_answer():
     pairs = gen_temporal_qa(ambulance_meta(), np.random.default_rng(0))
     assert pairs[0].answer == TEMPORAL_ANSWER
-    assert pairs[0].question in DEFAULT_QUESTION_BANK.temporal_all
+    assert pairs[0].question in DEFAULT_QUESTION_BANK["temporal_all"]
     assert all(p.task == "temporal" and p.closed for p in pairs)
 
 
@@ -365,7 +367,7 @@ def test_temporal_order_names_min_onset_event():
     ])
     order = gen_temporal_qa(m, np.random.default_rng(0))[2]
     assert order.answer == "Hail"
-    assert order.question in DEFAULT_QUESTION_BANK.temporal_order
+    assert order.question in DEFAULT_QUESTION_BANK["temporal_order"]
 
 
 def test_temporal_order_breaks_onset_tie_by_offset():
@@ -398,6 +400,21 @@ def test_closed_generators_deterministic_per_seed():
         return [qa_to_dict(p) for p in out]
 
     assert run() == run()
+
+
+def test_demo_corpus_matches_golden_hashes(tmp_path):
+    # pins the question table's order and every draw of the forged corpus,
+    # which two runs in one process cannot tell apart
+    write_demo_corpus(tmp_path, seed=0)
+    want = {
+        "meta.jsonl":
+            "24764b97b9683217a08fb65584224127f8bd9228ff90bd4c74273e0356227422",
+        "manifest.jsonl":
+            "a74f567245d1b0cba1426d9df0083dc46a450b93d2ac91e14dec97144ba852b3",
+    }
+    for name, digest in want.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
+            == digest, name
 
 
 # -- open-ended prompt and parsing --------------------------------------------

@@ -146,7 +146,7 @@ def per_frame_fbank(x: np.ndarray) -> np.ndarray:
     win, hop = cfg.window_samples, cfg.hop_samples
     n_frames = (x.size - win) // hop + 1
     window = np.hanning(win)
-    bank = mel_filterbank(cfg.n_mels, cfg.n_fft)
+    bank = mel_filterbank()
     frames = np.full((cfg.target_frames, cfg.n_mels), np.log(cfg.log_floor))
     for i in range(min(n_frames, cfg.target_frames)):
         power = np.abs(np.fft.rfft(x[i * hop:i * hop + win] * window, n=cfg.n_fft)) ** 2
@@ -176,8 +176,8 @@ def test_fbank_matches_per_frame_loop(n_samples: int) -> None:
 
 def test_mel_filterbank_is_built_once_and_read_only() -> None:
     cfg = FbankConfig()
-    bank = mel_filterbank(cfg.n_mels, cfg.n_fft)
-    assert mel_filterbank(cfg.n_mels, cfg.n_fft) is bank
+    bank = mel_filterbank()
+    assert mel_filterbank() is bank
     with pytest.raises(ValueError):
         bank[0, 0] = 1.0
     np.testing.assert_allclose(bank, oracle_mel_bank(cfg), rtol=0, atol=1e-12)
@@ -185,9 +185,9 @@ def test_mel_filterbank_is_built_once_and_read_only() -> None:
 
 def test_mel_bands_tile_the_bank() -> None:
     cfg = FbankConfig()
-    bank = mel_filterbank(cfg.n_mels, cfg.n_fft)
-    bands = mel_bands(cfg.n_mels, cfg.n_fft)
-    assert mel_bands(cfg.n_mels, cfg.n_fft) is bands
+    bank = mel_filterbank()
+    bands = mel_bands()
+    assert mel_bands() is bands
     assert len(bands) == FBANK_MEL_BANDS
     rebuilt = np.zeros_like(bank)
     next_row = 0

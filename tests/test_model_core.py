@@ -28,6 +28,7 @@ from aqakit.model import (
     llama_7b_geometry,
     load_checkpoint,
     next_token_loss,
+    prompt_ids,
     save_checkpoint,
 )
 from aqakit.model import decoder, sampling
@@ -69,6 +70,15 @@ def test_qa_layout_and_mask() -> None:
     assert mask.tolist() == [False, False, False, False, True, True, True, True]
     ids_cut, mask_cut = build_qa_ids("ab", "xyz", cutoff=5)
     assert ids_cut.size == 5 and mask_cut.size == 5
+
+
+@given(st.text(), st.text())
+def test_qa_ids_start_with_the_prompt(question: str, answer: str) -> None:
+    prompt = prompt_ids(question)
+    ids, mask = build_qa_ids(question, answer)
+    assert prompt[0] == BOS_ID and prompt[-1] == SEP_ID
+    assert ids[:len(prompt)].tolist() == prompt
+    assert not mask[:len(prompt)].any() and mask[len(prompt):].all()
 
 
 # -- LoRA --------------------------------------------------------------------

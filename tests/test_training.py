@@ -190,8 +190,6 @@ def test_lr_bounds_and_degenerate_spans():
 def test_trainer_config_validation():
     with pytest.raises(ValueError):
         TrainerConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainerConfig(text_cutoff=0)
 
 
 # -- the training loop -------------------------------------------------------------
