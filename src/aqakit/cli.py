@@ -110,15 +110,12 @@ def _make_provider(args):
 # -- subcommands -----------------------------------------------------------------
 
 def _cmd_forge_closed(args) -> int:
-    from .forge import (gen_closed_qa, load_feature_bank, read_meta_jsonl,
-                        write_manifest)
+    from .forge import (gen_closed_manifest, load_feature_bank,
+                        read_meta_jsonl, write_manifest)
     metas = read_meta_jsonl(args.meta)
     bank = load_feature_bank(args.feature_bank) if args.feature_bank else None
-    pairs = []
     with _naming(args.meta):
-        for i, meta in enumerate(metas):
-            pairs.extend(gen_closed_qa(
-                meta, np.random.default_rng([args.seed, i]), feature_bank=bank))
+        pairs = gen_closed_manifest(metas, args.seed, feature_bank=bank)
     skipped = len(metas) - sum(p.task == "acoustic_features" for p in pairs)
     if skipped:
         _eprint(f"forge-closed: no acoustic features for {skipped} clips "

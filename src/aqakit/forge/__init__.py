@@ -4,8 +4,8 @@ from .aig import (AIG_PROMPT, DEFAULT_UNANSWERABLE_PATTERNS, build_aig_prompt,
                   detect_unanswerable, gen_open_ended_qa, open_ended_quota,
                   parse_aig_response)
 from .closed import (DEFAULT_QUESTION_BANK, gen_acoustic_feature_qa,
-                     gen_caption_qa, gen_classification_qa, gen_closed_qa,
-                     gen_temporal_qa)
+                     gen_caption_qa, gen_classification_qa,
+                     gen_closed_manifest, gen_closed_qa, gen_temporal_qa)
 from .features import (feature_prompt, gen_feature_bank, load_feature_bank,
                        save_feature_bank)
 from .llm import RateLimiter, RealLlmClient, ReplayLlmClient, SynthLlmClient
@@ -22,7 +22,8 @@ __all__ = [
     "detect_unanswerable", "gen_open_ended_qa", "open_ended_quota",
     "parse_aig_response", "DEFAULT_QUESTION_BANK",
     "gen_acoustic_feature_qa", "gen_caption_qa", "gen_classification_qa",
-    "gen_closed_qa", "gen_temporal_qa", "feature_prompt", "gen_feature_bank",
+    "gen_closed_manifest", "gen_closed_qa", "gen_temporal_qa",
+    "feature_prompt", "gen_feature_bank",
     "load_feature_bank", "save_feature_bank", "RateLimiter", "RealLlmClient",
     "ReplayLlmClient", "SynthLlmClient", "AudioMeta", "SoundEvent", "format_span",
     "meta_from_dict", "meta_to_dict", "read_meta_jsonl", "serialize_meta",

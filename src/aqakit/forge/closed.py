@@ -16,6 +16,8 @@ a fixed order (question first, then any per-event draws in event order).
 
 from __future__ import annotations
 
+import numpy as np
+
 from .meta import AudioMeta, SoundEvent, format_span
 from .qa import QAPair
 
@@ -206,4 +208,16 @@ def gen_closed_qa(m: AudioMeta, rng, *,
         pass
     pairs.extend(gen_caption_qa(m, rng))
     pairs.extend(gen_temporal_qa(m, rng))
+    return pairs
+
+
+def gen_closed_manifest(metas: list[AudioMeta], seed: int, *,
+                        feature_bank: dict[str, list[str]] | None = None,
+                        ) -> list[QAPair]:
+    """gen_closed_qa over every clip in order; clip i draws from its own
+    default_rng([seed, i]), so its pairs do not depend on the other clips."""
+    pairs = []
+    for i, meta in enumerate(metas):
+        pairs.extend(gen_closed_qa(meta, np.random.default_rng([seed, i]),
+                                   feature_bank=feature_bank))
     return pairs

@@ -1,8 +1,14 @@
-"""Checkpoints: a text manifest (config plus a tensor table) next to one raw
-little-endian float32 blob file."""
+"""Checkpoints: a text manifest next to one raw little-endian float32 blob
+file. Every manifest line follows from the model's config: the format line,
+lora_only=0, one config.NAME=VALUE line per config field, then one
+`tensor NAME float32 SHAPE OFFSET NBYTES` line per tensor in name order,
+the tensors back to back in the blob. load_checkpoint reads the integer
+config values, writes the manifest again for that config and requires the
+file to be equal to it line for line."""
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +20,7 @@ MANIFEST_NAME = "manifest.txt"
 BLOB_NAME = "tensors.bin"
 
 # config lines in manifest order; those of the fixed adapter layout hold the
-# decoder's constants, and load_checkpoint rejects a file with others
+# decoder's constants, the others a DecoderConfig field each
 _LAYOUT = {"lora_rank": str(LORA_RANK), "lora_alpha": str(LORA_ALPHA),
            "lora_targets": ",".join(LORA_TARGETS)}
 _CONFIG_LINES = ("n_layers", "n_heads", "d_model", "vocab_size", "max_seq_len",
@@ -23,104 +29,64 @@ _CONFIG_LINES = ("n_layers", "n_heads", "d_model", "vocab_size", "max_seq_len",
 
 
 def _collect_tensors(model: AudioTextLm) -> dict[str, np.ndarray]:
-    """Every tensor of the model by its checkpoint name; the arrays are the
-    model's own, so writing into them changes the model."""
-    return {**{"base." + name: arr for name, arr in model.base.items()},
-            **{"lora." + name: arr for name, arr in model.lora.items()},
-            **model.audio}
+    """Every tensor of the model by its checkpoint name, in name order; the
+    arrays are the model's own, so writing into them changes the model."""
+    return dict(sorted({**{"base." + name: arr for name, arr in model.base.items()},
+                        **{"lora." + name: arr for name, arr in model.lora.items()},
+                        **model.audio}.items()))
+
+
+def _manifest_lines(model: AudioTextLm) -> list[str]:
+    """The lines of the manifest save_checkpoint writes for model; they
+    depend on model.cfg alone. lora_only=1 marked the adapter-only
+    directories of older versions, which load_checkpoint rejects."""
+    lines = ["format=aqakit-checkpoint-v1", "lora_only=0"]
+    lines += [f"config.{f}={_LAYOUT[f] if f in _LAYOUT else getattr(model.cfg, f)}"
+              for f in _CONFIG_LINES]
+    offset = 0
+    for name, arr in _collect_tensors(model).items():
+        shape = "x".join(str(s) for s in arr.shape)
+        lines.append(f"tensor {name} float32 {shape} {offset} {4 * arr.size}")
+        offset += 4 * arr.size
+    return lines
 
 
 def save_checkpoint(path: str | Path, model: AudioTextLm) -> None:
     """Write manifest + blob into the directory at path (created if needed).
     A tensor not finite in float32 raises RuntimeError before any write."""
     path = Path(path)
-    tensors = _collect_tensors(model)
-
-    # lora_only=1 marked adapter-only directories, which load_checkpoint
-    # still rejects when they come from older versions
-    lines = ["format=aqakit-checkpoint-v1", "lora_only=0"]
-    lines += [f"config.{f}={_LAYOUT[f] if f in _LAYOUT else getattr(model.cfg, f)}"
-              for f in _CONFIG_LINES]
-
     blob = bytearray()
-    for name in sorted(tensors):
+    for name, arr in _collect_tensors(model).items():
         with np.errstate(over="ignore"):
-            arr = tensors[name].astype("<f4")
+            arr = arr.astype("<f4")
         if not np.isfinite(arr).all():
             raise RuntimeError(f"{path}: tensor {name} does not fit float32")
-        offset = len(blob)
-        raw = arr.tobytes()
-        blob.extend(raw)
-        shape = "x".join(str(s) for s in arr.shape) if arr.shape else "scalar"
-        lines.append(f"tensor {name} float32 {shape} {offset} {len(raw)}")
+        blob.extend(arr.tobytes())
 
     path.mkdir(parents=True, exist_ok=True)
     (path / BLOB_NAME).write_bytes(bytes(blob))
-    (path / MANIFEST_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _tensor_entry(line: str) -> tuple[str, tuple[int, ...], int, int]:
-    """(name, shape, offset, nbytes) of one tensor line."""
-    fields = line.split(" ")
-    if len(fields) != 6:
-        raise ValueError(f"tensor line has {len(fields)} fields, expected 6: "
-                         f"tensor NAME float32 SHAPE OFFSET NBYTES")
-    _, name, dtype, shape_s, offset_s, nbytes_s = fields
-    if dtype != "float32":
-        raise ValueError(f"unsupported tensor dtype {dtype}")
-    try:
-        shape = tuple() if shape_s == "scalar" else tuple(
-            int(s) for s in shape_s.split("x"))
-        return name, shape, int(offset_s), int(nbytes_s)
-    except ValueError:
-        raise ValueError(f"tensor {name}: shape {shape_s!r}, offset "
-                         f"{offset_s!r} and size {nbytes_s!r} must be "
-                         f"integers") from None
-
-
-def _parse_manifest(manifest: Path):
-    """The config and tensor table of a manifest file. config maps the key
-    of each key=value line to (value, line number); table holds (name,
-    shape, offset, nbytes, line number) per tensor line. Any other line,
-    or a tensor line that does not parse, raises ValueError naming the
-    file and the line."""
-    config: dict[str, tuple[str, int]] = {}
-    table = []
-    for line_no, line in enumerate(read_text(manifest).splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            if line.startswith("tensor "):
-                table.append((*_tensor_entry(line), line_no))
-            elif "=" in line:
-                key, value = line.split("=", 1)
-                config[key] = (value, line_no)
-            else:
-                raise ValueError("neither key=value nor a tensor line")
-        except ValueError as exc:
-            raise ValueError(f"{manifest}:{line_no}: {exc}") from None
-    return config, table
+    (path / MANIFEST_NAME).write_text("\n".join(_manifest_lines(model)) + "\n",
+                                      encoding="utf-8")
 
 
 def load_checkpoint(path: str | Path) -> AudioTextLm:
     """Rebuild a full model from a directory written by save_checkpoint.
-    A manifest that does not describe such a model raises ValueError
-    naming the manifest file, and the line at fault when there is one."""
+    A manifest other than the one save_checkpoint writes for its config,
+    or a blob of another size, raises ValueError naming the manifest file,
+    and the line at fault when there is one."""
     manifest = Path(path) / MANIFEST_NAME
-    config, table = _parse_manifest(manifest)
 
     def bad(problem, line_no: int | None = None) -> ValueError:
         where = manifest if line_no is None else f"{manifest}:{line_no}"
         return ValueError(f"{where}: {problem}")
 
-    value, line_no = config.get("lora_only", (None, None))
-    if value == "1":
-        raise bad("holds only LoRA adapters, not a full model", line_no)
-    for f, want in _LAYOUT.items():
-        value, line_no = config.get("config." + f, (None, None))
-        if value != want:
-            raise bad(f"config.{f} is {value}, but the adapter layout is "
-                      f"fixed at {f}={want}", line_no)
+    got = read_text(manifest).split("\n")
+    if got[-1] == "":   # the newline that ends the last line
+        got.pop()
+    config = {}
+    for line_no, line in enumerate(got, start=1):
+        key, _, value = line.partition("=")
+        config[key] = (value, line_no)
     sizes = {}
     for f in _CONFIG_LINES:
         if f in _LAYOUT:
@@ -137,38 +103,27 @@ def load_checkpoint(path: str | Path) -> AudioTextLm:
         model = AudioTextLm(DecoderConfig(**sizes))
     except ValueError as exc:
         raise bad(exc) from None
+
+    want = _manifest_lines(model)
+    for line_no, pair in enumerate(zip_longest(want, got), start=1):
+        if pair[0] != pair[1]:
+            w, g = ("the end of the file" if s is None else repr(s) for s in pair)
+            raise bad(f"expected {w}, got {g}", line_no)
+
     tensors = _collect_tensors(model)
-    missing = set(tensors) - {name for name, *_ in table}
-    if missing:
-        raise bad(f"checkpoint lacks tensor {min(missing)}")
-    blob = (Path(path) / BLOB_NAME).read_bytes()
-    seen = set()
-    # save_checkpoint writes the tensors back to back in manifest order, so
-    # an offset anywhere else points into another tensor's bytes
-    end = 0
-    for name, shape, offset, nbytes, line_no in table:
-        if name not in tensors:
-            raise bad(f"unexpected tensor {name}", line_no)
-        if name in seen:
-            raise bad(f"tensor {name} is listed twice", line_no)
-        seen.add(name)
-        dst = tensors[name]
-        if shape != dst.shape or nbytes != 4 * dst.size:
-            raise bad(f"tensor {name} has shape {shape} and {nbytes} bytes, "
-                      f"the model expects shape {dst.shape}", line_no)
-        if offset != end:
-            raise bad(f"tensor {name} starts at byte {offset} of {BLOB_NAME}, "
-                      f"not at {end}: the tensors lie back to back in "
-                      f"manifest order", line_no)
-        end = offset + nbytes
-        if end > len(blob):
-            raise bad(f"tensor {name} spans bytes {offset}..{end} "
-                      f"of {BLOB_NAME}, which holds {len(blob)}", line_no)
-        raw = np.frombuffer(blob, dtype="<f4", count=dst.size, offset=offset)
+    blob_path = Path(path) / BLOB_NAME
+    blob = blob_path.read_bytes()
+    size = sum(4 * arr.size for arr in tensors.values())
+    if len(blob) != size:
+        raise bad(f"the tensor table spans {size} bytes, but {blob_path} "
+                  f"holds {len(blob)}")
+    flat = np.frombuffer(blob, dtype="<f4")
+    start = 0
+    first_line = len(want) - len(tensors) + 1
+    for line_no, (name, dst) in enumerate(tensors.items(), start=first_line):
+        raw = flat[start:start + dst.size]
+        start += dst.size
         if not np.isfinite(raw).all():
             raise bad(f"tensor {name} holds non-finite values", line_no)
-        dst[...] = raw.reshape(shape)
-    if end != len(blob):
-        raise bad(f"tensor {name} ends at byte {end}, but {BLOB_NAME} holds "
-                  f"{len(blob)}", line_no)
+        dst[...] = raw.reshape(dst.shape)
     return model

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .forge import (AudioMeta, QAPair, SoundEvent, gen_closed_qa,
+from .forge import (AudioMeta, QAPair, SoundEvent, gen_closed_manifest,
                     write_manifest, write_meta_jsonl)
 from .frontend import (PatchGrid, SAMPLE_RATE_HZ, Waveform, compute_fbank,
                        patchify, write_wav)
@@ -77,14 +77,6 @@ def build_demo_corpus(clips_per_class: int = 5, seed: int = 0,
     return metas, waves
 
 
-def demo_qa_manifest(metas: list[AudioMeta], seed: int = 0) -> list[QAPair]:
-    """Five closed-ended pairs per clip via the regular generators."""
-    pairs: list[QAPair] = []
-    for i, meta in enumerate(metas):
-        pairs.extend(gen_closed_qa(meta, np.random.default_rng([seed, i])))
-    return pairs
-
-
 def patch_grids_for(waves: dict[str, Waveform]) -> dict[str, PatchGrid]:
     return {audio_id: patchify(compute_fbank(w))
             for audio_id, w in waves.items()}
@@ -99,7 +91,7 @@ def make_demo_items(clips_per_class: int = 5, seed: int = 0,
                     ) -> list[CorpusItem]:
     """One call from corpus design to trainer-ready items."""
     metas, waves = build_demo_corpus(clips_per_class, seed)
-    pairs = demo_qa_manifest(metas, seed)
+    pairs = gen_closed_manifest(metas, seed)
     return corpus_items(pairs, patch_grids_for(waves))
 
 
@@ -113,7 +105,7 @@ def write_demo_corpus(out_dir: str | Path, clips_per_class: int = 5,
     metas, waves = build_demo_corpus(clips_per_class, seed)
     for audio_id, wave in waves.items():
         write_wav(audio_dir / f"{audio_id}.wav", wave)
-    pairs = demo_qa_manifest(metas, seed)
+    pairs = gen_closed_manifest(metas, seed)
     write_meta_jsonl(out / "meta.jsonl", metas)
     write_manifest(out / "manifest.jsonl", pairs)
     return {"clips": len(waves), "pairs": len(pairs)}

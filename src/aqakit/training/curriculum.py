@@ -109,7 +109,9 @@ def filter_tasks(rows: list, s: StageConfig) -> list:
 
 # -- curriculum files ---------------------------------------------------------
 
-_SECTION = re.compile(r"^stage(\d+)$")
+# [stageN] with N in ASCII digits and no leading zero: each section is
+# read back as f"stage{N}"
+_SECTION = re.compile(r"^stage(0|[1-9][0-9]*)$")
 _STAGE_KEYS = {"tasks", "n_samples", "lr", "epochs"}
 
 

@@ -544,6 +544,8 @@ CURRICULUM_FAULTS = {
     "bad_continuation": b"[stage1]\n  continued\ntasks = all\n",
     "not_utf8": b"[stage1]\ntasks = a\xffll\n",
     "empty": b"",
+    "leading_zero": b"[stage01]\ntasks = all\nn_samples = 8\nlr = 1e-3\n"
+                    b"epochs = 1\n",
 }
 
 
@@ -561,6 +563,8 @@ def test_train_names_a_malformed_curriculum_file(demo_dir, tmp_path, capsys,
     assert f"{curriculum}: " in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
     assert not run.exists()
+    if b"[stage01]" in raw:
+        assert f"{curriculum}: unexpected section [stage01]" in captured.err
 
 
 def test_answer_writes_single_json_line_to_out(demo_dir, tmp_path, capsys):

@@ -3,6 +3,8 @@ invariance, losses, gradient checking, checkpoints."""
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -750,8 +752,10 @@ def test_loss_and_grads_checks_the_length_of_the_whole_sequence() -> None:
 
 # -- checkpoints -------------------------------------------------------------
 
-def test_checkpoint_roundtrip(tmp_path) -> None:
-    cfg = tiny_cfg()
+@pytest.mark.parametrize("cfg", [tiny_cfg(), DecoderConfig(),
+                                 DecoderConfig(n_layers=0)],
+                         ids=["tiny", "default", "no_layers"])
+def test_checkpoint_roundtrip(tmp_path, cfg) -> None:
     model = AudioTextLm(cfg, seed=31)
     save_checkpoint(tmp_path / "ckpt", model)
     loaded = load_checkpoint(tmp_path / "ckpt")
@@ -763,6 +767,11 @@ def test_checkpoint_roundtrip(tmp_path) -> None:
     for name, arr in model.trainable_parameters().items():
         np.testing.assert_array_equal(loaded_params[name],
                                       arr.astype("<f4").astype(np.float64))
+    # the loaded model writes the same manifest and blob again
+    save_checkpoint(tmp_path / "again", loaded)
+    for name in ("manifest.txt", "tensors.bin"):
+        assert ((tmp_path / "again" / name).read_bytes()
+                == (tmp_path / "ckpt" / name).read_bytes())
     audio = random_audio(cfg, 32)
     ids = np.array([BOS_ID, 97, 98])
     # float32 storage: forwards agree to float32 precision
@@ -781,12 +790,22 @@ GOLDEN_MANIFEST_HEADER = [
 ]
 
 
+# sha256 of the whole manifest of the default model; it follows from the
+# config alone, so every seed writes it
+GOLDEN_MANIFEST_SHA256 = ("59f18b6ab0c8990a5ab64320ae6344c9"
+                          "63c6986b22122dceecbb23c9f72ad15d")
+
+
 def test_manifest_header_is_pinned(tmp_path) -> None:
-    save_checkpoint(tmp_path / "ckpt", AudioTextLm(DecoderConfig(), seed=0))
-    lines = (tmp_path / "ckpt" / "manifest.txt").read_text(
-        encoding="utf-8").splitlines()
+    for seed in (0, 1):
+        save_checkpoint(tmp_path / f"seed{seed}",
+                        AudioTextLm(DecoderConfig(), seed=seed))
+    raw = (tmp_path / "seed0" / "manifest.txt").read_bytes()
+    lines = raw.decode("utf-8").splitlines()
     assert lines[:len(GOLDEN_MANIFEST_HEADER)] == GOLDEN_MANIFEST_HEADER
     assert lines[len(GOLDEN_MANIFEST_HEADER)].startswith("tensor ")
+    assert hashlib.sha256(raw).hexdigest() == GOLDEN_MANIFEST_SHA256
+    assert (tmp_path / "seed1" / "manifest.txt").read_bytes() == raw
 
 
 @pytest.mark.parametrize("old, new, key", [
@@ -842,15 +861,41 @@ def test_load_rejects_a_missing_or_non_integer_config_line(tmp_path, capsys,
     assert "Traceback" not in captured.err and captured.out == ""
 
 
-def test_load_rejects_adapter_only_checkpoint(tmp_path) -> None:
-    save_checkpoint(tmp_path / "ckpt", AudioTextLm(tiny_cfg(), seed=33))
-    manifest = tmp_path / "ckpt" / "manifest.txt"
+def answer_fails(tmp_path, capsys, ckpt) -> str:
+    """stderr of `aqakit answer` on ckpt, which must exit 1 without a
+    traceback or any output."""
+    wav = tmp_path / "clip.wav"
+    write_wav(wav, Waveform(np.zeros(16000)))
+    assert main(["answer", "--audio", str(wav), "--question", "what is it?",
+                 "--ckpt", str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and captured.out == ""
+    return captured.err
+
+
+def differs_at(manifest, line_no: int, written: list[str],
+               edited: list[str]) -> str:
+    """The error for an edited manifest whose line line_no is the first
+    that differs from the written one."""
+    def shown(lines):
+        return (repr(lines[line_no - 1]) if line_no <= len(lines)
+                else "the end of the file")
+    return f"{manifest}:{line_no}: expected {shown(written)}, got {shown(edited)}"
+
+
+def test_load_rejects_adapter_only_checkpoint(tmp_path, capsys) -> None:
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, AudioTextLm(tiny_cfg(), seed=33))
+    manifest = ckpt / "manifest.txt"
     text = manifest.read_text(encoding="utf-8")
     assert "\nlora_only=0\n" in text
     manifest.write_text(text.replace("lora_only=0", "lora_only=1"),
                         encoding="utf-8")
-    with pytest.raises(ValueError, match="only LoRA adapters"):
-        load_checkpoint(tmp_path / "ckpt")
+    message = f"{manifest}:2: expected 'lora_only=0', got 'lora_only=1'"
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(ckpt)
+    assert str(err.value) == message
+    assert message in answer_fails(tmp_path, capsys, ckpt)
 
 
 def _drop_line(prefix: str):
@@ -863,33 +908,109 @@ def _repeat_line(prefix: str):
                                     if ln.startswith(prefix))
 
 
-# tiny_cfg: audio.proj.weight is d_audio x d_model = 8 x 16
-@pytest.mark.parametrize("edit, tensor", [
-    (_drop_line("tensor base.layers.0.attn.wq "), "base.layers.0.attn.wq"),
-    (lambda text: text + "tensor audio.extra float32 4 0 16\n", "audio.extra"),
+# tiny_cfg: audio.proj.weight is d_audio x d_model = 8 x 16. Each case: the
+# edit, the tensor the error shows, and the start of the written line the
+# error is at (None: one past the last line)
+@pytest.mark.parametrize("edit, tensor, at", [
+    (_drop_line("tensor base.layers.0.attn.wq "), "base.layers.0.attn.wq",
+     "tensor base.layers.0.attn.wq "),
+    (lambda text: text + "tensor audio.extra float32 4 0 16\n", "audio.extra",
+     None),
     (lambda text: text.replace("tensor audio.proj.weight float32 8x16 ",
                                "tensor audio.proj.weight float32 16x8 "),
-     "audio.proj.weight"),
-    (_repeat_line("tensor audio.proj.bias "), "audio.proj.bias is listed twice"),
+     "audio.proj.weight", "tensor audio.proj.weight "),
+    (_repeat_line("tensor audio.proj.bias "), "audio.proj.bias", None),
 ], ids=["missing", "extra", "wrong_shape", "duplicate"])
 def test_load_rejects_a_tensor_table_that_does_not_fit(tmp_path, capsys, edit,
-                                                       tensor) -> None:
+                                                       tensor, at) -> None:
     ckpt = tmp_path / "ckpt"
     save_checkpoint(ckpt, AudioTextLm(tiny_cfg(), seed=34))
     manifest = ckpt / "manifest.txt"
     text = manifest.read_text(encoding="utf-8")
     manifest.write_text(edit(text), encoding="utf-8")
-    assert manifest.read_text(encoding="utf-8") != text
-    with pytest.raises(ValueError, match=tensor):
+    written, edited = text.splitlines(), edit(text).splitlines()
+    assert edited != written
+    line_no = len(written) + 1 if at is None else next(
+        i for i, ln in enumerate(written, start=1) if ln.startswith(at))
+    message = differs_at(manifest, line_no, written, edited)
+    assert f"tensor {tensor} " in message
+    with pytest.raises(ValueError) as err:
         load_checkpoint(ckpt)
+    assert str(err.value) == message
+    assert message in answer_fails(tmp_path, capsys, ckpt)
 
-    wav = tmp_path / "clip.wav"
-    write_wav(wav, Waveform(np.zeros(16000)))
-    assert main(["answer", "--audio", str(wav), "--question", "what is it?",
-                 "--ckpt", str(ckpt)]) == 1
-    captured = capsys.readouterr()
-    assert tensor in captured.err and "Traceback" not in captured.err
-    assert captured.out == ""
+
+# the config lines whose values build the model the manifest is checked
+# against; without one of them there is nothing to compare
+INTEGER_CONFIG_KEYS = {f"config.{f.name}" for f in dataclasses.fields(DecoderConfig)}
+
+# one line of the written manifest (lines, index) -> the edited lines
+LINE_EDITS = {
+    "trailing_space": lambda lines, i: lines[:i] + [lines[i] + " "] + lines[i + 1:],
+    "blanked": lambda lines, i: lines[:i] + [""] + lines[i + 1:],
+    "blank_before": lambda lines, i: lines[:i] + [""] + lines[i:],
+    "dropped": lambda lines, i: lines[:i] + lines[i + 1:],
+}
+
+
+@pytest.mark.parametrize("edit", LINE_EDITS)
+def test_load_names_the_first_manifest_line_that_differs(tmp_path,
+                                                         edit) -> None:
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, AudioTextLm(tiny_cfg(), seed=39))
+    manifest = ckpt / "manifest.txt"
+    written = manifest.read_text(encoding="utf-8").splitlines()
+    # a blank line can also follow the last line
+    for i in range(len(written) + (edit == "blank_before")):
+        edited = LINE_EDITS[edit](written, i)
+        manifest.write_text("".join(ln + "\n" for ln in edited),
+                            encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(ckpt)
+        key = written[i].partition("=")[0] if i < len(written) else None
+        if edit in ("blanked", "dropped") and key in INTEGER_CONFIG_KEYS:
+            assert str(err.value) == f"{manifest}: manifest lacks {key}"
+        else:
+            assert str(err.value) == differs_at(manifest, i + 1, written, edited)
+
+
+# manifests no save_checkpoint writes: an edit of the written lines -> the
+# error after the manifest path (tiny_cfg has two layers and d_audio 8)
+MALFORMED_MANIFESTS = {
+    "other_format": (
+        lambda lines: ["format=something-else"] + lines[1:],
+        "1: expected 'format=aqakit-checkpoint-v1', got 'format=something-else'"),
+    "extra_line": (
+        lambda lines: lines[:2] + ["colour=blue"] + lines[2:],
+        "3: expected 'config.n_layers=2', got 'colour=blue'"),
+    "blank_line": (
+        lambda lines: lines[:13] + [""] + lines[13:],
+        "14: expected 'tensor audio.enc.bias float32 8 0 32', got ''"),
+    "config_line_twice": (
+        lambda lines: lines[:2] + ["config.n_layers=3"] + lines[2:],
+        "3: expected 'config.n_layers=2', got 'config.n_layers=3'"),
+    "sorted_lines": (
+        sorted, "1: expected 'format=aqakit-checkpoint-v1', got 'config.d_audio=8'"),
+    "no_lora_only": (
+        lambda lines: lines[:1] + lines[2:],
+        "2: expected 'lora_only=0', got 'config.n_layers=2'"),
+}
+
+
+@pytest.mark.parametrize("fault", MALFORMED_MANIFESTS)
+def test_load_rejects_a_manifest_save_checkpoint_does_not_write(
+        tmp_path, capsys, fault) -> None:
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, AudioTextLm(tiny_cfg(), seed=40))
+    manifest = ckpt / "manifest.txt"
+    edit, problem = MALFORMED_MANIFESTS[fault]
+    lines = edit(manifest.read_text(encoding="utf-8").splitlines())
+    manifest.write_text("".join(ln + "\n" for ln in lines), encoding="utf-8")
+    message = f"{manifest}:{problem}"
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(ckpt)
+    assert str(err.value) == message
+    assert message in answer_fails(tmp_path, capsys, ckpt)
 
 
 # the first tensor line's fields -> the bytes written in its place
@@ -962,21 +1083,14 @@ def test_load_rejects_a_truncated_blob(tmp_path, capsys) -> None:
     ckpt = tmp_path / "ckpt"
     save_checkpoint(ckpt, AudioTextLm(tiny_cfg(), seed=35))
     blob = ckpt / "tensors.bin"
-    half = blob.stat().st_size // 2
-    blob.write_bytes(blob.read_bytes()[:half])
-    # the table is sorted by name; the first tensor running past the cut
-    table = [ln.split() for ln in (ckpt / "manifest.txt").read_text().splitlines()
-             if ln.startswith("tensor ")]
-    tensor = next(name for _, name, _, _, off, n in table if int(off) + int(n) > half)
-
-    wav = tmp_path / "clip.wav"
-    write_wav(wav, Waveform(np.zeros(16000)))
-    assert main(["answer", "--audio", str(wav), "--question", "what is it?",
-                 "--ckpt", str(ckpt)]) == 1
-    captured = capsys.readouterr()
-    assert f"tensor {tensor} spans" in captured.err
-    assert "tensors.bin" in captured.err and "Traceback" not in captured.err
-    assert captured.out == ""
+    size = blob.stat().st_size
+    blob.write_bytes(blob.read_bytes()[:size // 2])
+    message = (f"{ckpt / 'manifest.txt'}: the tensor table spans {size} "
+               f"bytes, but {blob} holds {size // 2}")
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(ckpt)
+    assert str(err.value) == message
+    assert message in answer_fails(tmp_path, capsys, ckpt)
 
 
 def _shift_offset(manifest, name: str, by: int) -> None:
@@ -988,42 +1102,31 @@ def _shift_offset(manifest, name: str, by: int) -> None:
     manifest.write_text("".join(lines), encoding="utf-8")
 
 
-# fault -> what the error says; an offset moved into another tensor stays
-# aligned and inside the blob
-TILING_FAULTS = {"offset_into_other_tensor": "not at",
-                 "first_not_at_zero": "not at 0:",
-                 "trailing_bytes": "ends at byte"}
-
-
-@pytest.mark.parametrize("fault", TILING_FAULTS)
+@pytest.mark.parametrize("fault", ["offset_into_other_tensor",
+                                   "first_not_at_zero", "trailing_bytes"])
 def test_load_rejects_tensors_that_do_not_tile_the_blob(tmp_path, capsys,
                                                        fault) -> None:
     ckpt = tmp_path / "ckpt"
     save_checkpoint(ckpt, AudioTextLm(tiny_cfg(), seed=38))
     manifest = ckpt / "manifest.txt"
     blob = ckpt / "tensors.bin"
-    lines = manifest.read_text(encoding="utf-8").splitlines()
-    table = {ln.split(" ")[1]: line_no for line_no, ln in enumerate(lines, start=1)
+    size = blob.stat().st_size
+    written = manifest.read_text(encoding="utf-8").splitlines()
+    table = {ln.split(" ")[1]: line_no for line_no, ln in enumerate(written, start=1)
              if ln.startswith("tensor ")}
-    if fault == "offset_into_other_tensor":
-        tensor = "base.out.w"
-        _shift_offset(manifest, tensor, -400)
-    elif fault == "first_not_at_zero":
-        tensor = next(iter(table))
-        _shift_offset(manifest, tensor, 4)
-    else:   # the last tensor is named
-        tensor = list(table)[-1]
+    if fault == "trailing_bytes":
         blob.write_bytes(blob.read_bytes() + b"\0" * 8)
-    where = f"{manifest}:{table[tensor]}: tensor {tensor} "
+        message = (f"{manifest}: the tensor table spans {size} bytes, "
+                   f"but {blob} holds {size + 8}")
+    else:
+        # an offset moved into another tensor stays aligned and inside the blob
+        tensor, by = (("base.out.w", -400) if fault == "offset_into_other_tensor"
+                      else (next(iter(table)), 4))
+        _shift_offset(manifest, tensor, by)
+        edited = manifest.read_text(encoding="utf-8").splitlines()
+        message = differs_at(manifest, table[tensor], written, edited)
+        assert f"tensor {tensor} " in message
     with pytest.raises(ValueError) as err:
         load_checkpoint(ckpt)
-    assert str(err.value).startswith(where)
-    assert TILING_FAULTS[fault] in str(err.value)
-
-    wav = tmp_path / "clip.wav"
-    write_wav(wav, Waveform(np.zeros(16000)))
-    assert main(["answer", "--audio", str(wav), "--question", "what is it?",
-                 "--ckpt", str(ckpt)]) == 1
-    captured = capsys.readouterr()
-    assert where in captured.err and "Traceback" not in captured.err
-    assert captured.out == ""
+    assert str(err.value) == message
+    assert message in answer_fails(tmp_path, capsys, ckpt)
