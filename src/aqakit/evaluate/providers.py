@@ -17,7 +17,7 @@ from typing import Protocol
 
 import numpy as np
 
-from ..remote import api_key, post_json
+from ..remote import api_key, new_session, post_json
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -104,8 +104,7 @@ class RemoteEmbeddingProvider:
                  dimension: int = 1536, session=None, sleep=time.sleep):
         self._key = api_key(api_key_env)
         if session is None:
-            import requests
-            session = requests.Session()
+            session = new_session()
         self.dimension = dimension
         self._url = url
         self._session = session

@@ -13,10 +13,8 @@ import re
 import time
 from typing import Callable
 
-import requests
-
 from ..evaluate.judge import JUDGE_PROMPT
-from ..remote import api_key, post_json
+from ..remote import api_key, new_session, post_json
 from .aig import AIG_PROMPT
 from .features import FEATURE_PROMPT_PREFIX, FEATURE_PROMPT_SUFFIX
 
@@ -58,7 +56,9 @@ class RealLlmClient:
                  sleep: Callable[[float], None] = time.sleep) -> None:
         self._url = url
         self._key = api_key(api_key_env)
-        self._session = session or requests.Session()
+        if session is None:
+            session = new_session()
+        self._session = session
         self._sleep = sleep
         self._limiter = RateLimiter(self.MAX_PER_MINUTE, sleep=sleep)
 

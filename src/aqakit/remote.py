@@ -1,6 +1,8 @@
-"""The one HTTP path to an outside model: the API key from the environment
-and a JSON POST retried with backoff. The LLM client and the remote
-embedding provider both go through it."""
+"""The one HTTP path to an outside model: the API key from the environment,
+a new HTTP session from `new_session`, and a JSON POST retried with
+backoff. The LLM client and the remote embedding provider both go through
+it. `new_session` is the only place `requests` is imported, so offline
+commands never load the HTTP stack and run without the package."""
 
 from __future__ import annotations
 
@@ -19,6 +21,16 @@ def api_key(env: str) -> str:
     if not key:
         raise RuntimeError(f"no API key: set the {env} environment variable")
     return key
+
+
+def new_session():
+    """A new `requests.Session`; RuntimeError if `requests` is not installed."""
+    try:
+        import requests
+    except ImportError as exc:
+        raise RuntimeError(
+            f"the remote clients need the 'requests' package: {exc}") from None
+    return requests.Session()
 
 
 def post_json(session, url: str, key: str, body: dict,

@@ -126,6 +126,15 @@ def test_real_llm_without_url_exits_1(demo_dir, tmp_path, capsys):
     assert "--llm-url" in capsys.readouterr().err
 
 
+def _run_fresh(code, *args, **env):
+    """Run `code` in a new interpreter that imports aqakit from this tree."""
+    src = str(Path(aqakit.__file__).resolve().parents[1])
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env)
+
+
 # what pip's console-script wrapper does, driven from a fresh interpreter
 _LAUNCHER = """\
 import sys
@@ -148,12 +157,7 @@ def test_console_script_installed(demo_dir):
     assert scripts.get("aqakit") == "aqakit.cli:main"
 
     args = ["stats", "--manifest", str(demo_dir / "manifest.jsonl")]
-    src = str(Path(aqakit.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _LAUNCHER, scripts["aqakit"], *args],
-        capture_output=True, text=True, env=env)
+    proc = _run_fresh(_LAUNCHER, scripts["aqakit"], *args)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["total_pairs"] == 200, proc.stderr
 
@@ -163,6 +167,55 @@ def test_console_script_installed(demo_dir):
                              text=True)
         assert exe.returncode == 0, exe.stderr
         assert exe.stdout == proc.stdout
+
+
+# certifi is left out: site hooks may import it when the interpreter starts
+HTTP_STACK = ("requests", "urllib3", "ssl", "http.client")
+
+
+def test_importing_aqakit_loads_no_http_stack():
+    proc = _run_fresh(
+        "import sys\n"
+        "import aqakit.cli, aqakit.forge, aqakit.evaluate, aqakit.model\n"
+        "import aqakit.training, aqakit.synthetic, aqakit.frontend\n"
+        "import aqakit.files, aqakit.remote\n"
+        f"print([m for m in {HTTP_STACK!r} if m in sys.modules])\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+# main() in an interpreter where `import requests` fails and sockets raise
+_WITHOUT_REQUESTS = """\
+import socket, sys
+def no_network(*args, **kwargs):
+    raise AssertionError("network touched")
+socket.socket.connect = socket.create_connection = no_network
+sys.modules["requests"] = None
+from aqakit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_offline_commands_run_without_requests(demo_dir, capsys):
+    args = ["stats", "--manifest", str(demo_dir / "manifest.jsonl")]
+    assert main(args) == 0
+    normal = capsys.readouterr().out
+    proc = _run_fresh(_WITHOUT_REQUESTS, *args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == normal
+
+
+def test_remote_client_without_requests_exits_2_naming_it(demo_dir, tmp_path):
+    out = tmp_path / "open.jsonl"
+    proc = _run_fresh(_WITHOUT_REQUESTS, "forge-open",
+                      "--meta", str(demo_dir / "meta.jsonl"),
+                      "--llm-url", "http://127.0.0.1:9", "--out", str(out),
+                      LLM_API_KEY="k")
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("aqakit: "), proc.stderr
+    assert "'requests'" in lines[0]
+    assert proc.stdout == "" and not out.exists()
 
 
 # -- forging ----------------------------------------------------------------------

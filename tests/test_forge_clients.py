@@ -158,6 +158,31 @@ def test_real_client_requires_api_key(monkeypatch):
         RealLlmClient("http://example.invalid/v1")
 
 
+def _remote_clients(session=None):
+    return (RealLlmClient("http://example.invalid/v1", session=session),
+            RemoteEmbeddingProvider("http://example.invalid/emb",
+                                    session=session))
+
+
+def test_remote_clients_build_a_requests_session_when_given_none(monkeypatch):
+    monkeypatch.setenv("LLM_API_KEY", "k")
+    for client in _remote_clients():
+        assert isinstance(client._session, requests.Session)
+
+
+class FalsySession(RecordingSession):
+    def __len__(self):
+        return 0
+
+
+def test_remote_clients_keep_a_falsy_session(monkeypatch):
+    monkeypatch.setenv("LLM_API_KEY", "k")
+    session = FalsySession({})
+    assert not session
+    for client in _remote_clients(session):
+        assert client._session is session
+
+
 def test_real_client_retries_with_backoff(monkeypatch):
     monkeypatch.setenv("LLM_API_KEY", "k")
     sleeps = []
