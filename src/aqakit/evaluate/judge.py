@@ -5,8 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-JUDGE_PROMPT = ("Below is a pair of question and response. Identify if the "
-                "response answers the question. Return yes or no.")
+from ..prompts import JUDGE_PROMPT
 
 _VERDICT_RE = re.compile(r"[a-z]+")
 

@@ -13,7 +13,7 @@ import re
 import time
 from typing import Callable
 
-from ..evaluate.judge import JUDGE_PROMPT
+from ..prompts import JUDGE_PROMPT
 from ..remote import api_key, new_session, post_json
 from .aig import AIG_PROMPT
 from .features import FEATURE_PROMPT_PREFIX, FEATURE_PROMPT_SUFFIX

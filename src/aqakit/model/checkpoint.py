@@ -3,18 +3,22 @@ file. Every manifest line follows from the model's config: the format line,
 lora_only=0, one config.NAME=VALUE line per config field, then one
 `tensor NAME float32 SHAPE OFFSET NBYTES` line per tensor in name order,
 the tensors back to back in the blob. load_checkpoint reads the integer
-config values, writes the manifest again for that config and requires the
-file to be equal to it line for line."""
+config values, requires the blob to hold the bytes that config implies,
+writes the manifest again for that config and requires the file to be equal
+to it line for line; only then does it build the model."""
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from ..files import read_text
-from .decoder import LORA_ALPHA, LORA_RANK, LORA_TARGETS, AudioTextLm, DecoderConfig
+from .decoder import (LORA_ALPHA, LORA_RANK, LORA_TARGETS, AudioTextLm, DecoderConfig,
+                      tensor_shapes)
 
 MANIFEST_NAME = "manifest.txt"
 BLOB_NAME = "tensors.bin"
@@ -28,26 +32,47 @@ _CONFIG_LINES = ("n_layers", "n_heads", "d_model", "vocab_size", "max_seq_len",
                  "mlp_ratio", "lora_targets")
 
 
+def _by_checkpoint_name(groups: dict[str, dict]) -> dict:
+    """The entries of groups (base, lora, audio, as AudioTextLm and
+    tensor_shapes key them) under their checkpoint names, in name order."""
+    return dict(sorted({("" if group == "audio" else group + ".") + name: value
+                        for group, entries in groups.items()
+                        for name, value in entries.items()}.items()))
+
+
 def _collect_tensors(model: AudioTextLm) -> dict[str, np.ndarray]:
     """Every tensor of the model by its checkpoint name, in name order; the
     arrays are the model's own, so writing into them changes the model."""
-    return dict(sorted({**{"base." + name: arr for name, arr in model.base.items()},
-                        **{"lora." + name: arr for name, arr in model.lora.items()},
-                        **model.audio}.items()))
+    return _by_checkpoint_name({"base": model.base, "lora": model.lora,
+                                "audio": model.audio})
 
 
-def _manifest_lines(model: AudioTextLm) -> list[str]:
-    """The lines of the manifest save_checkpoint writes for model; they
-    depend on model.cfg alone. lora_only=1 marked the adapter-only
-    directories of older versions, which load_checkpoint rejects."""
+def _blob_bytes(cfg: DecoderConfig) -> int:
+    """The size of the blob of a model of config cfg. Every layer holds the
+    same tensors, so the shape table is built for no layer and for one, not
+    for cfg.n_layers, and nothing of the size of a tensor is allocated."""
+    def nbytes(n_layers: int) -> int:
+        shapes = tensor_shapes(dataclasses.replace(cfg, n_layers=n_layers))
+        return 4 * sum(math.prod(shape) for group in shapes.values()
+                       for shape in group.values())
+
+    none = nbytes(0)
+    return none + cfg.n_layers * (nbytes(1) - none)
+
+
+def _manifest_lines(cfg: DecoderConfig) -> list[str]:
+    """The lines of the manifest save_checkpoint writes for a model of
+    config cfg. lora_only=1 marked the adapter-only directories of older
+    versions, which load_checkpoint rejects."""
     lines = ["format=aqakit-checkpoint-v1", "lora_only=0"]
-    lines += [f"config.{f}={_LAYOUT[f] if f in _LAYOUT else getattr(model.cfg, f)}"
+    lines += [f"config.{f}={_LAYOUT[f] if f in _LAYOUT else getattr(cfg, f)}"
               for f in _CONFIG_LINES]
     offset = 0
-    for name, arr in _collect_tensors(model).items():
-        shape = "x".join(str(s) for s in arr.shape)
-        lines.append(f"tensor {name} float32 {shape} {offset} {4 * arr.size}")
-        offset += 4 * arr.size
+    for name, shape in _by_checkpoint_name(tensor_shapes(cfg)).items():
+        nbytes = 4 * math.prod(shape)
+        dims = "x".join(str(s) for s in shape)
+        lines.append(f"tensor {name} float32 {dims} {offset} {nbytes}")
+        offset += nbytes
     return lines
 
 
@@ -65,7 +90,7 @@ def save_checkpoint(path: str | Path, model: AudioTextLm) -> None:
 
     path.mkdir(parents=True, exist_ok=True)
     (path / BLOB_NAME).write_bytes(bytes(blob))
-    (path / MANIFEST_NAME).write_text("\n".join(_manifest_lines(model)) + "\n",
+    (path / MANIFEST_NAME).write_text("\n".join(_manifest_lines(model.cfg)) + "\n",
                                       encoding="utf-8")
 
 
@@ -100,24 +125,25 @@ def load_checkpoint(path: str | Path) -> AudioTextLm:
         except ValueError:
             raise bad(f"{key} is {value!r}, not an integer", line_no) from None
     try:
-        model = AudioTextLm(DecoderConfig(**sizes))
+        cfg = DecoderConfig(**sizes)
     except ValueError as exc:
         raise bad(exc) from None
 
-    want = _manifest_lines(model)
+    # the blob's size is checked before the manifest's lines, which take
+    # a line per tensor, and before the model is built
+    blob_path = Path(path) / BLOB_NAME
+    size, held = _blob_bytes(cfg), blob_path.stat().st_size
+    if held != size:
+        raise bad(f"the tensor table spans {size} bytes, but {blob_path} holds {held}")
+    want = _manifest_lines(cfg)
     for line_no, pair in enumerate(zip_longest(want, got), start=1):
         if pair[0] != pair[1]:
             w, g = ("the end of the file" if s is None else repr(s) for s in pair)
             raise bad(f"expected {w}, got {g}", line_no)
 
+    model = AudioTextLm(cfg)
     tensors = _collect_tensors(model)
-    blob_path = Path(path) / BLOB_NAME
-    blob = blob_path.read_bytes()
-    size = sum(4 * arr.size for arr in tensors.values())
-    if len(blob) != size:
-        raise bad(f"the tensor table spans {size} bytes, but {blob_path} "
-                  f"holds {len(blob)}")
-    flat = np.frombuffer(blob, dtype="<f4")
+    flat = np.frombuffer(blob_path.read_bytes(), dtype="<f4")
     start = 0
     first_line = len(want) - len(tensors) + 1
     for line_no, (name, dst) in enumerate(tensors.items(), start=first_line):

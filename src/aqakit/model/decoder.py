@@ -18,9 +18,21 @@ Training runs only the rows its loss reads. loss_and_grads finds the read
 span, the text rows from the first to the last supervised target (row t
 predicts token t + 1), and stops the forward after the span: a causal row
 feeds only the rows after it. Rows before the span still feed it through
-the last layer's keys and values, so that layer computes keys and values
-for every row but its queries, attention output, MLP, final norm and head
-on the span alone (forward's read_from), and _backward mirrors this.
+the last layer's keys and values, so that layer takes the merged q/k/v
+product of every row but attends, and runs its MLP, final norm and head,
+from the span's queries alone (forward's read_from); _backward mirrors this.
+Splitting that product to form queries for the span only measured slower.
+
+Attention scales the (rows, d_head) queries by 1/sqrt(d_head) before
+their product with the keys, not the (rows, keys) scores after it, and the
+backward puts the scale on dq and dk. The softmax backward's row term,
+sum_j dP_ij P_ij, is taken as dctx_i . ctx_i (ctx = P v), a product over
+d_head lanes instead of a pass over the attention tensor. When sqrt(d_head)
+is a power of two, as at the default d_head of 16, scaling the queries is
+exact: logits, prefill and step outputs and greedy ids are bit for bit
+those of scaling the scores. At other widths they differ by float64
+rounding. Gradients differ from the score-space formulas by rounding at
+every width (tested to 1e-12 of each tensor's largest entry).
 
 The causal mask is boolean, True where a key may be attended to. The
 softmax takes each row's max over the kept lanes and exponentiates only
@@ -128,54 +140,61 @@ class KvCache:
     w_qkv: list[np.ndarray]
 
 
+def tensor_shapes(c: DecoderConfig) -> dict[str, dict[str, tuple[int, ...]]]:
+    """The shape of every tensor of an AudioTextLm of config c, by group
+    (base, lora, audio) and name, in the order __init__ creates them."""
+    d, h = c.d_model, c.mlp_ratio * c.d_model
+    base = {"tok_emb": (c.vocab_size, d), "pos_emb": (c.max_seq_len, d),
+            "final_ln.gamma": (d,), "final_ln.beta": (d,), "out.w": (c.vocab_size, d)}
+    lora = {}
+    for i in range(c.n_layers):
+        p = f"layers.{i}."
+        base.update({p + "ln1.gamma": (d,), p + "ln1.beta": (d,),
+                     p + "ln2.gamma": (d,), p + "ln2.beta": (d,)})
+        base.update({p + f"attn.{w}": (d, d) for w in ("wq", "wk", "wv", "wo")})
+        base.update({p + "mlp.w1": (h, d), p + "mlp.b1": (h,),
+                     p + "mlp.w2": (d, h), p + "mlp.b2": (d,)})
+        for t in LORA_TARGETS:
+            lora[p + f"attn.{t}.lora_A"] = (LORA_RANK, d)
+            lora[p + f"attn.{t}.lora_B"] = (d, LORA_RANK)
+    audio = {"audio.enc.weight": (PATCH_SIDE * PATCH_SIDE, c.d_audio),
+             "audio.enc.bias": (c.d_audio,),
+             "audio.enc.pos": (2 * c.n_audio_tokens, 8, c.d_audio),
+             "audio.proj.weight": (c.d_audio, d), "audio.proj.bias": (d,)}
+    return {"base": base, "lora": lora, "audio": audio}
+
+
 class AudioTextLm:
     """Frozen decoder + LoRA + trainable audio path, one example at a time."""
 
     def __init__(self, cfg: DecoderConfig | None = None, seed: int = 0,
                  out_scale: float = 0.125, lora_a_scale: float = 0.01):
         self.cfg = cfg or DecoderConfig()
-        c = self.cfg
+        shapes = tensor_shapes(self.cfg)
         rng = np.random.default_rng(seed)
-        d, h = c.d_model, c.mlp_ratio * c.d_model
+        enc_rng, proj_rng = (np.random.default_rng(seed + k) for k in (1, 2))
 
+        def init(name: str, shape: tuple[int, ...], std: float,
+                 stream: np.random.Generator) -> np.ndarray:
+            # norm gains start at one; norm offsets, biases and adapter B
+            # at zero; everything else is a normal draw from stream
+            if name.endswith("gamma"):
+                return np.ones(shape)
+            if name.endswith(("beta", "bias", ".b1", ".b2", "lora_B")):
+                return np.zeros(shape)
+            return stream.normal(0.0, std, size=shape)
+
+        base_std = {"tok_emb": 0.02, "pos_emb": 0.02, "out.w": out_scale}
         self.base: dict[str, np.ndarray] = {
-            "tok_emb": rng.normal(0.0, 0.02, size=(c.vocab_size, d)),
-            "pos_emb": rng.normal(0.0, 0.02, size=(c.max_seq_len, d)),
-            "final_ln.gamma": np.ones(d),
-            "final_ln.beta": np.zeros(d),
-            "out.w": rng.normal(0.0, out_scale, size=(c.vocab_size, d)),
-        }
-        for i in range(c.n_layers):
-            p = f"layers.{i}."
-            self.base[p + "ln1.gamma"] = np.ones(d)
-            self.base[p + "ln1.beta"] = np.zeros(d)
-            self.base[p + "ln2.gamma"] = np.ones(d)
-            self.base[p + "ln2.beta"] = np.zeros(d)
-            for w in ("wq", "wk", "wv", "wo"):
-                self.base[p + f"attn.{w}"] = rng.normal(0.0, BASE_SCALE, size=(d, d))
-            self.base[p + "mlp.w1"] = rng.normal(0.0, BASE_SCALE, size=(h, d))
-            self.base[p + "mlp.b1"] = np.zeros(h)
-            self.base[p + "mlp.w2"] = rng.normal(0.0, BASE_SCALE, size=(d, h))
-            self.base[p + "mlp.b2"] = np.zeros(d)
-
-        self.lora: dict[str, np.ndarray] = {}
-        for i in range(c.n_layers):
-            for t in LORA_TARGETS:
-                self.lora[f"layers.{i}.attn.{t}.lora_A"] = rng.normal(
-                    0.0, lora_a_scale, size=(LORA_RANK, d))
-                self.lora[f"layers.{i}.attn.{t}.lora_B"] = np.zeros((d, LORA_RANK))
-
-        enc_rng = np.random.default_rng(seed + 1)
+            name: init(name, shape, base_std.get(name, BASE_SCALE), rng)
+            for name, shape in shapes["base"].items()}
+        self.lora: dict[str, np.ndarray] = {
+            name: init(name, shape, lora_a_scale, rng)
+            for name, shape in shapes["lora"].items()}
         self.audio: dict[str, np.ndarray] = {
-            "audio.enc.weight": enc_rng.normal(
-                0.0, AUDIO_INIT_SCALE, size=(PATCH_SIDE * PATCH_SIDE, c.d_audio)),
-            "audio.enc.bias": np.zeros(c.d_audio),
-            "audio.enc.pos": enc_rng.normal(
-                0.0, AUDIO_INIT_SCALE, size=(2 * c.n_audio_tokens, 8, c.d_audio)),
-            "audio.proj.weight": np.random.default_rng(seed + 2).normal(
-                0.0, AUDIO_INIT_SCALE, size=(c.d_audio, d)),
-            "audio.proj.bias": np.zeros(d),
-        }
+            name: init(name, shape, AUDIO_INIT_SCALE,
+                       proj_rng if name == "audio.proj.weight" else enc_rng)
+            for name, shape in shapes["audio"].items()}
 
     # -- parameter bookkeeping ------------------------------------------
 
@@ -326,22 +345,26 @@ class AudioTextLm:
             past.keys[i, :, past.length:end] = kh
             past.values[i, :, past.length:end] = vh
             keys, values = past.keys[i, :, :end], past.values[i, :, :end]
-        scores = qh @ keys.transpose(0, 2, 1)
-        scores /= np.sqrt(c.d_head)
+        scores = (qh / np.sqrt(c.d_head)) @ keys.transpose(0, 2, 1)
         probs = _softmax_rows(scores, causal)
-        ctx = probs @ values
-        ctx_flat = ctx.transpose(1, 0, 2).reshape(n - first, c.d_model)
-        attn_out = ctx_flat @ self.base[p + "attn.wo"].T
-        x_mid = x[first:] + attn_out
+        # each head's output is written straight into its lanes of ctx_flat
+        ctx_flat = np.empty((n - first, c.d_model))
+        ctx = ctx_flat.reshape(n - first, c.n_heads, c.d_head).transpose(1, 0, 2)
+        np.matmul(probs, values, out=ctx)
+        x_mid = ctx_flat @ self.base[p + "attn.wo"].T
+        x_mid += x[first:]
 
         h2, ln2_cache = _ln_forward(x_mid, self.base[p + "ln2.gamma"],
                                     self.base[p + "ln2.beta"])
-        z = h2 @ self.base[p + "mlp.w1"].T + self.base[p + "mlp.b1"]
-        t = np.tanh(z)
-        mlp_out = t @ self.base[p + "mlp.w2"].T + self.base[p + "mlp.b2"]
-        return x_mid + mlp_out, {
+        z = h2 @ self.base[p + "mlp.w1"].T
+        z += self.base[p + "mlp.b1"]
+        t = np.tanh(z, out=z)
+        out = t @ self.base[p + "mlp.w2"].T
+        out += self.base[p + "mlp.b2"]
+        out += x_mid
+        return out, {
             "h1": h1, "ln1": ln1_cache, "qh": qh, "kh": kh, "vh": vh,
-            "probs": probs, "ln2": ln2_cache, "t": t, "first": first,
+            "probs": probs, "ctx": ctx, "ln2": ln2_cache, "t": t, "first": first,
         }
 
     # -- incremental decoding --------------------------------------------
@@ -424,30 +447,25 @@ class AudioTextLm:
             first = lc["first"]
 
             # MLP branch: x = x_mid + mlp(h2)
-            dmlp = dx
-            dt = dmlp @ self.base[p + "mlp.w2"]
-            dz = dt * (1.0 - lc["t"] ** 2)
-            dh2 = dz @ self.base[p + "mlp.w1"]
-            dx_mid = dx + _ln_backward(dh2, lc["ln2"], self.base[p + "ln2.gamma"])
+            # dz = (1 - t^2) * dt, formed in place
+            t = lc["t"]
+            dz = t * t
+            np.subtract(1.0, dz, out=dz)
+            dz *= dx @ self.base[p + "mlp.w2"]
+            dx_mid = _ln_backward(dz @ self.base[p + "mlp.w1"], lc["ln2"],
+                                  self.base[p + "ln2.gamma"])
+            dx_mid += dx
 
             # attention branch: x_mid = x_in + attn(h1)
-            dattn = dx_mid
-            dctx_flat = dattn @ self.base[p + "attn.wo"]
+            dctx_flat = dx_mid @ self.base[p + "attn.wo"]
             dctx = dctx_flat.reshape(total - first, c.n_heads, c.d_head).transpose(1, 0, 2)
-            probs, vh, qh, kh = lc["probs"], lc["vh"], lc["qh"], lc["kh"]
-            dvh = probs.transpose(0, 2, 1) @ dctx
-            # probs * (dprobs - sum(dprobs * probs)), formed in place in dprobs
-            dscores = dctx @ vh.transpose(0, 2, 1)
-            dscores -= (dscores * probs).sum(axis=2, keepdims=True)
-            dscores *= probs
-            dscores /= np.sqrt(c.d_head)
-
-            # [dq | dk | dv], laid out like h1 @ w_qkv; dq is 0 before first
+            # [dq | dk | dv], laid out like h1 @ w_qkv; dq is 0 before first.
+            # Each head's gradients are written straight into their lanes.
             dqkv = np.empty((total, 3, c.n_heads, c.d_head))
             dqkv[:first, 0] = 0.0
-            dqkv[first:, 0] = (dscores @ kh).transpose(1, 0, 2)
-            dqkv[:, 1] = (dscores.transpose(0, 2, 1) @ qh).transpose(1, 0, 2)
-            dqkv[:, 2] = dvh.transpose(1, 0, 2)
+            heads = dqkv.transpose(1, 2, 0, 3)
+            _attention_backward(dctx, lc, c.d_head,
+                                heads[0, :, first:], heads[1], heads[2])
             dqkv = dqkv.reshape(total, 3 * c.d_model)
             h1 = lc["h1"]
             dh1 = dqkv @ cache["w_qkv"][i].T
@@ -503,20 +521,53 @@ def _causal_mask(n: int, start: int) -> np.ndarray:
 
 
 def _ln_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
-    # the sums numpy's x.mean and x.var take, with the mean taken once
+    # the sums numpy's x.mean and x.var take, with the mean taken once. The
+    # (rows, d) arrays are updated in place, the (rows, 1) statistics not:
+    # at one row, as in step, the extra calls cost more than they save
     n = x.shape[1]
-    d = x - np.add.reduce(x, 1, keepdims=True) / n
-    ivar = 1.0 / np.sqrt(np.add.reduce(d * d, 1, keepdims=True) / n + LN_EPS)
-    xhat = d * ivar
-    return xhat * gamma + beta, (xhat, ivar)
+    xhat = x - np.add.reduce(x, 1, keepdims=True) / n
+    ivar = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, 1, keepdims=True) / n + LN_EPS)
+    xhat *= ivar
+    out = xhat * gamma
+    out += beta
+    return out, (xhat, ivar)
 
 
 def _ln_backward(dy: np.ndarray, ln_cache, gamma: np.ndarray) -> np.ndarray:
+    # ivar * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), with numpy's
+    # mean arithmetic, formed in place in dxhat
     xhat, ivar = ln_cache
+    n = xhat.shape[1]
     dxhat = dy * gamma
-    mean_dxhat = dxhat.mean(axis=1, keepdims=True)
-    mean_dxhat_xhat = (dxhat * xhat).mean(axis=1, keepdims=True)
-    return ivar * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+    mean_dxhat = np.add.reduce(dxhat, 1, keepdims=True) / n
+    mean_dxhat_xhat = np.add.reduce(dxhat * xhat, 1, keepdims=True) / n
+    dxhat -= mean_dxhat
+    dxhat -= xhat * mean_dxhat_xhat
+    dxhat *= ivar
+    return dxhat
+
+
+def _attention_backward(dctx: np.ndarray, lc: dict, d_head: int,
+                        dq: np.ndarray, dk: np.ndarray, dv: np.ndarray) -> None:
+    """Write the gradients on one layer's queries, keys and values into dq,
+    dk and dv, shaped like lc's qh, kh and vh, from dctx, the gradient on
+    its attention output ctx = P v, and the layer's cache lc.
+
+    The softmax backward is P * (dP - rowsum(dP * P)), formed in place in
+    dP; its row term rowsum(dP * P) is dctx . ctx for each row, since
+    sum_j dP_ij P_ij = dctx_i . sum_j P_ij v_j. The scores were
+    (q / sqrt(d_head)) k^T, so dq and dk take the scale.
+    """
+    probs = lc["probs"]
+    dscores = dctx @ lc["vh"].transpose(0, 2, 1)
+    dscores -= np.add.reduce(dctx * lc["ctx"], 2, keepdims=True)
+    dscores *= probs
+    scale = np.sqrt(d_head)
+    np.matmul(dscores, lc["kh"], out=dq)
+    dq /= scale
+    np.matmul(dscores.transpose(0, 2, 1), lc["qh"], out=dk)
+    dk /= scale
+    np.matmul(probs.transpose(0, 2, 1), dctx, out=dv)
 
 
 def _softmax_rows(scores: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:

@@ -84,7 +84,10 @@ def sample_next_id(logits: np.ndarray, emitted_ids, cfg: GenerationConfig,
     if cfg.temperature == 0.0:
         return int(np.argmax(logits))
     kept, kept_probs = truncated_distribution(logits, cfg)
-    return int(rng.choice(kept, p=kept_probs))
+    # rng.choice(kept, p=kept_probs)'s own draw, without its checks of p
+    cdf = np.cumsum(kept_probs)
+    cdf /= cdf[-1]
+    return int(kept[cdf.searchsorted(rng.random(), side="right")])
 
 
 def generate(model, audio, prompt_ids, cfg: GenerationConfig) -> np.ndarray:

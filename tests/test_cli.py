@@ -184,6 +184,15 @@ def test_importing_aqakit_loads_no_http_stack():
     assert proc.stdout == "[]\n"
 
 
+def test_importing_forge_loads_no_evaluate_module():
+    proc = _run_fresh(
+        "import sys\n"
+        "import aqakit.forge\n"
+        "print([m for m in sys.modules if m.startswith('aqakit.evaluate')])\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # main() in an interpreter where `import requests` fails and sockets raise
 _WITHOUT_REQUESTS = """\
 import socket, sys

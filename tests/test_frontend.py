@@ -243,6 +243,16 @@ def test_patchify_roundtrip_bit_exact() -> None:
         assert np.array_equal(back.frames, frames)
 
 
+@pytest.mark.parametrize("shape", [(1024, 128), (32, 16), (16, 32)])
+def test_patchify_grid_shares_no_memory_with_the_spectrogram(shape) -> None:
+    frames = np.random.default_rng(12).normal(size=shape)
+    grid = patchify(LogMelSpectrogram(frames)).patches
+    assert grid.flags.c_contiguous and not np.shares_memory(grid, frames)
+    frames[:] = 0.0
+    assert np.array_equal(reassemble_patches(PatchGrid(grid)).frames,
+                          np.random.default_rng(12).normal(size=shape))
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 

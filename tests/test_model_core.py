@@ -35,7 +35,7 @@ from aqakit.model import (
 )
 from aqakit.model import decoder, sampling
 from aqakit.model.losses import masked_nll_and_dlogits
-from aqakit.model.tokenizer import BOS_ID, EOS_ID, SEP_ID
+from aqakit.model.tokenizer import BOS_ID, EOS_ID, SEP_ID, VOCAB_SIZE
 
 
 def tiny_cfg() -> DecoderConfig:
@@ -368,6 +368,23 @@ def test_generation_config_takes_only_integer_counts(field: str) -> None:
     assert str(err.value) == f"{field} must be an integer, got 2.5"
     cfg = GenerationConfig(**{field: np.int64(3)})
     assert getattr(cfg, field) == 3 and type(getattr(cfg, field)) is int
+
+
+def test_sample_next_id_draws_as_generator_choice(monkeypatch) -> None:
+    meta = np.random.default_rng(48)
+    cfg = GenerationConfig(temperature=1.0, repetition_penalty=1.0)
+    for case in range(1200):
+        n = 1 if case % 8 == 0 else int(meta.integers(2, VOCAB_SIZE + 1))
+        kept = meta.permutation(VOCAB_SIZE)[:n]
+        p = meta.random(n) ** meta.uniform(0.5, 8.0)
+        p /= p.sum()
+        monkeypatch.setattr(sampling, "truncated_distribution", lambda *_: (kept, p))
+        seed = int(meta.integers(2**32))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = sampling.sample_next_id(np.zeros(VOCAB_SIZE), [], cfg, got_rng)
+            assert got == int(want_rng.choice(kept, p=p))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def additive_softmax(scores: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
@@ -720,6 +737,59 @@ def test_read_span_matches_the_full_row_path(kind: str, n_layers: int,
     for name, w in want.items():
         assert got[name].shape == w.shape
         assert np.abs(got[name] - w).max() <= 1e-12 * max(np.abs(w).max(), 1.0), name
+
+
+def score_space_attention_backward(dctx, lc, d_head: int, dq, dk, dv) -> None:
+    """Reference: the softmax backward's row term summed from dP * P, and
+    the 1/sqrt(d_head) scale applied to the gradient on the scores."""
+    probs = lc["probs"]
+    dprobs = dctx @ lc["vh"].transpose(0, 2, 1)
+    dscores = probs * (dprobs - (dprobs * probs).sum(axis=2, keepdims=True))
+    dscores /= np.sqrt(d_head)
+    dq[...] = dscores @ lc["kh"]
+    dk[...] = dscores.transpose(0, 2, 1) @ lc["qh"]
+    dv[...] = probs.transpose(0, 2, 1) @ dctx
+
+
+@pytest.mark.parametrize("n_heads", [4, 8], ids=["d_head_16", "d_head_8"])
+@pytest.mark.parametrize("kind", ["first_target_at_1", "answer_only"])
+def test_attention_backward_matches_the_score_space_reference(kind: str, n_heads: int,
+                                                              monkeypatch) -> None:
+    # first_target_at_1 reads from text row 0, answer_only from row 19
+    model = AudioTextLm(DecoderConfig(n_heads=n_heads), seed=54)
+    rng = np.random.default_rng(55)
+    for name in [n for n in model.lora if n.endswith("lora_B")]:
+        model.lora[name] = rng.normal(0.0, 0.05, size=model.lora[name].shape)
+    ex = read_span_example(kind)
+    loss, got = model.loss_and_grads(ex)
+    monkeypatch.setattr(decoder, "_attention_backward", score_space_attention_backward)
+    want_loss, want = model.loss_and_grads(ex)
+    assert loss == want_loss
+    assert sorted(got) == sorted(want)
+    for name, w in want.items():
+        assert np.abs(got[name] - w).max() <= 1e-12 * np.abs(w).max(), name
+
+
+@pytest.mark.parametrize("first", [0, 5])
+def test_scaled_queries_give_the_scaled_scores_bit_for_bit(first: int,
+                                                           monkeypatch) -> None:
+    # d_head 16: dividing q by 4 before the product is exact
+    model = AudioTextLm(DecoderConfig(), seed=56)
+    assert model.cfg.d_head == 16
+    scores = []
+    real = decoder._softmax_rows
+
+    def recorded(s, keep=None):
+        scores.append(s.copy())
+        return real(s, keep)
+
+    monkeypatch.setattr(decoder, "_softmax_rows", recorded)
+    x = np.random.default_rng(57).normal(size=(9, model.cfg.d_model))
+    _, cache = model._block(0, x, model._merged_qkv()[0],
+                            decoder._causal_mask(9, 0)[first:], first=first)
+    want = cache["qh"] @ cache["kh"].transpose(0, 2, 1) / 4
+    assert scores[0].shape == want.shape == (4, 9 - first, 9)
+    assert np.array_equal(scores[0].view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("read_from", [-1, 38])
@@ -1091,6 +1161,41 @@ def test_load_rejects_a_truncated_blob(tmp_path, capsys) -> None:
         load_checkpoint(ckpt)
     assert str(err.value) == message
     assert message in answer_fails(tmp_path, capsys, ckpt)
+
+
+@pytest.mark.parametrize("field", ["vocab_size", "n_layers"])
+def test_load_checks_the_blob_size_before_building_the_model(tmp_path, capsys,
+                                                             monkeypatch,
+                                                             field) -> None:
+    # a config of 1e12 tokens or layers would allocate terabytes, or build
+    # its shape table for ever, before any check
+    cfg = tiny_cfg()
+    ckpt, empty = tmp_path / "ckpt", tmp_path / "no_layers"
+    save_checkpoint(ckpt, AudioTextLm(cfg, seed=35))
+    save_checkpoint(empty, AudioTextLm(dataclasses.replace(cfg, n_layers=0), seed=35))
+    blob = ckpt / "tensors.bin"
+    size = blob.stat().st_size
+    if field == "vocab_size":
+        # tok_emb and out.w each hold vocab_size rows of d_model floats
+        want = size + 2 * 4 * cfg.d_model * (10**12 - cfg.vocab_size)
+    else:
+        per_layer = (size - (empty / "tensors.bin").stat().st_size) // cfg.n_layers
+        want = size + per_layer * (10**12 - cfg.n_layers)
+    manifest = ckpt / "manifest.txt"
+    text = manifest.read_text(encoding="utf-8")
+    old = f"config.{field}={getattr(cfg, field)}\n"
+    assert old in text
+    manifest.write_text(text.replace(old, f"config.{field}={10**12}\n"), encoding="utf-8")
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(AudioTextLm, "__init__", no_model)
+    message = f"{manifest}: the tensor table spans {want} bytes, but {blob} holds {size}"
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(ckpt)
+    assert str(err.value) == message
+    assert answer_fails(tmp_path, capsys, ckpt) == f"aqakit: invalid input: {message}\n"
 
 
 def _shift_offset(manifest, name: str, by: int) -> None:
