@@ -34,6 +34,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
+def _int_at_least(low: int):
+    """An argparse type for an integer flag of at least low, so a bad value
+    is a usage error naming the flag before any file is read or made."""
+    def parse(text: str) -> int:
+        with contextlib.suppress(ValueError):
+            if int(text) >= low:
+                return int(text)
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+    return parse
+
+
 def _eprint(*args):
     print(*args, file=sys.stderr)
 
@@ -427,7 +438,7 @@ def _build_parser() -> _Parser:
             help="rule-based closed-ended QA from meta JSONL")
     p.add_argument("--meta", required=True)
     p.add_argument("--feature-bank")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub("forge-open", _cmd_forge_open, out="dataset",
             help="LLM-assisted open-ended QA from meta JSONL")
@@ -458,16 +469,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--audio-dir", required=True)
     p.add_argument("--curriculum", help="stage file; default: scaled table")
     p.add_argument("--factor", type=float, default=1e-4)
-    p.add_argument("--batch", type=int, default=8)
+    p.add_argument("--batch", type=_int_at_least(1), default=8)
     p.add_argument("--report", help="stage report JSONL path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub("answer", _cmd_answer, help="one-question batch inference")
     p.add_argument("--audio", required=True)
     p.add_argument("--question", required=True)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--max-new-tokens", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-new-tokens", type=_int_at_least(1), default=64)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub("eval-classify", _cmd_eval_classify,
             help="cosine classification metrics over predictions")

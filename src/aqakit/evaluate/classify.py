@@ -147,19 +147,13 @@ def mean_average_precision(scores: np.ndarray, truths: np.ndarray) -> float:
 
     positives = truths.sum(axis=0)
     skipped = np.flatnonzero(positives == 0).tolist()
-    aps = []
-    for c in np.flatnonzero(positives):
-        col_truth = truths[:, c]
-        n_pos = int(positives[c])
-        # stable sort on negated scores keeps ascending index among ties
-        order = np.argsort(-scores[:, c], kind="stable")
-        hits = 0
-        ap = 0.0
-        for rank, idx in enumerate(order, start=1):
-            if col_truth[idx]:
-                hits += 1
-                ap += hits / rank
-        aps.append(ap / n_pos)
+    cols = np.flatnonzero(positives)
+    # stable sort on negated scores keeps ascending index among ties; each
+    # class sums the precision at its hits in rank order, as a running sum
+    order = np.argsort(-scores[:, cols], axis=0, kind="stable")
+    hit = np.take_along_axis(truths[:, cols] != 0, order, axis=0)
+    prec = np.cumsum(hit, axis=0) / np.arange(1, len(scores) + 1)[:, None]
+    aps = np.cumsum(np.where(hit, prec, 0.0), axis=0)[-1] / positives[cols]
     if skipped:
         warnings.warn(f"classes without positives excluded from mAP: "
                       f"{skipped}", stacklevel=2)

@@ -109,12 +109,10 @@ def mel_filterbank() -> np.ndarray:
     hz_points = mel_to_hz(mel_points)
     bin_freqs = np.arange(n_fft // 2 + 1) * SAMPLE_RATE_HZ / n_fft
 
-    bank = np.zeros((n_mels, bin_freqs.size), dtype=np.float64)
-    for m in range(n_mels):
-        left, center, right = hz_points[m], hz_points[m + 1], hz_points[m + 2]
-        up = (bin_freqs - left) / (center - left)
-        down = (right - bin_freqs) / (right - center)
-        bank[m] = np.maximum(0.0, np.minimum(up, down))
+    left, center, right = (hz_points[k:k + n_mels, None] for k in range(3))
+    up = (bin_freqs - left) / (center - left)
+    down = (right - bin_freqs) / (right - center)
+    bank = np.maximum(0.0, np.minimum(up, down))
     bank.setflags(write=False)
     return bank
 

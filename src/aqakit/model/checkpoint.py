@@ -1,11 +1,11 @@
 """Checkpoints: a text manifest next to one raw little-endian float32 blob
 file. Every manifest line follows from the model's config: the format line,
 lora_only=0, one config.NAME=VALUE line per config field, then one
-`tensor NAME float32 SHAPE OFFSET NBYTES` line per tensor in name order,
-the tensors back to back in the blob. load_checkpoint reads the integer
-config values, requires the blob to hold the bytes that config implies,
-writes the manifest again for that config and requires the file to be equal
-to it line for line; only then does it build the model."""
+`tensor NAME float32 SHAPE OFFSET NBYTES` line per row of _table, the
+tensors back to back in the blob. load_checkpoint reads the integer config
+values, requires the blob to hold the bytes that config implies and the
+manifest to be the one save_checkpoint writes for that config, line for
+line; only then does it read each tensor into a new array, drawing none."""
 
 from __future__ import annotations
 
@@ -32,19 +32,17 @@ _CONFIG_LINES = ("n_layers", "n_heads", "d_model", "vocab_size", "max_seq_len",
                  "mlp_ratio", "lora_targets")
 
 
-def _by_checkpoint_name(groups: dict[str, dict]) -> dict:
-    """The entries of groups (base, lora, audio, as AudioTextLm and
-    tensor_shapes key them) under their checkpoint names, in name order."""
-    return dict(sorted({("" if group == "audio" else group + ".") + name: value
-                        for group, entries in groups.items()
-                        for name, value in entries.items()}.items()))
-
-
-def _collect_tensors(model: AudioTextLm) -> dict[str, np.ndarray]:
-    """Every tensor of the model by its checkpoint name, in name order; the
-    arrays are the model's own, so writing into them changes the model."""
-    return _by_checkpoint_name({"base": model.base, "lora": model.lora,
-                                "audio": model.audio})
+def _table(cfg: DecoderConfig) -> list[tuple[str, str, str, tuple[int, ...], int]]:
+    """One row per tensor of a model of config cfg: (checkpoint name, group,
+    name, shape, byte offset in the blob), in checkpoint-name order, which is
+    the blob's. Group and name are those of tensor_shapes and AudioTextLm."""
+    rows, offset = [], 0
+    for row in sorted((("" if group == "audio" else group + ".") + name, group, name, shape)
+                      for group, shapes in tensor_shapes(cfg).items()
+                      for name, shape in shapes.items()):
+        rows.append((*row, offset))
+        offset += 4 * math.prod(row[3])
+    return rows
 
 
 def _blob_bytes(cfg: DecoderConfig) -> int:
@@ -67,12 +65,9 @@ def _manifest_lines(cfg: DecoderConfig) -> list[str]:
     lines = ["format=aqakit-checkpoint-v1", "lora_only=0"]
     lines += [f"config.{f}={_LAYOUT[f] if f in _LAYOUT else getattr(cfg, f)}"
               for f in _CONFIG_LINES]
-    offset = 0
-    for name, shape in _by_checkpoint_name(tensor_shapes(cfg)).items():
-        nbytes = 4 * math.prod(shape)
+    for name, _, _, shape, offset in _table(cfg):
         dims = "x".join(str(s) for s in shape)
-        lines.append(f"tensor {name} float32 {dims} {offset} {nbytes}")
-        offset += nbytes
+        lines.append(f"tensor {name} float32 {dims} {offset} {4 * math.prod(shape)}")
     return lines
 
 
@@ -81,9 +76,9 @@ def save_checkpoint(path: str | Path, model: AudioTextLm) -> None:
     A tensor not finite in float32 raises RuntimeError before any write."""
     path = Path(path)
     blob = bytearray()
-    for name, arr in _collect_tensors(model).items():
+    for name, group, key, _, _ in _table(model.cfg):
         with np.errstate(over="ignore"):
-            arr = arr.astype("<f4")
+            arr = getattr(model, group)[key].astype("<f4")
         if not np.isfinite(arr).all():
             raise RuntimeError(f"{path}: tensor {name} does not fit float32")
         blob.extend(arr.tobytes())
@@ -113,15 +108,13 @@ def load_checkpoint(path: str | Path) -> AudioTextLm:
         key, _, value = line.partition("=")
         config[key] = (value, line_no)
     sizes = {}
-    for f in _CONFIG_LINES:
-        if f in _LAYOUT:
-            continue
-        key = "config." + f
+    for f in dataclasses.fields(DecoderConfig):
+        key = "config." + f.name
         if key not in config:
             raise bad(f"manifest lacks {key}")
         value, line_no = config[key]
         try:
-            sizes[f] = int(value)
+            sizes[f.name] = int(value)
         except ValueError:
             raise bad(f"{key} is {value!r}, not an integer", line_no) from None
     try:
@@ -141,15 +134,13 @@ def load_checkpoint(path: str | Path) -> AudioTextLm:
             w, g = ("the end of the file" if s is None else repr(s) for s in pair)
             raise bad(f"expected {w}, got {g}", line_no)
 
-    model = AudioTextLm(cfg)
-    tensors = _collect_tensors(model)
-    flat = np.frombuffer(blob_path.read_bytes(), dtype="<f4")
-    start = 0
-    first_line = len(want) - len(tensors) + 1
-    for line_no, (name, dst) in enumerate(tensors.items(), start=first_line):
-        raw = flat[start:start + dst.size]
-        start += dst.size
+    table = _table(cfg)
+    blob = blob_path.read_bytes()
+    tensors: dict[str, dict[str, np.ndarray]] = {}
+    for line_no, (name, group, key, shape, offset) in enumerate(
+            table, start=len(want) - len(table) + 1):
+        raw = np.frombuffer(blob, "<f4", math.prod(shape), offset)
         if not np.isfinite(raw).all():
             raise bad(f"tensor {name} holds non-finite values", line_no)
-        dst[...] = raw.reshape(dst.shape)
-    return model
+        tensors.setdefault(group, {})[key] = raw.reshape(shape).astype(np.float64)
+    return AudioTextLm.from_tensors(cfg, tensors)

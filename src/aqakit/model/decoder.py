@@ -196,6 +196,19 @@ class AudioTextLm:
                        proj_rng if name == "audio.proj.weight" else enc_rng)
             for name, shape in shapes["audio"].items()}
 
+    @classmethod
+    def from_tensors(cls, cfg: DecoderConfig,
+                     tensors: dict[str, dict[str, np.ndarray]]) -> AudioTextLm:
+        """A model of config cfg holding the given arrays, not copies, grouped,
+        named and ordered as tensor_shapes(cfg) gives them; nothing is drawn."""
+        model = cls.__new__(cls)
+        model.cfg = cfg
+        shapes = tensor_shapes(cfg)
+        model.base, model.lora, model.audio = (
+            {name: tensors[group][name] for name in shapes[group]}
+            for group in ("base", "lora", "audio"))
+        return model
+
     # -- parameter bookkeeping ------------------------------------------
 
     def trainable_parameters(self) -> dict[str, np.ndarray]:

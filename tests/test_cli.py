@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import aqakit
+from aqakit import cli
 from aqakit.cli import _build_parser, main
 from aqakit.evaluate import JUDGE_PROMPT
 from aqakit.forge import build_aig_prompt, feature_prompt, read_meta_jsonl
@@ -667,9 +668,40 @@ def test_answer_rejects_a_token_budget_below_one(demo_dir, tmp_path, capsys,
                  "--ckpt", str(ckpt), "--max-new-tokens", budget,
                  "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert "max_new_tokens must be >= 1" in captured.err
+    assert (f"argument --max-new-tokens: expected an integer >= 1, got {budget!r}"
+            in captured.err)
     assert "Traceback" not in captured.err
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("forge-closed", "--seed", "-1"), ("train", "--seed", "-1"),
+    ("train", "--batch", "0"), ("train", "--batch", "two"),
+    ("answer", "--seed", "-1"), ("answer", "--seed", "1.5"),
+])
+def test_integer_flags_fail_as_usage_before_any_file(demo_dir, tmp_path, capsys,
+                                                     monkeypatch, command,
+                                                     flag, value):
+    # the answer checkpoint does not exist: reading it would exit 2
+    inputs = {"forge-closed": ["--meta", str(demo_dir / "meta.jsonl")],
+              "train": ["--manifest", str(demo_dir / "manifest.jsonl"),
+                        "--audio-dir", str(demo_dir / "audio")],
+              "answer": ["--audio", str(next((demo_dir / "audio").glob("*.wav"))),
+                         "--question", "q?", "--ckpt", str(tmp_path / "none")]}
+
+    def no_clip(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "_clip_grid", no_clip)
+    out = tmp_path / "out"
+    assert main([command, *inputs[command], flag, value, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    low = 0 if flag == "--seed" else 1
+    assert captured.err.startswith(
+        f"aqakit: argument {flag}: expected an integer >= {low}, got {value!r}\n"
+        f"usage: aqakit {command} ")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def _bad_wav(path, kind):

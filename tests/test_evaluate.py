@@ -485,6 +485,21 @@ def test_map_at_audioset_size_loops_over_positive_classes_only():
         f"classes without positives excluded from mAP: {skipped}"]
 
 
+def test_map_equals_the_reference_loop_on_random_tied_cases():
+    # scores of four values tie often; the running sum of precisions must
+    # be the loop's, bit for bit
+    rng = np.random.default_rng(13)
+    for case in range(300):
+        n, c = rng.integers(1, 30), rng.integers(1, 12)
+        scores = rng.integers(0, 4, size=(n, c)).astype(float)
+        truths = rng.random((n, c)) < rng.uniform(0.05, 0.9)
+        truths[rng.integers(n), rng.integers(c)] = True
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            value = mean_average_precision(scores, truths)
+        assert value == _map_reference(scores, truths), case
+
+
 def test_map_rejects_all_zero_truths():
     with pytest.raises(ValueError):
         mean_average_precision(np.ones((2, 2)), np.zeros((2, 2)))

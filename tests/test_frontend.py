@@ -181,6 +181,18 @@ def test_mel_filterbank_is_built_once_and_read_only() -> None:
     with pytest.raises(ValueError):
         bank[0, 0] = 1.0
     np.testing.assert_allclose(bank, oracle_mel_bank(cfg), rtol=0, atol=1e-12)
+    # one filter per row from the same edges: the broadcast build gives
+    # the same bits
+    hz_points = mel_to_hz(np.linspace(hz_to_mel(MEL_FMIN_HZ), hz_to_mel(MEL_FMAX_HZ),
+                                      cfg.n_mels + 2))
+    bin_freqs = np.arange(cfg.n_fft // 2 + 1) * SR / cfg.n_fft
+    rows = np.zeros_like(bank)
+    for m in range(cfg.n_mels):
+        left, center, right = hz_points[m:m + 3]
+        up = (bin_freqs - left) / (center - left)
+        down = (right - bin_freqs) / (right - center)
+        rows[m] = np.maximum(0.0, np.minimum(up, down))
+    assert np.array_equal(bank, rows)
 
 
 def test_mel_bands_tile_the_bank() -> None:

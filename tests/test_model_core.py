@@ -849,6 +849,64 @@ def test_checkpoint_roundtrip(tmp_path, cfg) -> None:
                                model.forward(audio, ids), rtol=1e-4, atol=1e-4)
 
 
+def test_load_reads_the_tensors_and_draws_no_model(tmp_path, monkeypatch) -> None:
+    cfg = tiny_cfg()
+    model = AudioTextLm(cfg, seed=41)
+    save_checkpoint(tmp_path / "ckpt", model)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a model was drawn")
+
+    monkeypatch.setattr(AudioTextLm, "__init__", no_draw)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    loaded = load_checkpoint(tmp_path / "ckpt")
+    monkeypatch.undo()
+    assert vars(loaded).keys() == vars(AudioTextLm(cfg)).keys()
+    assert loaded.cfg == cfg
+    for group, shapes in decoder.tensor_shapes(cfg).items():
+        tensors, saved = getattr(loaded, group), getattr(model, group)
+        assert list(tensors) == list(shapes)
+        for name, arr in tensors.items():
+            assert arr.dtype == np.float64 and arr.shape == shapes[name]
+            assert arr.flags.writeable and arr.flags.c_contiguous
+            assert np.array_equal(arr, saved[name].astype(np.float32))
+
+
+def test_a_loaded_model_steps_and_saves_as_a_drawn_one(tmp_path) -> None:
+    # the drawn model's tensors hold float32 values, so both start equal
+    cfg = tiny_cfg()
+    drawn = AudioTextLm(cfg, seed=42)
+    for group in (drawn.base, drawn.lora, drawn.audio):
+        for arr in group.values():
+            arr[...] = arr.astype(np.float32)
+    save_checkpoint(tmp_path / "ckpt", drawn)
+    loaded = load_checkpoint(tmp_path / "ckpt")
+    _, grads = loaded.loss_and_grads(random_example(cfg, 43))
+    for m, name in ((drawn, "drawn"), (loaded, "loaded")):
+        m.sgd_step(grads, lr=0.1)
+        save_checkpoint(tmp_path / name, m)
+    for name in ("manifest.txt", "tensors.bin"):
+        assert ((tmp_path / "loaded" / name).read_bytes()
+                == (tmp_path / "drawn" / name).read_bytes())
+    assert ((tmp_path / "loaded" / "tensors.bin").read_bytes()
+            != (tmp_path / "ckpt" / "tensors.bin").read_bytes())
+
+
+@pytest.mark.parametrize("cfg, init", [
+    (DecoderConfig(), {}),
+    (DecoderConfig(), {"out_scale": 0.35, "lora_a_scale": 0.5}),
+    (DecoderConfig(n_layers=1, n_heads=2, d_model=16), {}),
+    (DecoderConfig(n_layers=0), {}),
+], ids=["default", "desk_init", "one_layer_d16", "no_layers"])
+def test_save_load_save_writes_the_same_files(tmp_path, cfg, init) -> None:
+    save_checkpoint(tmp_path / "first", AudioTextLm(cfg, seed=44, **init))
+    save_checkpoint(tmp_path / "again", load_checkpoint(tmp_path / "first"))
+    for name in ("manifest.txt", "tensors.bin"):
+        digests = {hashlib.sha256((tmp_path / run / name).read_bytes()).hexdigest()
+                   for run in ("first", "again")}
+        assert len(digests) == 1, name
+
+
 # the header save_checkpoint writes for the default model; checkpoints on
 # disk are read by it, so any drift in the format fails here
 GOLDEN_MANIFEST_HEADER = [
