@@ -455,7 +455,7 @@ def _build_parser() -> _Parser:
             help="inverse-frequency weighted audio selection")
     p.add_argument("--labels", required=True,
                    help="JSON map audio_id -> [class, ...]")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
 
     p = sub("stats", _cmd_stats, help="dataset statistics as JSON")
     p.add_argument("--manifest", required=True)

@@ -301,7 +301,7 @@ def read_wav(path: str | Path) -> Waveform:
     if len(data) % 2:
         raise ValueError(f"{path}: odd data length {len(data)} for 16-bit samples")
     ints = np.frombuffer(data, dtype="<i2")
-    return Waveform(ints.astype(np.float64) / 32768.0)
+    return Waveform(np.multiply(ints, 2.0 ** -15, dtype=np.float64))
 
 
 def write_wav(path: str | Path, w: Waveform) -> None:

@@ -6,7 +6,13 @@ projection run inside forward, so gradients reach every audio parameter.
 forward (training and scoring), prefill (the prompt of a decode) and step
 (one new token) all run the rows through one layer pass, _run. Given a
 KvCache, that pass writes each layer's keys and values into it, so prefill
-fills an empty cache the same way step extends it.
+fills an empty cache the same way step extends it. A decode reads only the
+next-token logits after the prompt, so prefill runs its last layer's
+queries, attention and MLP, the final norm and the head on the prompt's
+last row alone, as forward's read_from does; every row still gets its keys
+and values in every layer. A layer's intermediates are kept only for a
+backward (forward's want_cache): on the cached path and in a plain forward
+each layer's are freed when its block returns.
 
 The adapters are merged into their frozen projections once per forward or
 prefill: each layer gets q, k and v from one product with the matrix
@@ -266,7 +272,7 @@ class AudioTextLm:
                              "text rows")
         w_qkv = self._merged_qkv()
         first = na + read_from if read_from else 0
-        xf, lnf_cache, layer_caches = self._run(x, w_qkv, first=first)
+        xf, lnf_cache, layer_caches = self._run(x, w_qkv, first=first, keep=want_cache)
         # the logits are the trailing rows of xf, which holds every row only
         # when the last layer ran them all
         logits = xf[xf.shape[0] - n_out:] @ self.base["out.w"].T
@@ -296,7 +302,7 @@ class AudioTextLm:
         return np.concatenate([audio_rows, self.base["tok_emb"][text_ids]])
 
     def _run(self, x: np.ndarray, w_qkv: list[np.ndarray], past: KvCache | None = None,
-             first: int = 0):
+             first: int = 0, keep: bool = False):
         """The one pass through the layer stack and the final norm, with
         w_qkv the merged q/k/v weights of every layer.
 
@@ -305,8 +311,9 @@ class AudioTextLm:
         past.length advances; a sequence past max_seq_len raises ValueError
         before past is touched. The last layer runs its queries and all
         after them only on the rows from first on, so only those leave it.
-        Returns the normed rows, the final norm's intermediates and every
-        layer's intermediates.
+        Returns the normed rows, the final norm's intermediates and, with
+        keep, every layer's intermediates for the backward; without keep
+        the list is empty and each layer's are freed when its block returns.
         """
         c = self.cfg
         n = x.shape[0]
@@ -324,7 +331,8 @@ class AudioTextLm:
             x, layer_cache = self._block(i, x, w_qkv[i],
                                          None if causal is None else causal[skip:],
                                          past, skip)
-            layer_caches.append(layer_cache)
+            if keep:
+                layer_caches.append(layer_cache)
         if past is not None:
             past.length = end
         xf, lnf_cache = _ln_forward(x, self.base["final_ln.gamma"],
@@ -384,16 +392,21 @@ class AudioTextLm:
 
     def prefill(self, audio, prompt_ids: np.ndarray) -> tuple[np.ndarray, KvCache]:
         """Run [audio rows | prompt] through the layers into an empty cache,
-        each layer writing its keys and values as step does.
+        each layer writing the keys and values of every row as step does.
 
-        Returns forward's logits for the prompt and the cache.
+        Returns the next-token logits after the prompt, shape (vocab,), and
+        the cache. Only the last row is read, so the last layer's queries,
+        attention and MLP, the final norm and the head run on it alone
+        (forward's read_from); they match the last row of forward to
+        float64 rounding.
         """
         c = self.cfg
         shape = (c.n_layers, c.n_heads, c.max_seq_len, c.d_head)
         kv = KvCache(np.empty(shape), np.empty(shape), 0, self._merged_qkv())
         audio_rows, _ = self._audio_rows(audio)
-        xf, _, _ = self._run(self._input_rows(audio_rows, prompt_ids), kv.w_qkv, kv)
-        return xf[c.n_audio_tokens:] @ self.base["out.w"].T, kv
+        x = self._input_rows(audio_rows, prompt_ids)
+        xf, _, _ = self._run(x, kv.w_qkv, kv, first=x.shape[0] - 1)
+        return self._last_logits(xf), kv
 
     def step(self, kv: KvCache, token_id: int) -> np.ndarray:
         """Append one text token after the kv.length cached positions and
@@ -404,7 +417,11 @@ class AudioTextLm:
         max_seq_len, leaving the cache as it was.
         """
         xf, _, _ = self._run(self.base["tok_emb"][[int(token_id)]], kv.w_qkv, kv)
-        return (xf @ self.base["out.w"].T)[0]
+        return self._last_logits(xf)
+
+    def _last_logits(self, xf: np.ndarray) -> np.ndarray:
+        # with no layers the final norm ran every row: take the last
+        return (xf[-1:] @ self.base["out.w"].T)[0]
 
     # -- loss and gradients ----------------------------------------------
 
@@ -586,11 +603,15 @@ def _attention_backward(dctx: np.ndarray, lc: dict, d_head: int,
 def _softmax_rows(scores: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis; scores is overwritten. Lanes where the
     mask keep is False get probability 0 and are never exponentiated, and
-    the kept lanes come out as with -inf added to the dropped ones."""
-    where = True if keep is None else keep
-    scores -= scores.max(axis=-1, keepdims=True, where=where, initial=-np.inf)
-    np.exp(scores, out=scores, where=where)
-    if keep is not None:
+    the kept lanes come out as with -inf added to the dropped ones. With no
+    mask (a step's single row) every lane is kept and the plain max and exp
+    run, giving the same values."""
+    if keep is None:
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+    else:
+        scores -= scores.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
+        np.exp(scores, out=scores, where=keep)
         np.copyto(scores, 0.0, where=~keep)
     scores /= scores.sum(axis=-1, keepdims=True)
     return scores

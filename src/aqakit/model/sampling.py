@@ -47,7 +47,7 @@ def apply_repetition_penalty(logits: np.ndarray, emitted_ids,
                              penalty: float) -> np.ndarray:
     """Discourage re-emission: divide positive logits of already-emitted ids
     by the penalty, multiply negative ones."""
-    out = logits.astype(np.float64).copy()
+    out = np.array(logits, dtype=np.float64)
     for tid in set(int(t) for t in emitted_ids):
         v = out[tid]
         out[tid] = v / penalty if v > 0 else v * penalty
@@ -94,8 +94,11 @@ def generate(model, audio, prompt_ids, cfg: GenerationConfig) -> np.ndarray:
     """Autoregressive decoding after the prompt; stops at EOS or the token
     budget. Returns only the newly generated ids.
 
-    The clip and the prompt run once through ``model.prefill``; each later
-    token is one ``model.step`` over the cached keys and values. Running
+    The clip and the prompt run once through ``model.prefill``, which
+    returns the next-token logits of the prompt's last row only: its last
+    layer's queries, attention and MLP, the final norm and the head run on
+    that row alone. Each later token is one ``model.step`` over the cached
+    keys and values. Neither keeps backward intermediates. Running
     past the model's context raises ValueError("sequence length N exceeds
     max M") at the token where a full-recompute forward over the whole
     sequence would: the budget is not checked up front, since decoding may
@@ -106,7 +109,6 @@ def generate(model, audio, prompt_ids, cfg: GenerationConfig) -> np.ndarray:
     if not prompt:
         raise ValueError("prompt must contain at least one token")
     logits, kv = model.prefill(audio, np.array(prompt, dtype=np.int64))
-    logits = logits[-1]
     generated: list[int] = []
     while True:
         generated.append(sample_next_id(logits, generated, cfg, rng))

@@ -430,13 +430,33 @@ def test_sample_audioset_rejects_malformed_labels(tmp_path, capsys, labels_of,
     assert captured.out == ""
 
 
+def _rejects_n_as_usage(capsys, labels, n):
+    assert main(["sample-audioset", "--labels", str(labels), "--n", n]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"aqakit: argument --n: expected an integer >= 1, got {n!r}\n"
+        "usage: aqakit sample-audioset ")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_sample_audioset_rejects_n_below_one(tmp_path, capsys, n):
     labels = tmp_path / "labels.json"
     labels.write_text(json.dumps({"a": ["dog"], "b": ["cat"]}), encoding="utf-8")
-    assert main(["sample-audioset", "--labels", str(labels), "--n", n]) == 1
+    _rejects_n_as_usage(capsys, labels, n)
+
+
+@pytest.mark.parametrize("n", ["0", "two"])
+def test_sample_audioset_checks_n_before_reading_the_labels(tmp_path, capsys, n):
+    _rejects_n_as_usage(capsys, tmp_path / "missing.json", n)
+
+
+def test_sample_audioset_rejects_n_above_the_pool(tmp_path, capsys):
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"a": ["dog"], "b": ["cat"]}), encoding="utf-8")
+    assert main(["sample-audioset", "--labels", str(labels), "--n", "3"]) == 1
     captured = capsys.readouterr()
-    assert f"asked for {n} audios" in captured.err
+    assert "asked for 3 audios" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
 
 

@@ -436,6 +436,17 @@ def test_wav_roundtrip_within_one_quantization_step(samples) -> None:
     assert np.max(np.abs(back.samples - w.samples)) <= 1 / 32768
 
 
+def test_read_wav_scales_every_int16_value_exactly(tmp_path) -> None:
+    ints = np.arange(-32768, 32768).astype("<i2")
+    path = tmp_path / "all.wav"
+    write_wav(path, Waveform(ints / 32768.0))
+    back = read_wav(path)
+    assert np.array_equal(np.frombuffer(path.read_bytes()[-ints.nbytes:], "<i2"), ints)
+    want = ints.astype(np.float64) / 32768.0
+    assert back.samples.dtype == np.float64
+    assert np.array_equal(back.samples.view(np.uint64), want.view(np.uint64))
+
+
 def test_read_wav_rejects_a_truncated_data_chunk(tmp_path) -> None:
     path = tmp_path / "clip.wav"
     write_wav(path, Waveform(np.zeros(SR)))

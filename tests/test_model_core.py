@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,7 +270,7 @@ def test_prefill_and_step_match_forward_at_every_position(targets, monkeypatch) 
     def recorded(method):
         def call(*args):
             out = method(*args)
-            rows.extend(out[0] if isinstance(out, tuple) else [out])
+            rows.append(out[0] if isinstance(out, tuple) else out)
             return out
         return call
 
@@ -280,8 +281,9 @@ def test_prefill_and_step_match_forward_at_every_position(targets, monkeypatch) 
     cfg = GenerationConfig(max_new_tokens=64, seed=3)
     ids = generate(model, audio, np.array(prompt), cfg).tolist()
     assert len(ids) == 64
-    full = model.forward(audio, np.array(prompt + ids[:-1]))
-    assert len(rows) == full.shape[0]
+    # prefill gives the prompt's last row, each step one more
+    full = model.forward(audio, np.array(prompt + ids[:-1]))[len(prompt) - 1:]
+    assert len(rows) == full.shape[0] == 64
     assert np.abs(np.array(rows) - full).max() <= 1e-12
 
 
@@ -443,6 +445,73 @@ def test_step_past_the_context_leaves_the_cache_as_it_was() -> None:
     assert kv.length == 96
     assert np.array_equal(kv.keys, keys, equal_nan=True)
     assert np.array_equal(kv.values, values, equal_nan=True)
+
+
+def test_prefill_fills_the_cache_as_a_pass_over_every_row() -> None:
+    model = adapted_model()
+    audio = random_audio(model.cfg, 49)
+    prompt = np.array([BOS_ID] + encode_text("is a dog barking?") + [SEP_ID])
+    _, kv = model.prefill(audio, prompt)
+    # reference: every row runs the whole stack into a fresh cache
+    c = model.cfg
+    shape = (c.n_layers, c.n_heads, c.max_seq_len, c.d_head)
+    ref = decoder.KvCache(np.zeros(shape), np.zeros(shape), 0, model._merged_qkv())
+    x = model._input_rows(model._audio_rows(audio)[0], prompt)
+    model._run(x, ref.w_qkv, ref, first=0)
+    assert kv.length == ref.length == c.n_audio_tokens + prompt.size
+    filled = slice(0, kv.length)
+    for got, want in ((kv.keys, ref.keys), (kv.values, ref.values)):
+        assert np.array_equal(got[:, :, filled].view(np.uint64),
+                              want[:, :, filled].view(np.uint64))
+    assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+               for a, b in zip(kv.w_qkv, ref.w_qkv, strict=True))
+
+
+@pytest.mark.parametrize("n_layers", [4, 1, 0])
+def test_prefill_logits_are_the_last_row_of_forward(n_layers: int) -> None:
+    cfg = DecoderConfig(n_layers=n_layers, n_heads=2, d_model=16, max_seq_len=96,
+                        d_audio=8)
+    model = AudioTextLm(cfg, seed=50)
+    audio = random_audio(cfg, 50)
+    prompt = np.array([BOS_ID] + encode_text("what do you hear") + [SEP_ID])
+    logits, _ = model.prefill(audio, prompt)
+    assert logits.shape == (cfg.vocab_size,)
+    assert np.abs(logits - model.forward(audio, prompt)[-1]).max() <= 1e-12
+
+
+def test_prefill_keeps_no_backward_intermediates() -> None:
+    # default geometry, 32 audio rows and a 128-token prompt: 160 rows. A
+    # prefill that kept every layer's intermediates and ran the last layer,
+    # the norm and the head on every row peaked at 8.60 MB; one that frees
+    # them and runs that tail on the last row peaks at 5.23 MB
+    model = AudioTextLm(DecoderConfig(), seed=0)
+    rng = np.random.default_rng(51)
+    audio = random_audio(model.cfg, 51)
+    prompt = rng.integers(0, model.cfg.vocab_size, size=128)
+    model.prefill(audio, prompt)
+    tracemalloc.start()
+    try:
+        model.prefill(audio, prompt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5e6
+
+
+def test_repetition_penalty_returns_a_new_array_of_the_old_values() -> None:
+    rng = np.random.default_rng(52)
+    logits = rng.normal(size=VOCAB_SIZE)
+    emitted = rng.integers(0, VOCAB_SIZE, size=40).tolist()
+    got = sampling.apply_repetition_penalty(logits, emitted, 1.3)
+    # the old two-copy form, loop included
+    want = logits.astype(np.float64).copy()
+    for tid in set(emitted):
+        want[tid] = want[tid] / 1.3 if want[tid] > 0 else want[tid] * 1.3
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert not np.shares_memory(got, logits)
+    assert got.dtype == np.float64 and got.flags.writeable
+    single = sampling.apply_repetition_penalty(logits.astype(np.float32), [], 1.3)
+    assert single.dtype == np.float64
 
 
 def test_layer_norm_matches_numpy_mean_and_var() -> None:
