@@ -603,15 +603,11 @@ def _attention_backward(dctx: np.ndarray, lc: dict, d_head: int,
 def _softmax_rows(scores: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis; scores is overwritten. Lanes where the
     mask keep is False get probability 0 and are never exponentiated, and
-    the kept lanes come out as with -inf added to the dropped ones. With no
-    mask (a step's single row) every lane is kept and the plain max and exp
-    run, giving the same values."""
-    if keep is None:
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-    else:
-        scores -= scores.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
-        np.exp(scores, out=scores, where=keep)
+    the kept lanes come out as with -inf added to the dropped ones."""
+    where = True if keep is None else keep
+    scores -= scores.max(axis=-1, keepdims=True, where=where, initial=-np.inf)
+    np.exp(scores, out=scores, where=where)
+    if keep is not None:
         np.copyto(scores, 0.0, where=~keep)
     scores /= scores.sum(axis=-1, keepdims=True)
     return scores

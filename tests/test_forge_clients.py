@@ -301,6 +301,10 @@ def test_sampler_tie_break_is_lexicographic():
 def test_sampler_validation():
     with pytest.raises(ValueError):
         sample_audioset({"A": 1}, {"a1": ["A"]}, 2)
+    with pytest.raises(ValueError, match="asked for 0 audios"):
+        sample_audioset({"A": 1}, {"a1": ["A"]}, 0)
+    with pytest.raises(ValueError, match="asked for -1 audios"):
+        sample_audioset({"A": 1}, {"a1": ["A"]}, -1)
     with pytest.raises(ValueError):
         sample_audioset({"A": 1}, {"a1": ["B"]}, 1)
     with pytest.raises(ValueError):
