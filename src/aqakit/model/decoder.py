@@ -14,11 +14,28 @@ and values in every layer. A layer's intermediates are kept only for a
 backward (forward's want_cache): on the cached path and in a plain forward
 each layer's are freed when its block returns.
 
-The adapters are merged into their frozen projections once per forward or
-prefill: each layer gets q, k and v from one product with the matrix
-[Wq + scale Bq Aq | Wk + scale Bk Ak | Wv]. prefill keeps the merged
-weights on its KvCache, so a request decodes with the weights its prefill
-merged, and a later change to lora reaches the next forward or prefill.
+Each forward or prefill builds one weight table per layer (LayerWeights):
+the adapters merged into their frozen projections, so that the layer gets
+q, k and v from one product with the matrix
+[Wq + scale Bq Aq | Wk + scale Bk Ak | Wv], beside the layer's frozen norm,
+attention-output and MLP arrays, which _block and _backward read in place
+of string-keyed lookups. prefill keeps the tables on its KvCache, so a
+request decodes with the weights its prefill read. The tables are never
+kept on the model: a later change to base or lora reaches the next forward
+or prefill.
+
+A one-row layer norm (every norm of step, and the last layer's second norm
+and the final norm of prefill) takes the row's mean and inverse standard
+deviation as Python floats. Those are the IEEE sum, division, square root
+and reciprocal numpy applies to (1, 1) arrays, so the results are bit for
+bit the same row of a multi-row norm, at fewer numpy calls per token.
+
+Token ids must lie in 0..vocab_size - 1: forward, prefill and step raise
+ValueError naming the first id outside that range and its text position,
+where numpy would wrap a negative id to another row or fail with a bare
+IndexError. TrainingExample checks its ids, targets included, against the
+tokenizer's VOCAB_SIZE, and loss_and_grads its last target, which forward
+never embeds, against the model's.
 
 Training runs only the rows its loss reads. loss_and_grads finds the read
 span, the text rows from the first to the last supervised target (row t
@@ -59,7 +76,9 @@ starts at zero, so training starts exactly at the frozen model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,20 +149,38 @@ class TrainingExample:
             raise ValueError("loss_mask must align with text_tokens")
         if self.loss_mask[:1].any():
             raise ValueError("the leading token is never supervised")
+        _check_token_ids(self.text_tokens, VOCAB_SIZE)
+
+
+class LayerWeights(NamedTuple):
+    """One decoder layer's weights as _block and _backward read them: the
+    merged q/k/v matrix (h1 @ w_qkv is [q | k | v]) and the layer's frozen
+    norm, attention-output and MLP arrays (base's own, not copies)."""
+
+    w_qkv: np.ndarray
+    ln1_gamma: np.ndarray
+    ln1_beta: np.ndarray
+    wo: np.ndarray
+    ln2_gamma: np.ndarray
+    ln2_beta: np.ndarray
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
 
 
 @dataclass
 class KvCache:
     """Keys and values of every position run so far, for incremental
     decoding: buffers of shape (n_layers, n_heads, max_seq_len, d_head)
-    whose first `length` positions are filled. w_qkv holds each layer's
-    merged q/k/v weights as prefill built them; every step of the request
-    uses these, not the model's adapters of the moment."""
+    whose first `length` positions are filled. weights holds each layer's
+    LayerWeights as prefill built them; every step of the request uses
+    these, not the model's base and adapters of the moment."""
 
     keys: np.ndarray
     values: np.ndarray
     length: int
-    w_qkv: list[np.ndarray]
+    weights: list[LayerWeights]
 
 
 def tensor_shapes(c: DecoderConfig) -> dict[str, dict[str, tuple[int, ...]]]:
@@ -270,41 +307,49 @@ class AudioTextLm:
         if read_from < 0 or n_out < 1:
             raise ValueError(f"read_from {read_from} is outside the {x.shape[0] - na} "
                              "text rows")
-        w_qkv = self._merged_qkv()
+        weights = self._layer_weights()
         first = na + read_from if read_from else 0
-        xf, lnf_cache, layer_caches = self._run(x, w_qkv, first=first, keep=want_cache)
+        xf, lnf_cache, layer_caches = self._run(x, weights, first=first, keep=want_cache)
         # the logits are the trailing rows of xf, which holds every row only
         # when the last layer ran them all
         logits = xf[xf.shape[0] - n_out:] @ self.base["out.w"].T
         if not want_cache:
             return logits
-        return logits, {"audio": audio_cache, "layers": layer_caches, "w_qkv": w_qkv,
+        return logits, {"audio": audio_cache, "layers": layer_caches, "weights": weights,
                         "lnf": lnf_cache, "na": na, "total": x.shape[0]}
 
-    def _merged_qkv(self) -> list[np.ndarray]:
-        """Per layer, the (d_model, 3 d_model) matrix W for which h1 @ W is
-        [q | k | v]: the transpose of [Wq + scale Bq Aq | Wk + scale Bk Ak | Wv]
-        stacked by rows, each adapter merged into its frozen projection."""
-        merged = []
+    def _layer_weights(self) -> list[LayerWeights]:
+        """Every layer's LayerWeights, read from base and lora as they are
+        now. w_qkv is the (d_model, 3 d_model) transpose of
+        [Wq + scale Bq Aq | Wk + scale Bk Ak | Wv] stacked by rows, each
+        adapter merged into its frozen projection. Built per call, never
+        kept on the model, so a change to base or lora reaches the next
+        forward or prefill."""
+        base, tables = self.base, []
         for i in range(self.cfg.n_layers):
-            p = f"layers.{i}.attn."
-            rows = [self.base[p + w] + LORA_SCALE * (self.lora[p + f"{t}.lora_B"]
-                                                     @ self.lora[p + f"{t}.lora_A"])
+            p = f"layers.{i}."
+            rows = [base[p + "attn." + w]
+                    + LORA_SCALE * (self.lora[p + f"attn.{t}.lora_B"]
+                                    @ self.lora[p + f"attn.{t}.lora_A"])
                     for t, w in zip(LORA_TARGETS, ("wq", "wk"))]
-            merged.append(np.concatenate([*rows, self.base[p + "wv"]]).T)
-        return merged
+            w_qkv = np.concatenate([*rows, base[p + "attn.wv"]]).T
+            tables.append(LayerWeights(w_qkv, *(base[p + name] for name in (
+                "ln1.gamma", "ln1.beta", "attn.wo", "ln2.gamma", "ln2.beta",
+                "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2"))))
+        return tables
 
     def _input_rows(self, audio_rows: np.ndarray, text_ids) -> np.ndarray:
         """[audio rows | token embeddings], before position embeddings."""
         text_ids = np.asarray(text_ids, dtype=np.int64)
         if text_ids.size == 0:
             raise ValueError("at least one text token is required")
+        _check_token_ids(text_ids, self.cfg.vocab_size)
         return np.concatenate([audio_rows, self.base["tok_emb"][text_ids]])
 
-    def _run(self, x: np.ndarray, w_qkv: list[np.ndarray], past: KvCache | None = None,
-             first: int = 0, keep: bool = False):
+    def _run(self, x: np.ndarray, weights: list[LayerWeights],
+             past: KvCache | None = None, first: int = 0, keep: bool = False):
         """The one pass through the layer stack and the final norm, with
-        w_qkv the merged q/k/v weights of every layer.
+        weights every layer's LayerWeights.
 
         The rows x take the positions after past.length, or from 0 without
         a cache. With past, their keys and values are written into it and
@@ -328,7 +373,7 @@ class AudioTextLm:
             # rows before first still need every earlier layer: they feed the
             # last layer's keys and values
             skip = first if i == c.n_layers - 1 else 0
-            x, layer_cache = self._block(i, x, w_qkv[i],
+            x, layer_cache = self._block(i, x, weights[i],
                                          None if causal is None else causal[skip:],
                                          past, skip)
             if keep:
@@ -339,26 +384,25 @@ class AudioTextLm:
                                     self.base["final_ln.beta"])
         return xf, lnf_cache, layer_caches
 
-    def _block(self, i: int, x: np.ndarray, w_qkv: np.ndarray,
+    def _block(self, i: int, x: np.ndarray, lw: LayerWeights,
                causal: np.ndarray | None,
                past: KvCache | None = None, first: int = 0) -> tuple[np.ndarray, dict]:
         """Decoder layer i over the rows x; returns the layer's output rows
         and the intermediates the backward pass reads.
 
-        w_qkv is the layer's merged q/k/v matrix from _merged_qkv. Without
-        past the rows attend among themselves. With past they follow its
-        first past.length positions: their keys and values are written into
+        lw is the layer's table from _layer_weights. Without past the rows
+        attend among themselves. With past they follow its first
+        past.length positions: their keys and values are written into
         past's buffers for layer i and they attend to every position up to
         their own. Every row gets a key and a value, but only the rows from
         first on get a query and an output. causal is the boolean mask of
         shape (len(x) - first, positions attended to), or None for no mask.
         """
         c = self.cfg
-        p = f"layers.{i}."
+        n_heads, d_head = c.n_heads, c.d_head
         n = x.shape[0]
-        h1, ln1_cache = _ln_forward(x, self.base[p + "ln1.gamma"],
-                                    self.base[p + "ln1.beta"])
-        qh, kh, vh = (h1 @ w_qkv).reshape(n, 3, c.n_heads, c.d_head).transpose(1, 2, 0, 3)
+        h1, ln1_cache = _ln_forward(x, lw.ln1_gamma, lw.ln1_beta)
+        qh, kh, vh = (h1 @ lw.w_qkv).reshape(n, 3, n_heads, d_head).transpose(1, 2, 0, 3)
         qh = qh[:, first:]
         keys, values = kh, vh
         if past is not None:
@@ -366,22 +410,21 @@ class AudioTextLm:
             past.keys[i, :, past.length:end] = kh
             past.values[i, :, past.length:end] = vh
             keys, values = past.keys[i, :, :end], past.values[i, :, :end]
-        scores = (qh / np.sqrt(c.d_head)) @ keys.transpose(0, 2, 1)
+        scores = (qh / math.sqrt(d_head)) @ keys.transpose(0, 2, 1)
         probs = _softmax_rows(scores, causal)
         # each head's output is written straight into its lanes of ctx_flat
         ctx_flat = np.empty((n - first, c.d_model))
-        ctx = ctx_flat.reshape(n - first, c.n_heads, c.d_head).transpose(1, 0, 2)
+        ctx = ctx_flat.reshape(n - first, n_heads, d_head).transpose(1, 0, 2)
         np.matmul(probs, values, out=ctx)
-        x_mid = ctx_flat @ self.base[p + "attn.wo"].T
+        x_mid = ctx_flat @ lw.wo.T
         x_mid += x[first:]
 
-        h2, ln2_cache = _ln_forward(x_mid, self.base[p + "ln2.gamma"],
-                                    self.base[p + "ln2.beta"])
-        z = h2 @ self.base[p + "mlp.w1"].T
-        z += self.base[p + "mlp.b1"]
+        h2, ln2_cache = _ln_forward(x_mid, lw.ln2_gamma, lw.ln2_beta)
+        z = h2 @ lw.w1.T
+        z += lw.b1
         t = np.tanh(z, out=z)
-        out = t @ self.base[p + "mlp.w2"].T
-        out += self.base[p + "mlp.b2"]
+        out = t @ lw.w2.T
+        out += lw.b2
         out += x_mid
         return out, {
             "h1": h1, "ln1": ln1_cache, "qh": qh, "kh": kh, "vh": vh,
@@ -402,10 +445,10 @@ class AudioTextLm:
         """
         c = self.cfg
         shape = (c.n_layers, c.n_heads, c.max_seq_len, c.d_head)
-        kv = KvCache(np.empty(shape), np.empty(shape), 0, self._merged_qkv())
+        kv = KvCache(np.empty(shape), np.empty(shape), 0, self._layer_weights())
         audio_rows, _ = self._audio_rows(audio)
         x = self._input_rows(audio_rows, prompt_ids)
-        xf, _, _ = self._run(x, kv.w_qkv, kv, first=x.shape[0] - 1)
+        xf, _, _ = self._run(x, kv.weights, kv, first=x.shape[0] - 1)
         return self._last_logits(xf), kv
 
     def step(self, kv: KvCache, token_id: int) -> np.ndarray:
@@ -414,9 +457,14 @@ class AudioTextLm:
 
         Matches the last row of forward over the whole sequence to float64
         rounding. Raises forward's ValueError when the token would pass
-        max_seq_len, leaving the cache as it was.
+        max_seq_len or lies outside the vocabulary, leaving the cache as it
+        was.
         """
-        xf, _, _ = self._run(self.base["tok_emb"][[int(token_id)]], kv.w_qkv, kv)
+        token_id = int(token_id)
+        if not 0 <= token_id < self.cfg.vocab_size:
+            _check_token_ids(np.array([token_id]), self.cfg.vocab_size,
+                             kv.length - self.cfg.n_audio_tokens)
+        xf, _, _ = self._run(self.base["tok_emb"][[token_id]], kv.weights, kv)
         return self._last_logits(xf)
 
     def _last_logits(self, xf: np.ndarray) -> np.ndarray:
@@ -446,6 +494,8 @@ class AudioTextLm:
         if read.size == 0:
             raise ValueError("empty loss mask")
         first, end = int(read[0]), int(read[-1]) + 1
+        # forward checks the ids it embeds; the last target is only a label
+        _check_token_ids(ex.text_tokens[end:end + 1], self.cfg.vocab_size, end)
         logits, cache = self.forward(ex.audio, ex.text_tokens[:end], want_cache=True,
                                      read_from=first)
         loss, dlogits = masked_nll_and_dlogits(logits, ex.text_tokens[first + 1:end + 1],
@@ -472,7 +522,7 @@ class AudioTextLm:
 
         for i in reversed(range(c.n_layers)):
             p = f"layers.{i}."
-            lc = cache["layers"][i]
+            lc, lw = cache["layers"][i], cache["weights"][i]
             # dx covers the rows from `first` on, the ones that had a query
             first = lc["first"]
 
@@ -481,13 +531,12 @@ class AudioTextLm:
             t = lc["t"]
             dz = t * t
             np.subtract(1.0, dz, out=dz)
-            dz *= dx @ self.base[p + "mlp.w2"]
-            dx_mid = _ln_backward(dz @ self.base[p + "mlp.w1"], lc["ln2"],
-                                  self.base[p + "ln2.gamma"])
+            dz *= dx @ lw.w2
+            dx_mid = _ln_backward(dz @ lw.w1, lc["ln2"], lw.ln2_gamma)
             dx_mid += dx
 
             # attention branch: x_mid = x_in + attn(h1)
-            dctx_flat = dx_mid @ self.base[p + "attn.wo"]
+            dctx_flat = dx_mid @ lw.wo
             dctx = dctx_flat.reshape(total - first, c.n_heads, c.d_head).transpose(1, 0, 2)
             # [dq | dk | dv], laid out like h1 @ w_qkv; dq is 0 before first.
             # Each head's gradients are written straight into their lanes.
@@ -498,7 +547,7 @@ class AudioTextLm:
                                 heads[0, :, first:], heads[1], heads[2])
             dqkv = dqkv.reshape(total, 3 * c.d_model)
             h1 = lc["h1"]
-            dh1 = dqkv @ cache["w_qkv"][i].T
+            dh1 = dqkv @ lw.w_qkv.T
             # q and k are h1 W^T + scale (h1 A^T) B^T for their adapter's A, B
             for j, target in enumerate(LORA_TARGETS):
                 a_name = p + f"attn.{target}.lora_A"
@@ -507,7 +556,7 @@ class AudioTextLm:
                 grads[b_name] = LORA_SCALE * (dy.T @ (h1 @ self.lora[a_name].T))
                 grads[a_name] = (LORA_SCALE * (dy @ self.lora[b_name])).T @ h1
 
-            dx = _ln_backward(dh1, lc["ln1"], self.base[p + "ln1.gamma"])
+            dx = _ln_backward(dh1, lc["ln1"], lw.ln1_gamma)
             dx[first:] += dx_mid
 
         # embedding layer: audio rows are trainable, text rows are frozen
@@ -544,6 +593,15 @@ def _check_length(total: int, max_seq_len: int) -> None:
         raise ValueError(f"sequence length {total} exceeds max {max_seq_len}")
 
 
+def _check_token_ids(ids: np.ndarray, vocab_size: int, offset: int = 0) -> None:
+    """Raise ValueError naming the first of ids outside 0..vocab_size - 1,
+    with its text position (offset + its index in ids)."""
+    if ids.size and (np.minimum.reduce(ids) < 0 or np.maximum.reduce(ids) >= vocab_size):
+        pos = int(np.flatnonzero((ids < 0) | (ids >= vocab_size))[0])
+        raise ValueError(f"token id {int(ids[pos])} at position {offset + pos} is outside "
+                         f"the vocabulary (vocab_size {vocab_size})")
+
+
 def _causal_mask(n: int, start: int) -> np.ndarray:
     """Mask for n rows at positions start.. attending to positions
     0..start+n-1: True where the key lies at or before the query."""
@@ -551,13 +609,22 @@ def _causal_mask(n: int, start: int) -> np.ndarray:
 
 
 def _ln_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
-    # the sums numpy's x.mean and x.var take, with the mean taken once. The
-    # (rows, d) arrays are updated in place, the (rows, 1) statistics not:
-    # at one row, as in step, the extra calls cost more than they save
+    # the sums numpy's x.mean and x.var take, with the mean taken once; the
+    # (rows, d) arrays are updated in place. A single row (step, and
+    # prefill's last layer and final norm) takes its mean and inverse
+    # standard deviation as Python floats: the same IEEE sum, division,
+    # square root and reciprocal numpy applies to (1, 1) arrays, without
+    # their per-call overhead. ivar is returned as (rows, 1) either way.
     n = x.shape[1]
-    xhat = x - np.add.reduce(x, 1, keepdims=True) / n
-    ivar = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, 1, keepdims=True) / n + LN_EPS)
-    xhat *= ivar
+    if x.shape[0] == 1:
+        xhat = x - float(np.add.reduce(x, 1)[0]) / n
+        inv = 1.0 / math.sqrt(float(np.add.reduce(xhat * xhat, 1)[0]) / n + LN_EPS)
+        xhat *= inv
+        ivar = np.array([[inv]])
+    else:
+        xhat = x - np.add.reduce(x, 1, keepdims=True) / n
+        ivar = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, 1, keepdims=True) / n + LN_EPS)
+        xhat *= ivar
     out = xhat * gamma
     out += beta
     return out, (xhat, ivar)
@@ -592,7 +659,7 @@ def _attention_backward(dctx: np.ndarray, lc: dict, d_head: int,
     dscores = dctx @ lc["vh"].transpose(0, 2, 1)
     dscores -= np.add.reduce(dctx * lc["ctx"], 2, keepdims=True)
     dscores *= probs
-    scale = np.sqrt(d_head)
+    scale = math.sqrt(d_head)
     np.matmul(dscores, lc["kh"], out=dq)
     dq /= scale
     np.matmul(dscores.transpose(0, 2, 1), lc["qh"], out=dk)
@@ -605,9 +672,10 @@ def _softmax_rows(scores: np.ndarray, keep: np.ndarray | None = None) -> np.ndar
     mask keep is False get probability 0 and are never exponentiated, and
     the kept lanes come out as with -inf added to the dropped ones."""
     where = True if keep is None else keep
-    scores -= scores.max(axis=-1, keepdims=True, where=where, initial=-np.inf)
+    scores -= np.maximum.reduce(scores, -1, keepdims=True, where=where,
+                                initial=-np.inf)
     np.exp(scores, out=scores, where=where)
     if keep is not None:
         np.copyto(scores, 0.0, where=~keep)
-    scores /= scores.sum(axis=-1, keepdims=True)
+    scores /= np.add.reduce(scores, -1, keepdims=True)
     return scores

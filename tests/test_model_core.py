@@ -99,7 +99,7 @@ def test_lora_zero_b_is_frozen_map() -> None:
     model.lora["layers.0.attn.query.lora_A"] = rng.normal(size=(8, 4))
     assert not model.lora["layers.0.attn.query.lora_B"].any()
     x = rng.normal(size=(1, 4))
-    _, cache = model._block(0, x, model._merged_qkv()[0], None)
+    _, cache = model._block(0, x, model._layer_weights()[0], None)
     np.testing.assert_array_equal(cache["qh"][0], cache["h1"] @ W.T)
 
 
@@ -115,7 +115,7 @@ def test_lora_hand_case() -> None:
     model.lora[p + "attn.query.lora_A"][0] = 1.0
     model.lora[p + "attn.query.lora_A"][1:] = 0.0
     model.lora[p + "attn.query.lora_B"][0, 0] = 1.0
-    _, cache = model._block(0, np.array([[0.3, -0.7]]), model._merged_qkv()[0], None)
+    _, cache = model._block(0, np.array([[0.3, -0.7]]), model._layer_weights()[0], None)
     np.testing.assert_array_equal(cache["qh"], [[[12.0, 3.0]]])
 
 
@@ -235,8 +235,8 @@ def test_merged_projection_matches_factored_lora(targets) -> None:
     model = adapted_model(targets)
     c, n = model.cfg, 7
     x = np.random.default_rng(48).normal(size=(n, c.d_model))
-    for i, w_qkv in enumerate(model._merged_qkv()):
-        _, cache = model._block(i, x, w_qkv, decoder._causal_mask(n, 0))
+    for i, lw in enumerate(model._layer_weights()):
+        _, cache = model._block(i, x, lw, decoder._causal_mask(n, 0))
         h1 = cache["h1"]
         p = f"layers.{i}.attn."
         for t, w, heads in (("query", "wq", cache["qh"]), ("key", "wk", cache["kh"]),
@@ -343,13 +343,13 @@ def test_generate_encodes_the_clip_once(monkeypatch) -> None:
 def test_generate_merges_the_adapters_once(monkeypatch) -> None:
     model = adapted_model()
     calls = []
-    real = model._merged_qkv
+    real = model._layer_weights
 
     def counting():
         calls.append(1)
         return real()
 
-    monkeypatch.setattr(model, "_merged_qkv", counting)
+    monkeypatch.setattr(model, "_layer_weights", counting)
     cfg = GenerationConfig(max_new_tokens=24, seed=1)
     out = generate(model, random_audio(model.cfg, 45), np.array([BOS_ID, 97]), cfg)
     assert out.size == 24
@@ -447,6 +447,94 @@ def test_step_past_the_context_leaves_the_cache_as_it_was() -> None:
     assert np.array_equal(kv.values, values, equal_nan=True)
 
 
+def vocab_message(token_id: int, pos: int) -> str:
+    return (f"token id {token_id} at position {pos} is outside the vocabulary "
+            f"(vocab_size {VOCAB_SIZE})")
+
+
+@pytest.mark.parametrize("bad", [-1, VOCAB_SIZE])
+@pytest.mark.parametrize("entry", ["forward", "prefill"])
+def test_forward_and_prefill_reject_ids_outside_the_vocabulary(bad: int,
+                                                               entry: str) -> None:
+    # -1 used to embed SEP_ID's row, VOCAB_SIZE to fail inside numpy
+    model = adapted_model()
+    ids = np.array([BOS_ID, 97, bad, SEP_ID])
+    with pytest.raises(ValueError) as err:
+        getattr(model, entry)(random_audio(model.cfg, 52), ids)
+    assert str(err.value) == vocab_message(bad, 2)
+
+
+@pytest.mark.parametrize("bad", [-1, VOCAB_SIZE, 10**12])
+def test_a_rejected_step_leaves_the_cache_as_it_was(bad: int) -> None:
+    model = adapted_model()
+    prompt = np.array([BOS_ID, 97, SEP_ID])
+    _, kv = model.prefill(random_audio(model.cfg, 53), prompt)
+    keys, values, length = kv.keys.copy(), kv.values.copy(), kv.length
+    with pytest.raises(ValueError) as err:
+        model.step(kv, bad)
+    # the text position the token would take, as forward over the whole
+    # sequence would name it
+    assert str(err.value) == vocab_message(bad, prompt.size)
+    assert kv.length == length
+    assert np.array_equal(kv.keys, keys, equal_nan=True)
+    assert np.array_equal(kv.values, values, equal_nan=True)
+
+
+@pytest.mark.parametrize("bad", [-1, VOCAB_SIZE])
+def test_training_example_rejects_ids_outside_the_vocabulary(bad: int) -> None:
+    ids, mask = build_qa_ids("what is it", "a dog")
+    ids[-1] = bad  # a supervised target, never an input row
+    with pytest.raises(ValueError) as err:
+        TrainingExample(random_audio(tiny_cfg()), ids, mask)
+    assert str(err.value) == vocab_message(bad, ids.size - 1)
+
+
+def test_loss_and_grads_rejects_a_target_outside_the_model_vocabulary() -> None:
+    # 250 is in the tokenizer's vocabulary, not in the model's, and as the
+    # last target it is never an input row
+    cfg = dataclasses.replace(tiny_cfg(), vocab_size=200)
+    ex = TrainingExample(random_audio(cfg), np.array([104, 105, 97, 250]),
+                         np.array([False, False, True, True]))
+    with pytest.raises(ValueError) as err:
+        AudioTextLm(cfg).loss_and_grads(ex)
+    assert str(err.value) == ("token id 250 at position 3 is outside the vocabulary "
+                              "(vocab_size 200)")
+
+
+def test_the_weight_table_is_built_per_call(monkeypatch) -> None:
+    model = adapted_model()
+    audio = random_audio(model.cfg, 54)
+    prompt = np.array(prompt_ids("what is it?"))
+    cfg = GenerationConfig(max_new_tokens=12, seed=3)
+    caches = []
+    real_prefill = model.prefill
+
+    def recorded(*args):
+        logits, kv = real_prefill(*args)
+        caches.append(kv)
+        return logits, kv
+
+    monkeypatch.setattr(model, "prefill", recorded)
+    first = generate(model, audio, prompt, cfg)
+    kv = caches[0]
+    stale = dataclasses.replace(kv, keys=kv.keys.copy(), values=kv.values.copy())
+    want_step = model.step(stale, 97)
+
+    rng = np.random.default_rng(55)
+    name = "layers.1.mlp.w1"
+    model.base[name] = rng.normal(0.0, 0.1, size=model.base[name].shape)
+    model.lora["layers.0.attn.key.lora_B"] += 0.05
+    second = generate(model, audio, prompt, cfg)
+    fresh = AudioTextLm.from_tensors(model.cfg, {
+        group: {k: v.copy() for k, v in getattr(model, group).items()}
+        for group in ("base", "lora", "audio")})
+    assert np.array_equal(second, generate(fresh, audio, prompt, cfg))
+    assert not np.array_equal(second, first)
+    # the first request's cache keeps the weights its prefill merged
+    got_step = model.step(kv, 97)
+    assert np.array_equal(got_step.view(np.uint64), want_step.view(np.uint64))
+
+
 def test_prefill_fills_the_cache_as_a_pass_over_every_row() -> None:
     model = adapted_model()
     audio = random_audio(model.cfg, 49)
@@ -455,16 +543,16 @@ def test_prefill_fills_the_cache_as_a_pass_over_every_row() -> None:
     # reference: every row runs the whole stack into a fresh cache
     c = model.cfg
     shape = (c.n_layers, c.n_heads, c.max_seq_len, c.d_head)
-    ref = decoder.KvCache(np.zeros(shape), np.zeros(shape), 0, model._merged_qkv())
+    ref = decoder.KvCache(np.zeros(shape), np.zeros(shape), 0, model._layer_weights())
     x = model._input_rows(model._audio_rows(audio)[0], prompt)
-    model._run(x, ref.w_qkv, ref, first=0)
+    model._run(x, ref.weights, ref, first=0)
     assert kv.length == ref.length == c.n_audio_tokens + prompt.size
     filled = slice(0, kv.length)
     for got, want in ((kv.keys, ref.keys), (kv.values, ref.values)):
         assert np.array_equal(got[:, :, filled].view(np.uint64),
                               want[:, :, filled].view(np.uint64))
-    assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
-               for a, b in zip(kv.w_qkv, ref.w_qkv, strict=True))
+    assert all(np.array_equal(a.w_qkv.view(np.uint64), b.w_qkv.view(np.uint64))
+               for a, b in zip(kv.weights, ref.weights, strict=True))
 
 
 @pytest.mark.parametrize("n_layers", [4, 1, 0])
@@ -527,6 +615,29 @@ def test_layer_norm_matches_numpy_mean_and_var() -> None:
             assert np.array_equal(out, xhat * gamma + beta)
             assert np.array_equal(got_xhat, xhat)
             assert np.array_equal(got_ivar, ivar)
+
+
+@pytest.mark.parametrize("width", [2, 16, 96])
+def test_one_row_layer_norm_is_a_row_of_the_multi_row_one(width: int) -> None:
+    rng = np.random.default_rng(58 + width)
+    gamma, beta = rng.normal(size=width), rng.normal(size=width)
+    x = rng.normal(0.3, 2.0, size=(5, width))
+    x[2] = 0.5  # a constant row: variance 0, ivar 1 / sqrt(LN_EPS)
+    dy = rng.normal(size=(5, width))
+    many_out, many_cache = decoder._ln_forward(x, gamma, beta)
+    many_dx = decoder._ln_backward(dy, many_cache, gamma)
+    for r in range(x.shape[0]):
+        out, (xhat, ivar) = decoder._ln_forward(x[r:r + 1], gamma, beta)
+        assert ivar.shape == (1, 1)
+        want_ivar = 1.0 / np.sqrt(x[r:r + 1].var(axis=1, keepdims=True) + decoder.LN_EPS)
+        assert np.array_equal(ivar, want_ivar)
+        for got, want in ((out, many_out[r:r + 1]), (xhat, many_cache[0][r:r + 1]),
+                          (ivar, many_cache[1][r:r + 1])):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        dx = decoder._ln_backward(dy[r:r + 1], (xhat, ivar), gamma)
+        assert np.array_equal(dx.view(np.uint64), many_dx[r:r + 1].view(np.uint64))
+    assert many_cache[1][2, 0] == 1.0 / math.sqrt(decoder.LN_EPS)
+    assert not many_cache[0][2].any()
 
 
 # -- next-token loss ---------------------------------------------------------
@@ -854,7 +965,7 @@ def test_scaled_queries_give_the_scaled_scores_bit_for_bit(first: int,
 
     monkeypatch.setattr(decoder, "_softmax_rows", recorded)
     x = np.random.default_rng(57).normal(size=(9, model.cfg.d_model))
-    _, cache = model._block(0, x, model._merged_qkv()[0],
+    _, cache = model._block(0, x, model._layer_weights()[0],
                             decoder._causal_mask(9, 0)[first:], first=first)
     want = cache["qh"] @ cache["kh"].transpose(0, 2, 1) / 4
     assert scores[0].shape == want.shape == (4, 9 - first, 9)
