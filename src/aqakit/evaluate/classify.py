@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .providers import EmbeddingProvider
+from .providers import EmbeddingProvider, _norm
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def _label_matrix(labels: LabelSet,
     matrix = np.empty((len(labels.names), provider.dimension))
     for row, name in zip(matrix, labels.names):
         row[:] = provider.embed(name)
-        norm = np.linalg.norm(row)
+        norm = _norm(row)
         if norm == 0.0:
             raise ValueError(f"label {name!r} embeds to a zero vector")
         row /= norm
@@ -84,7 +84,7 @@ def classify_corpus(texts: list[str], labels: LabelSet,
     out = np.empty((len(texts), len(cols)))
     for row, t in zip(out, texts):
         e = provider.embed(t)
-        norm = np.linalg.norm(e)
+        norm = _norm(e)
         if norm == 0.0:
             raise ValueError(f"output {t!r} embeds to a zero vector")
         row[:] = e[cols] / norm

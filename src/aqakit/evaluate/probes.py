@@ -1,6 +1,18 @@
-"""Ordering and counting probes over free-text answers.
+r"""Ordering and counting probes over free-text answers.
 
 The extraction rules are reconstructions; the originals are unpublished.
+
+Extraction is linear in the length of ordinary answers. Three of the order
+patterns open with ``(?:the\s+)?`` and a lazy run of C = ``[\w\s,&-]``, so
+an unanchored search would retry that run from every position inside it.
+They are compiled to start only where a run of C begins
+(``(?<![\w\s,&-])``), which cannot change a match: every match starts on a
+C character, and a match starting inside a run has a twin starting at the
+run's start whose group also takes the skipped characters, so the leftmost
+match always starts at a run start. The pattern that opens with the literal
+``first`` is searched as written. Two inputs stay quadratic: a long run of
+whitespace, which the ``\s+`` after the lazy run rescans from each of its
+positions, and many repeats of "first sound is" within one run.
 """
 
 from __future__ import annotations
@@ -11,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .providers import EmbeddingProvider
+from .providers import EmbeddingProvider, _norm
 
 DEFAULT_ORDER_PATTERNS = (
     r"(?:the\s+)?([\w\s,&-]+?)\s+(?:sounds?\s+)?(?:starts?|begins?)"
@@ -21,7 +33,12 @@ DEFAULT_ORDER_PATTERNS = (
     r"(?:the\s+)?([\w\s,&-]+?)\s+is\s+(?:the\s+)?first",
 )
 
-_ORDER_RES = tuple(re.compile(p, re.IGNORECASE) for p in DEFAULT_ORDER_PATTERNS)
+# the patterns opening with the clause class start only where a run of it
+# begins: see the module docstring for why no match changes
+_RUN_START = r"(?<![\w\s,&-])"
+_ORDER_RES = tuple(
+    re.compile(p if p.startswith("first") else _RUN_START + p, re.IGNORECASE)
+    for p in DEFAULT_ORDER_PATTERNS)
 _ARTICLE_RE = re.compile(r"^(?:the|a|an)\s+", re.IGNORECASE)
 
 # label vectors order_probe keeps, least recently used evicted first; a
@@ -46,7 +63,7 @@ def _label_vector(provider: EmbeddingProvider,
     """(embedding, norm) of a label name, embedded once per provider object.
     A label that embeds to zero is never kept, so it raises on every call."""
     lv = provider.embed(label)
-    norm = np.linalg.norm(lv)
+    norm = _norm(lv)
     if norm == 0.0:
         raise ValueError(f"label {label!r} embeds to a zero vector")
     return lv, norm
@@ -65,7 +82,7 @@ def order_probe(answer_text: str, first_label: str, second_label: str,
     if clause is None:
         return None
     e = provider.embed(clause)
-    ne = np.linalg.norm(e)
+    ne = _norm(e)
     if ne == 0.0:
         return None
     # providers.cosine's expression, with the clause norm taken once

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import re
 import time
 from typing import Protocol
@@ -29,6 +30,14 @@ def _tokens(text: str) -> list[str]:
 # distinct tokens whose hash is kept; answers and label names reuse a small
 # vocabulary, and an entry costs about 200 bytes with its token
 _TOKEN_HASH_CACHE = 8192
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a 1-D float64 vector, bit for bit: numpy's own
+    formula, sqrt(x.dot(x)) over x = v.ravel(order="K"), without its
+    argument checks."""
+    x = v.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 @functools.lru_cache(maxsize=_TOKEN_HASH_CACHE)
@@ -61,9 +70,10 @@ class HashedBagOfWordsProvider:
         d = self.dimension
         buckets = np.array([_token_hash(tok) % d for tok in _tokens(text)],
                            dtype=np.intp)
-        # integer counts are exact in float64
+        # integer counts are exact in float64; the float copy's dot runs in
+        # BLAS, several times faster than the int64 one
         v = np.bincount(buckets, minlength=d).astype(float)
-        n = np.linalg.norm(v)
+        n = _norm(v)
         if n > 0:
             v /= n
         return v
@@ -125,8 +135,8 @@ class RemoteEmbeddingProvider:
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity; zero-norm vectors are rejected."""
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
+    nu = _norm(u)
+    nv = _norm(v)
     if nu == 0.0 or nv == 0.0:
         raise ValueError("cosine undefined for a zero-norm vector")
     return float(np.dot(u, v) / (nu * nv))

@@ -488,6 +488,21 @@ class AudioTextLm:
         """
         from .losses import masked_nll_and_dlogits
 
+        logits, targets, mask, cache = self._read_span(ex, want_cache=True)
+        loss, dlogits = masked_nll_and_dlogits(logits, targets, mask)
+        return loss, self._backward(dlogits, cache)
+
+    def loss_only(self, ex: TrainingExample) -> float:
+        """loss_and_grads' loss, from the same read span and no backward."""
+        from .losses import next_token_loss
+
+        logits, targets, mask, _ = self._read_span(ex)
+        return next_token_loss(logits, targets, mask)
+
+    def _read_span(self, ex: TrainingExample, want_cache: bool = False):
+        """(logits, targets, mask, cache) over the read span: the text rows
+        from the first to the last supervised target's row, their targets and
+        loss mask, and forward's cache (None unless want_cache)."""
         _check_length(self.cfg.n_audio_tokens + ex.text_tokens.size, self.cfg.max_seq_len)
         mask = ex.loss_mask[1:]
         read = np.flatnonzero(mask)
@@ -496,17 +511,10 @@ class AudioTextLm:
         first, end = int(read[0]), int(read[-1]) + 1
         # forward checks the ids it embeds; the last target is only a label
         _check_token_ids(ex.text_tokens[end:end + 1], self.cfg.vocab_size, end)
-        logits, cache = self.forward(ex.audio, ex.text_tokens[:end], want_cache=True,
-                                     read_from=first)
-        loss, dlogits = masked_nll_and_dlogits(logits, ex.text_tokens[first + 1:end + 1],
-                                               mask[first:end])
-        return loss, self._backward(dlogits, cache)
-
-    def loss_only(self, ex: TrainingExample) -> float:
-        from .losses import next_token_loss
-
-        logits = self.forward(ex.audio, ex.text_tokens)
-        return next_token_loss(logits[:-1], ex.text_tokens[1:], ex.loss_mask[1:])
+        out = self.forward(ex.audio, ex.text_tokens[:end], want_cache=want_cache,
+                           read_from=first)
+        logits, cache = out if want_cache else (out, None)
+        return logits, ex.text_tokens[first + 1:end + 1], mask[first:end], cache
 
     def _backward(self, dlogits: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
         """Gradients of every trainable tensor from dlogits, the gradient on

@@ -4,10 +4,13 @@ and the ordering/counting probes."""
 import hashlib
 import math
 import re
+import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aqakit.evaluate import (JUDGE_PROMPT, ExactMatchProvider,
                              HashedBagOfWordsProvider, LabelSet,
@@ -18,7 +21,10 @@ from aqakit.evaluate import (JUDGE_PROMPT, ExactMatchProvider,
                              judge_rate, mean_average_precision, micro_f1,
                              order_accuracy, order_probe, parse_count,
                              pearson)
+from aqakit.evaluate import probes
+from aqakit.evaluate.providers import _norm
 from aqakit.forge import ReplayLlmClient
+from aqakit.synthetic import DEMO_CLASSES
 
 
 class PlantedProvider:
@@ -112,6 +118,16 @@ def test_hashed_provider_subclass_buckets_into_its_own_dimension():
     assert small.shape == (97,)
     assert np.array_equal(small, _hashed_reference(text, 97))
     assert np.array_equal(big, _hashed_reference(text))
+
+
+def test_norm_is_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(61)
+    for n in (1, 2, 7, 527, 4096):
+        v = rng.normal(size=2 * n) * 10.0 ** rng.integers(-3, 4)
+        # strided and reversed views are read as numpy reads them
+        for x in (v[:n], v[::2], v[::-1]):
+            assert _norm(x) == np.linalg.norm(x)
+    assert _norm(np.zeros(3)) == 0.0
 
 
 def test_exact_match_provider_one_hot():
@@ -337,6 +353,45 @@ def test_classify_corpus_rejects_a_zero_norm_output_or_label(provider,
     names[-1] = "??"
     with pytest.raises(ValueError, match=r"label '\?\?' embeds to a zero vector"):
         classify_corpus(_BATCH, LabelSet(tuple(names)), provider)
+
+
+def _demo_outputs():
+    """Outputs phrased as a demo classification batch: a label with its
+    feature, with its caption, and a tie between two labels."""
+    out = []
+    for k, c in enumerate(DEMO_CLASSES):
+        other = DEMO_CLASSES[(k + 3) % len(DEMO_CLASSES)]
+        out += [f"The {c.label} sound is {c.feature}.",
+                f"I can hear a {c.label}, {c.caption}.",
+                f"Either a {other.label} or a {c.label}."]
+    return out
+
+
+def _classify_reference(texts, names, provider):
+    """classify_corpus's scores with np.linalg.norm for every norm."""
+    matrix = np.empty((len(names), provider.dimension))
+    for row, name in zip(matrix, names):
+        row[:] = provider.embed(name)
+        row /= np.linalg.norm(row)
+    cols = np.flatnonzero(matrix.any(axis=0))
+    out = np.empty((len(texts), len(cols)))
+    for row, t in zip(out, texts):
+        e = provider.embed(t)
+        row[:] = e[cols] / np.linalg.norm(e)
+    return out @ matrix[:, cols].T
+
+
+@pytest.mark.parametrize("provider", [HashedBagOfWordsProvider(),
+                                      ScaledProvider()], ids=["hashed", "scaled"])
+@pytest.mark.parametrize("n_labels", [8, 527])
+def test_classify_corpus_scores_equal_the_numpy_norm_formulas(provider,
+                                                              n_labels):
+    demo = [c.label for c in DEMO_CLASSES]
+    names = demo if n_labels == 8 else demo + _filler_labels(n_labels - 8)
+    texts = _BATCH + _demo_outputs()
+    res = classify_corpus(texts, LabelSet(tuple(names)), provider)
+    assert np.array_equal(res.scores,
+                          _classify_reference(texts, names, provider))
 
 
 def test_label_set_validation():
@@ -710,6 +765,101 @@ def test_order_probe_label_cache_is_bounded():
     calls = p.calls
     order_probe("the dog comes first", "dog0", "dog", p)
     assert p.calls == calls + 2
+
+
+# the order patterns as written, searched from every position
+_UNANCHORED = tuple(re.compile(p, re.IGNORECASE)
+                    for p in probes.DEFAULT_ORDER_PATTERNS)
+
+
+def _unanchored_first_sound(text):
+    """extract_first_sound over the unanchored patterns."""
+    for pattern in _UNANCHORED:
+        m = pattern.search(text)
+        if m:
+            clause = re.sub(r"^(?:the|a|an)\s+", "", m.group(1).strip(),
+                            flags=re.IGNORECASE)
+            if clause:
+                return clause
+    return None
+
+
+def _order_probe_reference(answer, first, second, provider):
+    """order_probe with the unanchored patterns and np.linalg.norm."""
+    clause = _unanchored_first_sound(answer)
+    if clause is None:
+        return None
+    e = provider.embed(clause)
+    ne = np.linalg.norm(e)
+    if ne == 0.0:
+        return None
+    sims = []
+    for label in (first, second):
+        lv = provider.embed(label)
+        sims.append(float(np.dot(e, lv) / (ne * np.linalg.norm(lv))))
+    return sims[0] >= sims[1]
+
+
+@pytest.mark.parametrize("provider_cls", [HashedBagOfWordsProvider,
+                                          ScaledProvider], ids=["hashed", "scaled"])
+def test_order_probe_equals_the_unanchored_numpy_norm_formulas(provider_cls):
+    labels = [c.label for c in DEMO_CLASSES]
+    answers = ORDER_ANSWERS + [f"The {c.label} sound comes first."
+                               for c in DEMO_CLASSES]
+    answers.append("Both sounds overlap in the clip.")
+    p, ref = provider_cls(), provider_cls()
+    for k, a in enumerate(answers):
+        first, second = labels[k % 8], labels[(k + 1 + k // 8) % 8]
+        assert (order_probe(a, first, second, p)
+                == _order_probe_reference(a, first, second, ref))
+
+
+_ORDER_WORDS = ["the", "sound", "sounds", "starts", "start", "begins",
+                "begin", "and ends", "and end", "comes", "come", "came", "is",
+                "first", "first sound is", "dog", "bark", "a", "an"]
+_ORDER_NOISE = [",", "&", "-", ".", ";", "!", "?", "7", "42", "_", "é",
+                "naïve", "東京", "Straße", " ", "  ", "\t", "\n",
+                # case-fold to s and k under IGNORECASE
+                "\u017f", "\u212a"]
+_ORDER_TEXTS = st.lists(
+    st.tuples(st.sampled_from(_ORDER_WORDS + _ORDER_NOISE),
+              st.sampled_from([str, str.upper, str.title, str.swapcase]),
+              st.sampled_from(["", " ", " ", "  ", "\t", "\n", ", "])),
+    max_size=24,
+).map(lambda parts: "".join(case(word) + gap for word, case, gap in parts))
+
+
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(_ORDER_TEXTS)
+@example("the  comes first")
+@example(". \tcomes first")
+@example("x, the dog, the cat comes first")
+@example("the first sound is the first sound is")
+def test_run_start_anchor_keeps_every_order_match(text):
+    for old, new in zip(_UNANCHORED, probes._ORDER_RES):
+        want, got = old.search(text), new.search(text)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.span() == want.span()
+            assert got.groups() == want.groups()
+    assert extract_first_sound(text) == _unanchored_first_sound(text)
+
+
+def test_extraction_of_a_20000_char_answer_takes_under_a_second():
+    # one run of the clause class: the unanchored patterns would retry it
+    # from every position and take tens of seconds, so they are not run
+    unit = "a dog barks and a bell rings, "
+    plain = unit * 667
+    ordered = unit * 666 + "then the dog comes first"
+    assert min(len(plain), len(ordered)) >= 20_000
+    for text in (plain, ordered):
+        t0 = time.perf_counter()
+        got = extract_first_sound(text)
+        assert time.perf_counter() - t0 < 1.0
+        if text is plain:
+            assert got is None
+        else:
+            assert got.endswith(" the dog")
 
 
 def test_order_accuracy_planted_fixtures():

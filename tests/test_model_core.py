@@ -495,10 +495,12 @@ def test_loss_and_grads_rejects_a_target_outside_the_model_vocabulary() -> None:
     cfg = dataclasses.replace(tiny_cfg(), vocab_size=200)
     ex = TrainingExample(random_audio(cfg), np.array([104, 105, 97, 250]),
                          np.array([False, False, True, True]))
-    with pytest.raises(ValueError) as err:
-        AudioTextLm(cfg).loss_and_grads(ex)
-    assert str(err.value) == ("token id 250 at position 3 is outside the vocabulary "
-                              "(vocab_size 200)")
+    model = AudioTextLm(cfg)
+    for run in (model.loss_and_grads, model.loss_only):
+        with pytest.raises(ValueError) as err:
+            run(ex)
+        assert str(err.value) == ("token id 250 at position 3 is outside the "
+                                  "vocabulary (vocab_size 200)")
 
 
 def test_the_weight_table_is_built_per_call(monkeypatch) -> None:
@@ -906,13 +908,15 @@ def test_read_span_matches_the_full_row_path(kind: str, n_layers: int,
     real = model.forward
 
     def spy(audio, text_ids, want_cache=False, read_from=0):
-        spans.append((len(text_ids), read_from))
+        spans.append((len(text_ids), read_from, want_cache))
         return real(audio, text_ids, want_cache, read_from)
 
     monkeypatch.setattr(model, "forward", spy)
     loss, got = model.loss_and_grads(ex)
-    assert spans == [READ_SPANS[kind]]
     assert math.isclose(loss, want_loss, rel_tol=1e-12, abs_tol=0.0)
+    # loss_only reads the same span, keeps no cache and gives the same loss
+    assert model.loss_only(ex) == loss
+    assert spans == [READ_SPANS[kind] + (True,), READ_SPANS[kind] + (False,)]
     assert sorted(got) == sorted(want)
     for name, w in want.items():
         assert got[name].shape == w.shape
