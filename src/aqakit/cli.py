@@ -358,10 +358,8 @@ def _cmd_eval_judge(args) -> int:
     client = _make_llm_client(args)
     with _naming(args.pred, args.responses):
         report = judge_rate(pairs, client)
-    _emit(json.dumps({"rate": report.rate, "n_yes": report.n_yes,
-                      "n_no": report.n_no,
-                      "n_abstained": report.n_abstained},
-                     indent=2, sort_keys=True), args.out)
+    _emit(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True),
+          args.out)
     return 0
 
 
@@ -392,11 +390,7 @@ def _cmd_probe(args) -> int:
                                  f"got {count!r}")
             truths.append(count)
         with _naming(args.pred, args.truth):
-            pr = counting_probe(answers, truths)
-        report = {"pearson_r": pr.pearson_r,
-                  "double_single_ratio": pr.double_single_ratio,
-                  "n_used": pr.n_used,
-                  "excluded": list(pr.excluded)}
+            report = dataclasses.asdict(counting_probe(answers, truths))
     _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
     return 0
 

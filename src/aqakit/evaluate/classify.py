@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .providers import EmbeddingProvider, _norm
+from .providers import EmbeddingProvider, _norm, label_vector
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,8 @@ def _label_matrix(labels: LabelSet,
     # would hold every label vector twice
     matrix = np.empty((len(labels.names), provider.dimension))
     for row, name in zip(matrix, labels.names):
-        row[:] = provider.embed(name)
-        norm = _norm(row)
-        if norm == 0.0:
-            raise ValueError(f"label {name!r} embeds to a zero vector")
-        row /= norm
+        v, norm = label_vector(provider, name)
+        np.divide(v, norm, out=row)
     cols = np.flatnonzero(matrix.any(axis=0))
     compact = matrix[:, cols]
     object.__setattr__(labels, "_embedded", (provider, cols, compact))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .providers import EmbeddingProvider, _norm
+from .providers import EmbeddingProvider, _norm, label_vector
 
 DEFAULT_ORDER_PATTERNS = (
     r"(?:the\s+)?([\w\s,&-]+?)\s+(?:sounds?\s+)?(?:starts?|begins?)"
@@ -57,16 +57,9 @@ def extract_first_sound(text: str) -> str | None:
     return None
 
 
-@functools.lru_cache(maxsize=_LABEL_CACHE)
-def _label_vector(provider: EmbeddingProvider,
-                  label: str) -> tuple[np.ndarray, float]:
-    """(embedding, norm) of a label name, embedded once per provider object.
-    A label that embeds to zero is never kept, so it raises on every call."""
-    lv = provider.embed(label)
-    norm = _norm(lv)
-    if norm == 0.0:
-        raise ValueError(f"label {label!r} embeds to a zero vector")
-    return lv, norm
+# (embedding, norm) per label name, embedded once per provider object; a
+# label that embeds to zero is never kept, so it raises on every call
+_label_vector = functools.lru_cache(maxsize=_LABEL_CACHE)(label_vector)
 
 
 def order_probe(answer_text: str, first_label: str, second_label: str,

@@ -133,6 +133,17 @@ class RemoteEmbeddingProvider:
                          sleep=self._sleep)
 
 
+def label_vector(provider: EmbeddingProvider,
+                 label: str) -> tuple[np.ndarray, float]:
+    """(embedding, norm) of a label name; a label that embeds to the zero
+    vector raises ValueError."""
+    v = provider.embed(label)
+    norm = _norm(v)
+    if norm == 0.0:
+        raise ValueError(f"label {label!r} embeds to a zero vector")
+    return v, norm
+
+
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity; zero-norm vectors are rejected."""
     nu = _norm(u)

@@ -1,25 +1,30 @@
-"""Text files on disk: atomic writes, and the one reader of every text
-input (JSON, JSON lines, one name per line, and the text read_text hands to
-the checkpoint and curriculum parsers), so each error names its file."""
+"""Files on disk: the one writer of every file the package makes, text or
+binary, each written atomically; and the one reader of every text input
+(JSON, JSON lines, one name per line, and the text read_text hands to the
+checkpoint and curriculum parsers), so each error names its file."""
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Callable, Iterable
 
 
-def atomic_write(path: str | Path, text: str) -> None:
-    """Temp file in the same directory, then rename: a reader sees the old
-    file or the new one, never half of one."""
+def atomic_write(path: str | Path, data: str | bytes) -> None:
+    """Write data, a str as UTF-8, to a temp file in the same directory,
+    then rename: a reader sees the old file or the new one, never half of
+    one. The parent directory is created if missing, and the file gets the
+    mode a plain write gives it (0o666 less the umask)."""
     path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -14,7 +14,7 @@ from .meta import (AudioMeta, SoundEvent, format_span, meta_from_dict,
                    write_meta_jsonl)
 from .qa import (CLOSED_TASKS, TASK_KINDS, QAPair, qa_from_dict, qa_to_dict,
                  read_manifest, validate_manifest, write_manifest)
-from .sampler import SamplerWeights, compute_sampler_weights, sample_audioset
+from .sampler import sample_audioset
 from .stats import DatasetStats, compute_dataset_stats
 
 __all__ = [
@@ -29,6 +29,5 @@ __all__ = [
     "meta_from_dict", "meta_to_dict", "read_meta_jsonl", "serialize_meta",
     "write_meta_jsonl", "CLOSED_TASKS", "TASK_KINDS", "QAPair",
     "qa_from_dict", "qa_to_dict", "read_manifest", "validate_manifest",
-    "write_manifest", "SamplerWeights", "compute_sampler_weights",
-    "sample_audioset", "DatasetStats", "compute_dataset_stats",
+    "write_manifest", "sample_audioset", "DatasetStats", "compute_dataset_stats",
 ]

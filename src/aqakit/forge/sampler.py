@@ -7,19 +7,14 @@ rationals so ties are decided by the tie-break rule, never by float fuzz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass
-class SamplerWeights:
-    class_weights: dict[str, Fraction]
-    audio_weights: dict[str, Fraction]
-
-
-def compute_sampler_weights(label_counts: dict[str, int],
-                            labels_of: dict[str, list[str]],
-                            ) -> SamplerWeights:
+def sample_audioset(label_counts: dict[str, int],
+                    labels_of: dict[str, list[str]], n: int) -> list[str]:
+    """The n audio ids with the largest weights, ties by ascending id."""
+    if not 1 <= n <= len(labels_of):
+        raise ValueError(f"asked for {n} audios, can pick 1 to {len(labels_of)}")
     for cls, count in label_counts.items():
         if count < 1:
             raise ValueError(f"class {cls!r} has non-positive count {count}")
@@ -34,15 +29,6 @@ def compute_sampler_weights(label_counts: dict[str, int],
                     f"audio {audio_id!r} has unknown class {cls!r}")
             total += class_weights[cls]
         audio_weights[audio_id] = total
-    return SamplerWeights(class_weights, audio_weights)
-
-
-def sample_audioset(label_counts: dict[str, int],
-                    labels_of: dict[str, list[str]], n: int) -> list[str]:
-    """The n audio ids with the largest weights, ties by ascending id."""
-    if not 1 <= n <= len(labels_of):
-        raise ValueError(f"asked for {n} audios, can pick 1 to {len(labels_of)}")
-    weights = compute_sampler_weights(label_counts, labels_of)
-    ranked = sorted(weights.audio_weights.items(),
+    ranked = sorted(audio_weights.items(),
                     key=lambda item: (-item[1], item[0]))
     return [audio_id for audio_id, _ in ranked[:n]]

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .files import atomic_write
+
 SAMPLE_RATE_HZ = 16000
 MEL_FMIN_HZ = 0.0
 MEL_FMAX_HZ = 8000.0
@@ -305,7 +307,8 @@ def read_wav(path: str | Path) -> Waveform:
 
 
 def write_wav(path: str | Path, w: Waveform) -> None:
-    """Write a Waveform as mono 16-bit PCM RIFF, little-endian throughout."""
+    """Write a Waveform as mono 16-bit PCM RIFF, little-endian throughout,
+    atomically; a missing parent directory is created."""
     scaled = np.round(np.clip(w.samples, -1.0, 1.0) * 32768.0)
     ints = np.clip(scaled, -32768, 32767).astype("<i2")
     data = ints.tobytes()
@@ -313,5 +316,5 @@ def write_wav(path: str | Path, w: Waveform) -> None:
     body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt \
         + b"data" + struct.pack("<I", len(data)) + data
     blob = b"RIFF" + struct.pack("<I", len(body)) + body
-    Path(path).write_bytes(blob)
+    atomic_write(path, blob)
 

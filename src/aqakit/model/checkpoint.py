@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..files import read_text
+from ..files import atomic_write, read_text
 from .decoder import (LORA_ALPHA, LORA_RANK, LORA_TARGETS, AudioTextLm, DecoderConfig,
                       tensor_shapes)
 
@@ -72,8 +72,11 @@ def _manifest_lines(cfg: DecoderConfig) -> list[str]:
 
 
 def save_checkpoint(path: str | Path, model: AudioTextLm) -> None:
-    """Write manifest + blob into the directory at path (created if needed).
-    A tensor not finite in float32 raises RuntimeError before any write."""
+    """Write the blob, then the manifest, into the directory at path
+    (created if needed), each file atomically. The manifest follows from the
+    config alone, so a save of the same config stopped between the two
+    files still leaves a checkpoint that loads. A tensor not finite in
+    float32 raises RuntimeError before any write."""
     path = Path(path)
     blob = bytearray()
     for name, group, key, _, _ in _table(model.cfg):
@@ -83,10 +86,8 @@ def save_checkpoint(path: str | Path, model: AudioTextLm) -> None:
             raise RuntimeError(f"{path}: tensor {name} does not fit float32")
         blob.extend(arr.tobytes())
 
-    path.mkdir(parents=True, exist_ok=True)
-    (path / BLOB_NAME).write_bytes(bytes(blob))
-    (path / MANIFEST_NAME).write_text("\n".join(_manifest_lines(model.cfg)) + "\n",
-                                      encoding="utf-8")
+    atomic_write(path / BLOB_NAME, blob)
+    atomic_write(path / MANIFEST_NAME, "\n".join(_manifest_lines(model.cfg)) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> AudioTextLm:

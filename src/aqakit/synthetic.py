@@ -101,7 +101,6 @@ def write_demo_corpus(out_dir: str | Path, clips_per_class: int = 5,
     Returns counts for reporting."""
     out = Path(out_dir)
     audio_dir = out / "audio"
-    audio_dir.mkdir(parents=True, exist_ok=True)
     metas, waves = build_demo_corpus(clips_per_class, seed)
     for audio_id, wave in waves.items():
         write_wav(audio_dir / f"{audio_id}.wav", wave)

@@ -18,6 +18,7 @@ import aqakit
 from aqakit import cli
 from aqakit.cli import _build_parser, main
 from aqakit.evaluate import JUDGE_PROMPT
+from aqakit.files import atomic_write
 from aqakit.forge import build_aig_prompt, feature_prompt, read_meta_jsonl
 from aqakit.frontend import Waveform, write_wav
 from aqakit.model import AudioTextLm, DecoderConfig, save_checkpoint
@@ -267,6 +268,29 @@ def test_forge_closed_leaves_no_temp_files(demo_dir, tmp_path, capsys):
     capsys.readouterr()
     names = {p.name for p in (tmp_path / "deep").iterdir()}
     assert names == {"o.jsonl"}
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask_022", "umask_077"])
+def test_written_files_get_the_umask_default_mode(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        atomic_write(tmp_path / "report.json", "{}\n")
+        save_checkpoint(tmp_path / "ckpt", AudioTextLm(DecoderConfig(n_layers=0)))
+        write_wav(tmp_path / "clip.wav", Waveform(np.zeros(100)))
+    finally:
+        os.umask(old)
+    for path in (tmp_path / "report.json", tmp_path / "ckpt" / "manifest.txt",
+                 tmp_path / "ckpt" / "tensors.bin", tmp_path / "clip.wav"):
+        assert path.stat().st_mode & 0o777 == mode, path.name
+
+
+def test_atomic_write_stores_text_as_utf8_bytes(tmp_path):
+    text = "café — 犬の声\nline two\r\n\U0001f50a\n"
+    atomic_write(tmp_path / "atomic.txt", text)
+    (tmp_path / "plain.txt").write_text(text, encoding="utf-8")
+    assert ((tmp_path / "atomic.txt").read_bytes()
+            == (tmp_path / "plain.txt").read_bytes())
 
 
 def test_forge_open_mock_writes_valid_rows(demo_dir, tmp_path, capsys):
@@ -559,7 +583,8 @@ def test_train_then_answer_roundtrip(demo_dir, tmp_path, capsys):
                (run / "stage_reports.jsonl").read_text().splitlines()]
     assert [r["stage"] for r in reports] == [1, 2, 3, 4]
     for n in range(1, 5):
-        assert (run / f"stage{n}" / "manifest.txt").exists()
+        assert ({p.name for p in (run / f"stage{n}").iterdir()}
+                == {"manifest.txt", "tensors.bin"})
     wav = next((demo_dir / "audio").glob("*.wav"))
     assert main(["answer", "--audio", str(wav),
                  "--question", "classify the sound events in the audio clip",
@@ -945,6 +970,35 @@ def test_probe_counting_linearity(tmp_path, capsys):
     assert report["n_used"] == 4
     assert abs(report["pearson_r"] - 1.0) < 1e-12
     assert abs(report["double_single_ratio"] - 2.0) < 1e-12
+
+
+def test_judge_and_counting_reports_print_their_fields(tmp_path, capsys):
+    # the literal stdout: every field of the report, keys sorted, and the
+    # counting probe's excluded indices as a JSON list
+    preds = _jsonl(tmp_path / "cp.jsonl", [
+        {"audio_id": k, "question": "q", "output": o} for k, o in zip("abcde", (
+            "I hear 2 barks.", "no idea", "4 distinct thuds", "three knocks",
+            "one bark"))])
+    truth = _jsonl(tmp_path / "ct.jsonl", [
+        {"audio_id": k, "count": c} for k, c in zip("abcde", (1, 1, 2, 2, 1))])
+    assert main(["probe", "--kind", "counting", "--pred", str(preds),
+                 "--truth", str(truth)]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "double_single_ratio": 2.3333333333333335,\n  "excluded": [\n'
+        '    1\n  ],\n  "n_used": 4,\n  "pearson_r": 0.8944271909999159\n}\n')
+
+    verdicts = {"a dog": "Yes.", "a cat": "No.", "???": "maybe"}
+    preds = _jsonl(tmp_path / "jp.jsonl", [
+        {"audio_id": k, "question": "What is it?", "output": o}
+        for k, o in zip("abc", verdicts)])
+    responses = tmp_path / "replay.json"
+    responses.write_text(json.dumps(
+        {f"{JUDGE_PROMPT}\n\nQuestion: What is it?\nResponse: {o}": v
+         for o, v in verdicts.items()}), encoding="utf-8")
+    assert main(["eval-judge", "--pred", str(preds), "--mock-llm",
+                 "--responses", str(responses)]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "n_abstained": 1,\n  "n_no": 1,\n  "n_yes": 1,\n  "rate": 0.5\n}\n')
 
 
 @pytest.mark.parametrize("count", [None, [1, 2], "many", 2.9, True])

@@ -417,6 +417,13 @@ def test_demo_corpus_matches_golden_hashes(tmp_path):
             == digest, name
 
 
+def test_demo_clip_matches_golden_hash(tmp_path):
+    # pins the bytes write_wav stores: header, sample scaling and rounding
+    write_demo_corpus(tmp_path, seed=0)
+    assert hashlib.sha256((tmp_path / "audio" / "ant00.wav").read_bytes()).hexdigest() \
+        == "3e9341377cd6b353edaf70bdcdd1262894b9ee497299a9a20376ddc30bf6c475"
+
+
 # -- open-ended prompt and parsing --------------------------------------------
 
 def test_build_aig_prompt_matches_golden_fixture():

@@ -11,7 +11,6 @@ from aqakit.forge import (
     QAPair,
     build_aig_prompt,
     compute_dataset_stats,
-    compute_sampler_weights,
     feature_prompt,
     gen_feature_bank,
     parse_aig_response,
@@ -286,9 +285,8 @@ def test_feature_bank_warns_on_long_description(tmp_path):
 def test_sampler_worked_example():
     label_counts = {"A": 1, "B": 2}
     labels_of = {"a1": ["A"], "a2": ["B"], "a3": ["A", "B"]}
-    weights = compute_sampler_weights(label_counts, labels_of)
-    assert weights.audio_weights == {"a1": Fraction(1), "a2": Fraction(1, 2),
-                                     "a3": Fraction(3, 2)}
+    # weights a1 = 1, a2 = 1/2, a3 = 3/2
+    assert sample_audioset(label_counts, labels_of, 3) == ["a3", "a1", "a2"]
     assert sample_audioset(label_counts, labels_of, 2) == ["a3", "a1"]
 
 
@@ -305,10 +303,15 @@ def test_sampler_validation():
         sample_audioset({"A": 1}, {"a1": ["A"]}, 0)
     with pytest.raises(ValueError, match="asked for -1 audios"):
         sample_audioset({"A": 1}, {"a1": ["A"]}, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="audio 'a1' has unknown class 'B'"):
         sample_audioset({"A": 1}, {"a1": ["B"]}, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="class 'A' has non-positive count 0"):
         sample_audioset({"A": 0}, {"a1": ["A"]}, 1)
+    # the checks run in this order: n, then counts, then classes
+    with pytest.raises(ValueError, match="asked for 2 audios"):
+        sample_audioset({"A": 0}, {"a1": ["B"]}, 2)
+    with pytest.raises(ValueError, match="non-positive count"):
+        sample_audioset({"A": 0}, {"a1": ["B"]}, 1)
 
 
 def _random_instance(rng):
@@ -360,7 +363,9 @@ def test_sampler_permutation_invariant():
 
 
 def test_rare_class_strictly_raises_weight():
-    # an audio whose labels are a strict superset has strictly larger weight
+    # an audio whose labels are a strict superset has strictly larger weight:
+    # it ranks before its base, although the tie-break would put the base
+    # ("a..." < "superset") first
     rng = np.random.default_rng(3)
     for _ in range(20):
         label_counts, labels_of = _random_instance(rng)
@@ -369,14 +374,15 @@ def test_rare_class_strictly_raises_weight():
         base = next(iter(labels_of))
         labels_of = dict(labels_of)
         labels_of["superset"] = labels_of[base] + [rare]
-        weights = compute_sampler_weights(label_counts, labels_of)
-        assert weights.audio_weights["superset"] > weights.audio_weights[base]
+        ranked = sample_audioset(label_counts, labels_of, len(labels_of))
+        assert ranked.index("superset") < ranked.index(base)
 
 
 def test_adding_a_sample_decreases_class_weight():
-    w_before = compute_sampler_weights({"A": 3}, {}).class_weights["A"]
-    w_after = compute_sampler_weights({"A": 4}, {}).class_weights["A"]
-    assert w_after < w_before
+    # an audio of a 3-count class ranks before one of a 4-count class,
+    # although the tie-break would put "a4" first
+    assert sample_audioset({"A": 3, "B": 4}, {"x3": ["A"], "a4": ["B"]},
+                           2) == ["x3", "a4"]
 
 
 # -- dataset statistics -----------------------------------------------------------

@@ -447,6 +447,17 @@ def test_read_wav_scales_every_int16_value_exactly(tmp_path) -> None:
     assert np.array_equal(back.samples.view(np.uint64), want.view(np.uint64))
 
 
+def test_an_interrupted_write_wav_keeps_the_old_file(tmp_path, disk_full) -> None:
+    path = tmp_path / "clip.wav"
+    write_wav(path, Waveform(np.zeros(SR)))
+    old = path.read_bytes()
+    disk_full()
+    with pytest.raises(OSError):
+        write_wav(path, Waveform(np.full(SR, 0.5)))
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["clip.wav"]
+
+
 def test_read_wav_rejects_a_truncated_data_chunk(tmp_path) -> None:
     path = tmp_path / "clip.wav"
     write_wav(path, Waveform(np.zeros(SR)))

@@ -1370,6 +1370,28 @@ def test_save_refuses_a_tensor_not_finite_in_float32(tmp_path, value) -> None:
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("after", [0, 1], ids=["blob_fails", "manifest_fails"])
+def test_an_interrupted_save_leaves_a_checkpoint_that_loads(tmp_path, disk_full,
+                                                            after) -> None:
+    # each file is the old one or the new one, never part of one; the
+    # manifest follows from the config, so a stop between the two files
+    # leaves the new blob under an equal manifest
+    ckpt = tmp_path / "ckpt"
+    old, new = AudioTextLm(tiny_cfg(), seed=51), AudioTextLm(tiny_cfg(), seed=52)
+    save_checkpoint(ckpt, old)
+    manifest = (ckpt / "manifest.txt").read_bytes()
+    disk_full(after)
+    with pytest.raises(OSError):
+        save_checkpoint(ckpt, new)
+    assert {p.name for p in ckpt.iterdir()} == {"manifest.txt", "tensors.bin"}
+    assert (ckpt / "manifest.txt").read_bytes() == manifest
+    want, loaded = (old, new)[after], load_checkpoint(ckpt)
+    for group in ("audio", "base", "lora"):
+        for name, arr in getattr(want, group).items():
+            np.testing.assert_array_equal(getattr(loaded, group)[name],
+                                          arr.astype("<f4").astype(np.float64))
+
+
 def test_load_rejects_a_non_finite_tensor(tmp_path) -> None:
     # an offset that points into the middle of other tensors can read NaN;
     # the model must not load it and then fail inside sampling.
