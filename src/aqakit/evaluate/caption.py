@@ -25,7 +25,7 @@ def caption_overlap_f1(prediction: str, references: list[str]) -> float:
         n_ref = sum(ref.values())
         if n_ref == 0:
             continue
-        overlap = sum((pred & ref).values())
+        overlap = sum(min(c, ref[t]) for t, c in pred.items() if t in ref)
         if overlap == 0:
             continue
         p = overlap / n_pred

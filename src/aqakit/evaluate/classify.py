@@ -84,7 +84,7 @@ def classify_corpus(texts: list[str], labels: LabelSet,
         norm = _norm(e)
         if norm == 0.0:
             raise ValueError(f"output {t!r} embeds to a zero vector")
-        row[:] = e[cols] / norm
+        np.divide(e[cols], norm, out=row)
     scores = out @ compact.T
     # np.argmax already returns the first (lowest) index among equal maxima
     return ClassificationResult(scores,

@@ -18,6 +18,7 @@ positions, and many repeats of "first sound is" within one run.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 
@@ -151,17 +152,30 @@ def counting_probe(answers: list[str], truths: list[int]) -> ProbeReport:
 
 
 def pearson(x: list, y: list) -> float:
-    """Sample Pearson correlation; zero variance is rejected."""
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
+    """Sample Pearson correlation. Rejects zero variance, a value that is
+    not a finite float, and sums of products that overflow float range
+    (which would otherwise read as a correlation near zero)."""
+    try:
+        xa = np.asarray(x, dtype=float)
+        ya = np.asarray(y, dtype=float)
+    except OverflowError:
+        raise ValueError("pearson needs values within float range") from None
     if xa.shape != ya.shape or xa.ndim != 1:
         raise ValueError("pearson needs two equal-length 1-d sequences")
     if xa.size < 2:
         raise ValueError("pearson needs at least 2 points")
-    xc = xa - xa.mean()
-    yc = ya - ya.mean()
-    vx = float(np.dot(xc, xc))
-    vy = float(np.dot(yc, yc))
+    # a nan or infinite value, like a sum of products beyond float range,
+    # leaves a variance or the covariance that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = xa - xa.mean()
+        yc = ya - ya.mean()
+        vx = float(np.dot(xc, xc))
+        vy = float(np.dot(yc, yc))
+        sxy = float(np.dot(xc, yc))
+        vxy = vx * vy
+    if not all(map(math.isfinite, (vx, vy, sxy, vxy))):
+        raise ValueError("pearson needs finite values whose sums of "
+                         "products stay within float range")
     if vx == 0.0 or vy == 0.0:
         raise ValueError("pearson undefined under zero variance")
-    return float(np.dot(xc, yc) / np.sqrt(vx * vy))
+    return float(sxy / np.sqrt(vxy))

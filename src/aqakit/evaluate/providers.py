@@ -61,6 +61,14 @@ class HashedBagOfWordsProvider:
     Dependency-free stand-in for a learned text encoder: texts sharing tokens
     get positive cosine, disjoint texts are (near-)orthogonal up to hash
     collisions.
+
+    The vector is built from the counts of the buckets the text uses, and
+    equals the dense formula (bucket counts as floats, divided by their
+    _norm) bit for bit. In a text of fewer than 2**26 tokens every square
+    and partial sum of the counts is an integer below 2**53, so the dense
+    dot adds them exactly in any order and its norm is math.sqrt of their
+    integer sum. Each entry is then the same correctly rounded
+    count / norm, and unused buckets stay +0.0.
     """
 
     name = "hashed-bow"
@@ -68,14 +76,14 @@ class HashedBagOfWordsProvider:
 
     def embed(self, text: str) -> np.ndarray:
         d = self.dimension
-        buckets = np.array([_token_hash(tok) % d for tok in _tokens(text)],
-                           dtype=np.intp)
-        # integer counts are exact in float64; the float copy's dot runs in
-        # BLAS, several times faster than the int64 one
-        v = np.bincount(buckets, minlength=d).astype(float)
-        n = _norm(v)
-        if n > 0:
-            v /= n
+        counts: dict[int, int] = {}
+        for tok in _tokens(text):
+            b = _token_hash(tok) % d
+            counts[b] = counts.get(b, 0) + 1
+        v = np.zeros(d)
+        if counts:
+            norm = math.sqrt(sum(c * c for c in counts.values()))
+            v[list(counts)] = [c / norm for c in counts.values()]
         return v
 
 

@@ -1017,6 +1017,23 @@ def test_probe_counting_rejects_a_non_integer_count(tmp_path, capsys, count):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("digits", [300, 400])
+def test_probe_counting_rejects_a_count_beyond_float_range(tmp_path, capsys,
+                                                           digits):
+    # 400 digits hold no float; 300 do, but their square overflows
+    preds = _jsonl(tmp_path / "cp.jsonl", [
+        {"audio_id": k, "question": "q", "output": o} for k, o in zip("abcd", (
+            "1 bark", "2 barks", "1" + "0" * (digits - 1) + " barks",
+            "2 barks"))])
+    truth = _jsonl(tmp_path / "ct.jsonl", [
+        {"audio_id": k, "count": c} for k, c in zip("abcd", (1, 2, 1, 2))])
+    assert main(["probe", "--kind", "counting", "--pred", str(preds),
+                 "--truth", str(truth)]) == 1
+    captured = capsys.readouterr()
+    assert str(preds) in captured.err and str(truth) in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("argv, row", [
     (["eval-classify", "--labels", "LABELS"], {"output": 5}),
     (["eval-caption"], {"output": 5}),

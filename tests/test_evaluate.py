@@ -6,6 +6,7 @@ import math
 import re
 import time
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from aqakit.evaluate import (JUDGE_PROMPT, ExactMatchProvider,
                              order_accuracy, order_probe, parse_count,
                              pearson)
 from aqakit.evaluate import probes
-from aqakit.evaluate.providers import _norm
+from aqakit.evaluate.providers import _norm, _token_hash, _tokens
 from aqakit.forge import ReplayLlmClient
 from aqakit.synthetic import DEMO_CLASSES
 
@@ -118,6 +119,60 @@ def test_hashed_provider_subclass_buckets_into_its_own_dimension():
     assert small.shape == (97,)
     assert np.array_equal(small, _hashed_reference(text, 97))
     assert np.array_equal(big, _hashed_reference(text))
+
+
+def _dense_embed(text, dimension):
+    """The dense formula the count-built embedding replaced: a bincount over
+    every bucket, cast to float, divided in place by its _norm."""
+    buckets = np.array([_token_hash(tok) % dimension for tok in _tokens(text)],
+                       dtype=np.intp)
+    v = np.bincount(buckets, minlength=dimension).astype(float)
+    n = _norm(v)
+    if n > 0:
+        v /= n
+    return v
+
+
+class _Dim97(HashedBagOfWordsProvider):
+    dimension = 97
+
+
+# words repeat often enough that a text holds repeated tokens and, at 97
+# buckets, distinct tokens sharing a bucket
+_EMBED_TEXTS = st.lists(
+    st.one_of(st.sampled_from(_WORDS + ["Dog", "BARK", "café", "東京", "42",
+                                        "0", "x9y", "...", "!?", "—", "_"]),
+              st.text(max_size=6)),
+    max_size=40,
+).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_EMBED_TEXTS)
+@example("")
+@example("!!! ... ?? --")
+@example("dog " * 5000)
+@example(HASHED_ORACLE_TEXTS["non_ascii"])
+@example(HASHED_ORACLE_TEXTS["long"])
+def test_hashed_embed_equals_the_dense_formula_bit_for_bit(text):
+    for provider in (HashedBagOfWordsProvider(), _Dim97()):
+        got = provider.embed(text)
+        want = _dense_embed(text, provider.dimension)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_hashed_embed_returns_a_fresh_writable_array_each_call():
+    p = HashedBagOfWordsProvider()
+    text = "a dog barks at the bell"
+    first = p.embed(text)
+    assert first.dtype == np.float64 and first.flags.writeable
+    first[:] = 7.0
+    second = p.embed(text)
+    assert not np.shares_memory(first, second)
+    assert second.flags.writeable
+    assert np.array_equal(second, _dense_embed(text, p.dimension))
 
 
 def test_norm_is_numpy_norm_bit_for_bit():
@@ -610,6 +665,35 @@ def test_caption_multiset_counts_matter():
     assert got == pytest.approx(2 * (1 / 3) * 1.0 / (1 / 3 + 1.0), abs=1e-12)
 
 
+def _caption_reference(prediction, references):
+    """Token-multiset F1 with the overlap taken as a Counter intersection."""
+    pred = Counter(_tokens(prediction))
+    n_pred = sum(pred.values())
+    if n_pred == 0:
+        return 0.0
+    best = 0.0
+    for ref_text in references:
+        ref = Counter(_tokens(ref_text))
+        n_ref = sum(ref.values())
+        overlap = sum((pred & ref).values())
+        if n_ref == 0 or overlap == 0:
+            continue
+        p, r = overlap / n_pred, overlap / n_ref
+        best = max(best, 2 * p * r / (p + r))
+    return best
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_EMBED_TEXTS, st.lists(_EMBED_TEXTS, min_size=1, max_size=4))
+@example("dog dog dog", ["dog"])
+@example("", ["a dog barks"])
+@example("a dog barks", ["...", "dog dog bark"])
+def test_caption_overlap_equals_the_counter_intersection(prediction,
+                                                          references):
+    assert (caption_overlap_f1(prediction, references)
+            == _caption_reference(prediction, references))
+
+
 # -- judge -----------------------------------------------------------------------
 
 def test_judge_prompt_is_frozen():
@@ -964,3 +1048,26 @@ def test_pearson_validation():
         pearson([1], [1])
     with pytest.raises(ValueError):
         pearson([1, 1, 1], [1, 2, 3])
+
+
+@pytest.mark.parametrize("x", [
+    [1, 2, 10 ** 400],            # no float holds it
+    [1, 2, 10 ** 300],            # a float, but its square overflows
+    [1.0, 2.0, float("nan")],
+    [1.0, 2.0, float("inf")],
+], ids=["int_beyond_float", "square_overflows", "nan", "inf"])
+def test_pearson_rejects_values_it_cannot_correlate(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((x, [1, 2, 3]), ([1, 2, 3], x)):
+            with pytest.raises(ValueError):
+                pearson(a, b)
+
+
+def test_pearson_rejects_a_variance_product_that_overflows():
+    # each variance is 2e200, finite; their product is not
+    x = [0.0, 1e100, 2e100]
+    with pytest.raises(ValueError, match="float range"):
+        pearson(x, x)
+    assert pearson([0.0, 1e75, 2e75], [0.0, 1e75, 2e75]) == pytest.approx(
+        1.0, abs=1e-12)
