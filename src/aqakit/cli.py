@@ -309,11 +309,11 @@ def _cmd_eval_classify(args) -> int:
         if str(exc).startswith("label "):
             lines = read_text(args.labels).splitlines()
             for line_no, line in enumerate(lines, start=1):
-                if line.strip() and not provider.embed(line.strip()).any():
+                if line.strip() and not provider.terms(line.strip()):
                     raise ValueError(f"{args.labels}:{line_no}: {exc}") from exc
         elif str(exc).startswith("output "):
             for p, _ in joined:
-                if not provider.embed(p["output"]).any():
+                if not provider.terms(p["output"]):
                     raise ValueError(f"{args.pred}: audio_id {p['audio_id']!r}: "
                                      f"{exc}") from exc
         raise

@@ -7,14 +7,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .providers import EmbeddingProvider, _norm, label_vector
+from .providers import EmbeddingProvider, _norm, label_terms
 
 
 @dataclass(frozen=True)
 class LabelSet:
     names: tuple[str, ...]
-    # (provider, cols, unit-norm label rows restricted to cols) for the last
-    # provider the names were embedded with; see _label_matrix
+    # (provider, columns, unit-norm label rows on those columns) for the
+    # last provider the names were embedded with; see _label_matrix
     _embedded: tuple | None = field(default=None, init=False, compare=False,
                                     repr=False)
 
@@ -35,26 +35,27 @@ class ClassificationResult:
 
 
 def _label_matrix(labels: LabelSet,
-                  provider: EmbeddingProvider) -> tuple[np.ndarray, np.ndarray]:
-    """(cols, compact): the embedding columns some label uses and the
-    unit-norm label rows on those columns, one row per label.
+                  provider: EmbeddingProvider) -> tuple[dict[int, int],
+                                                        np.ndarray]:
+    """(columns, compact): the column of each embedding index some label
+    uses, in ascending index order, and the unit-norm label rows on those
+    columns, one row per label.
 
-    Built once per provider and kept on the LabelSet; a different provider
-    object rebuilds it. Columns no label uses add exact zeros to every
-    score, so dropping them keeps only the memory the labels need.
+    Built from the label terms once per provider and kept on the LabelSet;
+    a different provider object rebuilds it. Indices no label uses add
+    exact zeros to every score, so the rows hold only the columns the
+    labels need.
     """
     if labels._embedded is not None and labels._embedded[0] is provider:
         return labels._embedded[1:]
-    # rows are filled and normalized in place: stacking the embeddings first
-    # would hold every label vector twice
-    matrix = np.empty((len(labels.names), provider.dimension))
-    for row, name in zip(matrix, labels.names):
-        v, norm = label_vector(provider, name)
-        np.divide(v, norm, out=row)
-    cols = np.flatnonzero(matrix.any(axis=0))
-    compact = matrix[:, cols]
-    object.__setattr__(labels, "_embedded", (provider, cols, compact))
-    return cols, compact
+    rows = [label_terms(provider, name) for name in labels.names]
+    used = sorted(set().union(*(terms for terms, _ in rows)))
+    columns = {i: j for j, i in enumerate(used)}
+    compact = np.zeros((len(rows), len(used)))
+    for row, (terms, norm) in zip(compact, rows):
+        row[[columns[i] for i in terms]] = [w / norm for w in terms.values()]
+    object.__setattr__(labels, "_embedded", (provider, columns, compact))
+    return columns, compact
 
 
 def classify_output(text: str, labels: LabelSet,
@@ -70,21 +71,27 @@ def classify_corpus(texts: list[str], labels: LabelSet,
     """Cosine of every output against every label; argmax index per output.
 
     All outputs are scored against all labels with one product of unit
-    vectors, so labels that embed identically get identical scores. Scores
-    agree with the per-label cosine to within 1e-12. Ties break to the
-    lowest label index.
+    vectors, so labels that embed identically get identical scores. Each
+    output and label scatters its terms, divided by their norm, onto the
+    label columns. Every norm is a correctly rounded sum of squares, the
+    same float in any order of the terms, so the scores equal the dense
+    formula with those norms bit for bit. Scores agree with the per-label
+    cosine to within 1e-12. Ties break to the lowest label index.
     """
     if not texts:
         raise ValueError("no outputs to classify")
-    cols, compact = _label_matrix(labels, provider)
+    columns, compact = _label_matrix(labels, provider)
     # unit-norm outputs on the label columns only: the rest scores zero
-    out = np.empty((len(texts), len(cols)))
+    out = np.zeros((len(texts), len(columns)))
     for row, t in zip(out, texts):
-        e = provider.embed(t)
-        norm = _norm(e)
+        terms = provider.terms(t)
+        norm = _norm(terms)
         if norm == 0.0:
             raise ValueError(f"output {t!r} embeds to a zero vector")
-        np.divide(e[cols], norm, out=row)
+        for i, w in terms.items():
+            j = columns.get(i)
+            if j is not None:
+                row[j] = w / norm
     scores = out @ compact.T
     # np.argmax already returns the first (lowest) index among equal maxima
     return ClassificationResult(scores,
@@ -143,7 +150,6 @@ def mean_average_precision(scores: np.ndarray, truths: np.ndarray) -> float:
         raise ValueError("no positive labels in truths")
 
     positives = truths.sum(axis=0)
-    skipped = np.flatnonzero(positives == 0).tolist()
     cols = np.flatnonzero(positives)
     # stable sort on negated scores keeps ascending index among ties; each
     # class sums the precision at its hits in rank order, as a running sum
@@ -151,7 +157,8 @@ def mean_average_precision(scores: np.ndarray, truths: np.ndarray) -> float:
     hit = np.take_along_axis(truths[:, cols] != 0, order, axis=0)
     prec = np.cumsum(hit, axis=0) / np.arange(1, len(scores) + 1)[:, None]
     aps = np.cumsum(np.where(hit, prec, 0.0), axis=0)[-1] / positives[cols]
-    if skipped:
+    if len(cols) < len(positives):
         warnings.warn(f"classes without positives excluded from mAP: "
-                      f"{skipped}", stacklevel=2)
+                      f"{len(positives) - len(cols)} of {len(positives)}",
+                      stacklevel=2)
     return float(np.mean(aps))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .providers import EmbeddingProvider, _norm, label_vector
+from .providers import EmbeddingProvider, _dot, _norm, label_terms
 
 DEFAULT_ORDER_PATTERNS = (
     r"(?:the\s+)?([\w\s,&-]+?)\s+(?:sounds?\s+)?(?:starts?|begins?)"
@@ -42,8 +42,8 @@ _ORDER_RES = tuple(
     for p in DEFAULT_ORDER_PATTERNS)
 _ARTICLE_RE = re.compile(r"^(?:the|a|an)\s+", re.IGNORECASE)
 
-# label vectors order_probe keeps, least recently used evicted first; a
-# hashed-provider vector is 32 KB, so the cache holds at most 4 MB of them
+# label terms order_probe keeps, least recently used evicted first; a
+# hashed label's terms are a dict of a few entries, a few hundred bytes
 _LABEL_CACHE = 128
 
 
@@ -58,9 +58,9 @@ def extract_first_sound(text: str) -> str | None:
     return None
 
 
-# (embedding, norm) per label name, embedded once per provider object; a
-# label that embeds to zero is never kept, so it raises on every call
-_label_vector = functools.lru_cache(maxsize=_LABEL_CACHE)(label_vector)
+# (terms, norm) per label name, embedded once per provider object; a label
+# that embeds to zero is never kept, so it raises on every call
+_label_terms = functools.lru_cache(maxsize=_LABEL_CACHE)(label_terms)
 
 
 def order_probe(answer_text: str, first_label: str, second_label: str,
@@ -69,20 +69,21 @@ def order_probe(answer_text: str, first_label: str, second_label: str,
 
     The extracted clause is assigned to whichever label embeds closer by
     cosine; ties resolve to first_label, matching the lowest-index tie-break
-    used for classification. Label vectors are kept per provider object
-    across calls.
+    used for classification. The cosine is providers.cosine's, taken over
+    the clause's and the labels' terms with correctly rounded sums, so it
+    equals the dense formula with the same sums bit for bit. Label terms
+    are kept per provider object across calls.
     """
     clause = extract_first_sound(answer_text)
     if clause is None:
         return None
-    e = provider.embed(clause)
-    ne = _norm(e)
-    if ne == 0.0:
+    terms = provider.terms(clause)
+    norm = _norm(terms)
+    if norm == 0.0:
         return None
-    # providers.cosine's expression, with the clause norm taken once
-    sims = [float(np.dot(e, lv) / (ne * nl))
-            for lv, nl in (_label_vector(provider, first_label),
-                           _label_vector(provider, second_label))]
+    sims = [_dot(terms, lt) / (norm * nl)
+            for lt, nl in (_label_terms(provider, first_label),
+                           _label_terms(provider, second_label))]
     return sims[0] >= sims[1]
 
 

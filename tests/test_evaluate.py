@@ -7,6 +7,7 @@ import re
 import time
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from aqakit.evaluate import (JUDGE_PROMPT, ExactMatchProvider,
                              order_accuracy, order_probe, parse_count,
                              pearson)
 from aqakit.evaluate import probes
-from aqakit.evaluate.providers import _norm, _token_hash, _tokens
+from aqakit.evaluate.providers import (_dense, _dot, _nonzero_terms, _norm,
+                                       _token_hash, _tokens)
 from aqakit.forge import ReplayLlmClient
 from aqakit.synthetic import DEMO_CLASSES
 
@@ -37,17 +39,21 @@ class PlantedProvider:
         self._planted = dict(planted)
         self._fallback = ExactMatchProvider(dimension=16)
 
-    def embed(self, text):
+    def terms(self, text):
         if text in self._planted:
-            return np.asarray(self._planted[text], dtype=float)
-        return self._fallback.embed(text)
+            return _nonzero_terms(np.asarray(self._planted[text], dtype=float))
+        return self._fallback.terms(text)
+
+    def embed(self, text):
+        return _dense(self.terms(text), self.dimension)
 
 
 class ScaledProvider(HashedBagOfWordsProvider):
     """Hashed embeddings scaled by a per-text factor, so none is unit-norm."""
 
-    def embed(self, text):
-        return super().embed(text) * (0.5 + len(text))
+    def terms(self, text):
+        scale = 0.5 + len(text)
+        return {i: w * scale for i, w in super().terms(text).items()}
 
 
 class CountingProvider(HashedBagOfWordsProvider):
@@ -55,9 +61,9 @@ class CountingProvider(HashedBagOfWordsProvider):
         super().__init__()
         self.calls = 0
 
-    def embed(self, text):
+    def terms(self, text):
         self.calls += 1
-        return super().embed(text)
+        return super().terms(text)
 
 
 # -- providers -------------------------------------------------------------------
@@ -123,11 +129,11 @@ def test_hashed_provider_subclass_buckets_into_its_own_dimension():
 
 def _dense_embed(text, dimension):
     """The dense formula the count-built embedding replaced: a bincount over
-    every bucket, cast to float, divided in place by its _norm."""
+    every bucket, cast to float, divided in place by its np.linalg.norm."""
     buckets = np.array([_token_hash(tok) % dimension for tok in _tokens(text)],
                        dtype=np.intp)
     v = np.bincount(buckets, minlength=dimension).astype(float)
-    n = _norm(v)
+    n = np.linalg.norm(v)
     if n > 0:
         v /= n
     return v
@@ -175,14 +181,63 @@ def test_hashed_embed_returns_a_fresh_writable_array_each_call():
     assert np.array_equal(second, _dense_embed(text, p.dimension))
 
 
-def test_norm_is_numpy_norm_bit_for_bit():
+def _exact_sum(values):
+    """The sum of the floats in exact rationals, rounded once."""
+    return float(sum(map(Fraction, values), Fraction(0)))
+
+
+def test_norm_and_dot_are_correctly_rounded_in_any_order():
     rng = np.random.default_rng(61)
     for n in (1, 2, 7, 527, 4096):
-        v = rng.normal(size=2 * n) * 10.0 ** rng.integers(-3, 4)
-        # strided and reversed views are read as numpy reads them
-        for x in (v[:n], v[::2], v[::-1]):
-            assert _norm(x) == np.linalg.norm(x)
-    assert _norm(np.zeros(3)) == 0.0
+        v = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+        u = rng.normal(size=n)
+        terms = dict(enumerate(v.tolist()))
+        other = dict(enumerate(u.tolist()))
+        norm = math.sqrt(_exact_sum(w * w for w in terms.values()))
+        dot = _exact_sum(terms[i] * other[i] for i in terms)
+        for keys in (range(n), rng.permutation(n).tolist()):
+            shuffled = {k: terms[k] for k in keys}
+            assert _norm(shuffled) == norm
+            assert _dot(shuffled, other) == _dot(other, shuffled) == dot
+        # a dense vector read through its nonzero terms, as cosine reads it
+        assert _norm(_nonzero_terms(v)) == norm
+        # np.linalg.norm's dot product rounds as it goes
+        assert math.isclose(np.linalg.norm(v), norm, rel_tol=1e-15)
+    # a sum that rounds as it goes depends on the order
+    terms = {0: 1.0, **{i: 1e-8 for i in range(1, 1001)}}
+    assert math.sqrt(sum(w * w for w in terms.values())) == 1.0
+    assert math.sqrt(sum(w * w for w in reversed(terms.values()))) > 1.0
+    assert _norm(terms) == _norm(dict(reversed(terms.items()))) > 1.0
+    assert _norm({}) == 0.0 and _dot({}, terms) == 0.0
+
+
+def test_norm_beyond_float_range_raises():
+    # each square finite but their sum past float range, and a square alone
+    for terms in ({0: 1e154, 1: 1e154}, {3: 1e200}, {0: -math.inf}):
+        with pytest.raises(ValueError, match="norm exceeds float range"):
+            _norm(terms)
+    assert _norm({0: 1e153, 1: 1e153}) == math.sqrt(2e306)
+
+
+def test_embed_is_the_dense_view_of_terms(monkeypatch):
+    monkeypatch.setenv("LLM_API_KEY", "k")
+    remote = RemoteEmbeddingProvider(
+        "http://example.invalid/v1", dimension=6, sleep=lambda s: None,
+        session=FlakyEmbeddingSession(0, (0.0, -0.5, -0.0, 2.0, 1e-300, 0.0)))
+    cases = [(HashedBagOfWordsProvider(), t) for t in HASHED_ORACLE_TEXTS.values()]
+    cases += [(_Dim97(), HASHED_ORACLE_TEXTS["long"]),
+              (ExactMatchProvider(dimension=4), "dog"),
+              (ExactMatchProvider(dimension=4), ""), (remote, "dog")]
+    for provider, text in cases:
+        terms = provider.terms(text)
+        v = provider.embed(text)
+        assert v.dtype == np.float64 and v.shape == (provider.dimension,)
+        assert np.flatnonzero(v).tolist() == sorted(terms)
+        assert all(type(w) is float and v[i] == w for i, w in terms.items())
+        assert not np.signbit(v[v == 0.0]).any()
+    assert remote.terms("dog") == {1: -0.5, 3: 2.0, 4: 1e-300}
+    assert HashedBagOfWordsProvider().terms("!!! ... ?? --") == {}
+    assert ExactMatchProvider().terms("") == {0: 1.0}
 
 
 def test_exact_match_provider_one_hot():
@@ -205,6 +260,12 @@ def test_exact_match_capacity_guard():
 def test_cosine_rejects_zero_vector():
     with pytest.raises(ValueError):
         cosine(np.zeros(3), np.ones(3))
+
+
+def test_cosine_rejects_vectors_of_different_shapes():
+    for u, v in ((np.ones(3), np.ones(4)), (np.ones((2, 2)), np.ones((2, 2)))):
+        with pytest.raises(ValueError, match="two vectors of equal length"):
+            cosine(u, v)
 
 
 class FlakyEmbeddingSession:
@@ -422,17 +483,24 @@ def _demo_outputs():
     return out
 
 
-def _classify_reference(texts, names, provider):
-    """classify_corpus's scores with np.linalg.norm for every norm."""
+def _fsum_norm(v):
+    """The L2 norm of a dense vector with a correctly rounded sum of
+    squares over every entry."""
+    return math.sqrt(math.fsum((v * v).tolist()))
+
+
+def _classify_reference(texts, names, provider, norm):
+    """classify_corpus's scores over dense vectors, with norm for every
+    norm."""
     matrix = np.empty((len(names), provider.dimension))
     for row, name in zip(matrix, names):
         row[:] = provider.embed(name)
-        row /= np.linalg.norm(row)
+        row /= norm(row)
     cols = np.flatnonzero(matrix.any(axis=0))
     out = np.empty((len(texts), len(cols)))
     for row, t in zip(out, texts):
         e = provider.embed(t)
-        row[:] = e[cols] / np.linalg.norm(e)
+        row[:] = e[cols] / norm(e)
     return out @ matrix[:, cols].T
 
 
@@ -446,7 +514,48 @@ def test_classify_corpus_scores_equal_the_numpy_norm_formulas(provider,
     texts = _BATCH + _demo_outputs()
     res = classify_corpus(texts, LabelSet(tuple(names)), provider)
     assert np.array_equal(res.scores,
-                          _classify_reference(texts, names, provider))
+                          _classify_reference(texts, names, provider,
+                                              _fsum_norm))
+    # np.linalg.norm rounds its sum of squares as it goes
+    np.testing.assert_allclose(
+        res.scores, _classify_reference(texts, names, provider,
+                                        np.linalg.norm), rtol=0, atol=1e-15)
+
+
+class NoisyProvider(HashedBagOfWordsProvider):
+    """Hashed buckets, each with a weight drawn from the text and bucket and
+    spread over 40 binades, so that sums of the terms round differently in
+    different orders."""
+
+    def terms(self, text):
+        seed = _token_hash(text)
+        out = {}
+        for i in super().terms(text):
+            rng = np.random.default_rng([seed, i])
+            out[i] = float(rng.normal()) * 2.0 ** int(rng.integers(-20, 20))
+        return out
+
+
+def _random_texts(rng, n, words):
+    return [" ".join(rng.choice(words, size=int(rng.integers(1, 12))))
+            for _ in range(n)]
+
+
+_NOISY_WORDS = np.array([f"w{k}" for k in range(300)] + _WORDS)
+
+
+def test_classify_corpus_equals_the_dense_fsum_reference_on_random_terms():
+    rng = np.random.default_rng(67)
+    provider = NoisyProvider()
+    names = sorted(set(_random_texts(rng, 600, _NOISY_WORDS)))[:527]
+    texts = _random_texts(rng, 400, _NOISY_WORDS)
+    assert len(names) == 527
+    res = classify_corpus(texts, LabelSet(tuple(names)), provider)
+    assert np.array_equal(res.scores, _classify_reference(
+        texts, names, provider, _fsum_norm))
+    np.testing.assert_allclose(
+        res.scores, _classify_reference(texts, names, provider,
+                                        np.linalg.norm), rtol=0, atol=1e-15)
 
 
 def test_label_set_validation():
@@ -574,7 +683,8 @@ def test_map_matches_a_per_column_reference_loop(dtype):
         value = mean_average_precision(scores, truths)
     assert value == _map_reference(scores, truths)
     assert [str(w.message) for w in caught] == [
-        f"classes without positives excluded from mAP: {skipped}"]
+        f"classes without positives excluded from mAP: {len(skipped)} of "
+        f"{scores.shape[1]}"]
 
 
 def test_map_at_audioset_size_loops_over_positive_classes_only():
@@ -592,7 +702,8 @@ def test_map_at_audioset_size_loops_over_positive_classes_only():
         value = mean_average_precision(scores, truths)
     assert value == _map_reference(scores, truths)
     assert [str(w.message) for w in caught] == [
-        f"classes without positives excluded from mAP: {skipped}"]
+        f"classes without positives excluded from mAP: {len(skipped)} of "
+        f"{scores.shape[1]}"]
 
 
 def test_map_equals_the_reference_loop_on_random_tied_cases():
@@ -844,11 +955,60 @@ def test_order_probe_label_cache_is_bounded():
     p = CountingProvider()
     for k in range(probes._LABEL_CACHE + 40):
         assert order_probe("the dog comes first", f"dog{k}", "dog", p) is False
-    assert probes._label_vector.cache_info().currsize <= probes._LABEL_CACHE
+    assert probes._label_terms.cache_info().currsize <= probes._LABEL_CACHE
     # "dog" is used on every call, so it stays; the oldest labels are gone
     calls = p.calls
     order_probe("the dog comes first", "dog0", "dog", p)
     assert p.calls == calls + 2
+
+
+def _dense_fsum_order_rule(answer, first, second, provider):
+    """order_probe over dense vectors, every sum correctly rounded."""
+    clause = extract_first_sound(answer)
+    if clause is None:
+        return None
+    e = provider.embed(clause)
+    ne = _fsum_norm(e)
+    if ne == 0.0:
+        return None
+    sims = [math.fsum((e * lv).tolist()) / (ne * _fsum_norm(lv))
+            for lv in (provider.embed(first), provider.embed(second))]
+    return sims[0] >= sims[1]
+
+
+def test_order_probe_equals_the_dense_fsum_cosine_rule():
+    rng = np.random.default_rng(71)
+    words = _NOISY_WORDS[:12]   # few words, so labels and clauses share some
+    p, ref = NoisyProvider(), NoisyProvider()
+    labels = sorted(set(_random_texts(rng, 60, words)))
+    got, want = [], []
+    for _ in range(400):
+        clause = " ".join(rng.choice(words, size=int(rng.integers(1, 6))))
+        answer = f"the {clause} comes first"
+        first, second = rng.choice(labels, size=2, replace=False)
+        got.append(order_probe(answer, first, second, p))
+        want.append(_dense_fsum_order_rule(answer, first, second, ref))
+        e, lv = ref.embed(clause), ref.embed(first)
+        assert cosine(e, lv) == (math.fsum((e * lv).tolist())
+                                 / (_fsum_norm(e) * _fsum_norm(lv)))
+    assert got == want
+    assert True in got and False in got
+
+
+def test_order_probe_ties_labels_whose_products_are_permuted():
+    rng = np.random.default_rng(73)
+    split = 0
+    for _ in range(200):
+        vals = rng.normal(size=16) * 10.0 ** rng.integers(-8, 9, size=16)
+        p = PlantedProvider({"x": [1.0] * 16, "a": vals.tolist(),
+                             "b": vals[rng.permutation(16)].tolist()})
+        # equal exact cosines: a tie, which goes to the first label
+        assert order_probe("the x comes first", "a", "b", p) is True
+        assert order_probe("the x comes first", "b", "a", p) is True
+        e, a, b = map(p.embed, "xab")
+        split += float(np.dot(e, a)) != float(np.dot(e, b))
+    # a dot product that rounds as it goes would split some of these ties
+    assert split > 0
 
 
 # the order patterns as written, searched from every position

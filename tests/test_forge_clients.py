@@ -151,6 +151,23 @@ def test_remote_clients_send_the_same_request_shape(monkeypatch):
                           {"model": "", "input": "dog"}, headers, 60.0)]
 
 
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "null"])
+def test_remote_embeddings_reject_an_entry_that_is_not_finite(monkeypatch,
+                                                              entry):
+    monkeypatch.setenv("LLM_API_KEY", "k")
+    # json reads NaN and Infinity as floats; numpy reads null as nan
+    session = RecordingSession(json.loads(
+        f'{{"data": [{{"embedding": [0.6, {entry}, 0.8]}}]}}'))
+    sleeps = []
+    provider = RemoteEmbeddingProvider("http://x.invalid/emb", dimension=3,
+                                       session=session, sleep=sleeps.append)
+    for read in (provider.terms, provider.embed):
+        with pytest.raises(RuntimeError, match=r"after 3 attempts: "
+                           r"embedding entry 1 is -?(nan|inf), not a finite"):
+            read("dog")
+    assert len(session.posts) == 6 and sleeps == [1.0, 2.0] * 2
+
+
 def test_real_client_requires_api_key(monkeypatch):
     monkeypatch.delenv("LLM_API_KEY", raising=False)
     with pytest.raises(RuntimeError, match="LLM_API_KEY"):
