@@ -11,15 +11,13 @@ from .judge import (JUDGE_PROMPT, JudgeReport, judge_instruction_following,
 from .probes import (DEFAULT_ORDER_PATTERNS, ProbeReport, counting_probe,
                      extract_first_sound, order_accuracy, order_probe,
                      parse_count, pearson)
-from .providers import (EmbeddingProvider, ExactMatchProvider,
-                        HashedBagOfWordsProvider, RemoteEmbeddingProvider,
-                        cosine)
+from .providers import (EmbeddingProvider, HashedBagOfWordsProvider,
+                        RemoteEmbeddingProvider, cosine)
 
 __all__ = [
     "ClassificationResult",
     "DEFAULT_ORDER_PATTERNS",
     "EmbeddingProvider",
-    "ExactMatchProvider",
     "HashedBagOfWordsProvider",
     "JUDGE_PROMPT",
     "JudgeReport",

@@ -14,10 +14,9 @@ scoring through terms equals the dense formula with the same sums bit for
 bit: a zero entry adds an exact zero. np.linalg.norm's dot product rounds
 as it goes, so it may differ in the last bits.
 
-The two local providers cover the offline paths: a hashed bag-of-words for
-graded similarity and an exact-match one-hot for verbatim comparisons. The
-remote provider speaks the usual embeddings-API shape and is only built
-when explicitly requested.
+The hashed bag-of-words provider covers the offline path with graded
+similarity. The remote provider speaks the usual embeddings-API shape and
+is only built when explicitly requested.
 """
 
 from __future__ import annotations
@@ -125,32 +124,6 @@ class HashedBagOfWordsProvider:
             counts[b] = counts.get(b, 0) + 1
         norm = math.sqrt(sum(c * c for c in counts.values()))
         return {b: c / norm for b, c in counts.items()}
-
-    def embed(self, text: str) -> np.ndarray:
-        return _dense(self.terms(text), self.dimension)
-
-
-class ExactMatchProvider:
-    """One-hot per distinct string: cosine 1 for equal texts, 0 otherwise.
-
-    Indices are assigned in first-seen order, so runs are deterministic given
-    input order.
-    """
-
-    def __init__(self, dimension: int = 8192):
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        self.name = "exact-match"
-        self.dimension = dimension
-        self._index: dict[str, int] = {}
-
-    def terms(self, text: str) -> dict[int, float]:
-        if text not in self._index:
-            if len(self._index) >= self.dimension:
-                raise ValueError(
-                    f"exact-match provider capacity {self.dimension} exhausted")
-            self._index[text] = len(self._index)
-        return {self._index[text]: 1.0}
 
     def embed(self, text: str) -> np.ndarray:
         return _dense(self.terms(text), self.dimension)

@@ -1,5 +1,5 @@
 """Toy frozen-decoder audio language model: LoRA adapters, hand-written
-backprop, sampling, alignment losses, checkpoints."""
+backprop, the next-token loss, sampling, checkpoints."""
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .decoder import (
@@ -10,7 +10,7 @@ from .decoder import (
     llama_7b_geometry,
 )
 from .gradcheck import finite_diff_check
-from .losses import AlignmentBatch, alignment_losses, next_token_loss
+from .losses import next_token_loss
 from .sampling import (
     GenerationConfig,
     generate,
@@ -31,8 +31,7 @@ from .tokenizer import (
 
 __all__ = [
     "AudioTextLm", "DecoderConfig", "TrainingExample", "count_lora_params",
-    "llama_7b_geometry", "finite_diff_check", "AlignmentBatch",
-    "alignment_losses", "next_token_loss",
+    "llama_7b_geometry", "finite_diff_check", "next_token_loss",
     "GenerationConfig", "generate", "sample_next_id",
     "truncated_distribution", "save_checkpoint", "load_checkpoint",
     "BOS_ID", "EOS_ID", "PAD_ID", "SEP_ID", "VOCAB_SIZE",

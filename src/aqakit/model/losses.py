@@ -1,9 +1,7 @@
-"""Training objectives: masked next-token cross-entropy and the audio/text
-embedding alignment pair (contrastive + squared-difference)."""
+"""The training objective: masked next-token cross-entropy, the paper's
+autoregressive loss and the only one the curriculum trains with."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,48 +38,3 @@ def masked_nll_and_dlogits(logits: np.ndarray, targets: np.ndarray,
     dlogits[mask] = probs / rows.size
     return loss, dlogits
 
-
-@dataclass
-class AlignmentBatch:
-    """Paired audio/text embeddings for the alignment objective."""
-
-    e_a: np.ndarray
-    e_t: np.ndarray
-    lam: float = 10.0
-    tau: float = 0.05
-
-    def __post_init__(self) -> None:
-        self.e_a = np.asarray(self.e_a, dtype=np.float64)
-        self.e_t = np.asarray(self.e_t, dtype=np.float64)
-        if self.e_a.shape != self.e_t.shape:
-            raise ValueError("audio and text embedding batches must align")
-        if self.e_a.ndim != 2:
-            raise ValueError("embeddings must be a batch of vectors")
-
-    @property
-    def n(self) -> int:
-        return self.e_a.shape[0]
-
-
-def alignment_losses(b: AlignmentBatch) -> tuple[float, float, float]:
-    """Returns (L, L_c, L_mse) with L = L_c + lam * L_mse.
-
-    L_mse is the mean squared elementwise difference of the raw embeddings.
-    L_c is the contrastive term over L2-normalized embeddings: each audio
-    row must pick out its own text row among the batch at temperature tau.
-    """
-    if b.n < 2:
-        raise ValueError("contrastive term needs a batch of at least 2")
-    l_mse = float(np.mean((b.e_a - b.e_t) ** 2))
-
-    norms_a = np.linalg.norm(b.e_a, axis=1)
-    norms_t = np.linalg.norm(b.e_t, axis=1)
-    if np.any(norms_a == 0) or np.any(norms_t == 0):
-        raise ValueError("zero-norm embedding in contrastive term")
-    na = b.e_a / norms_a[:, None]
-    nt = b.e_t / norms_t[:, None]
-    sims = na @ nt.T / b.tau
-    m = sims.max(axis=1, keepdims=True)
-    lse = (m + np.log(np.exp(sims - m).sum(axis=1, keepdims=True))).ravel()
-    l_c = float(np.mean(lse - np.diag(sims)))
-    return l_c + b.lam * l_mse, l_c, l_mse

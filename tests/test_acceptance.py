@@ -12,9 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aqakit.evaluate import (ExactMatchProvider, LabelSet, accuracy,
-                             classify_corpus, mean_average_precision,
-                             micro_f1, pearson)
+from aqakit.evaluate import (LabelSet, accuracy, classify_corpus,
+                             mean_average_precision, micro_f1, pearson)
 from aqakit.forge import (AudioMeta, QAPair, SoundEvent, build_aig_prompt,
                           compute_dataset_stats, detect_unanswerable,
                           sample_audioset, serialize_meta)
@@ -24,11 +23,11 @@ from aqakit.model import (AudioTextLm, BOS_ID, DecoderConfig, EOS_ID,
                           GenerationConfig, count_lora_params,
                           finite_diff_check, generate, llama_7b_geometry,
                           sample_next_id)
-from aqakit.model.losses import AlignmentBatch, alignment_losses
 from aqakit.synthetic import make_demo_items
 from aqakit.training import (StageConfig, TrainerConfig, default_curriculum,
                              make_example, run_curriculum, run_stage,
                              scale_curriculum)
+from exact_match import ExactMatchProvider
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -162,25 +161,6 @@ def test_desk_scale_training(report, curriculum_run):
            f"reduction {100 * reduction:.1f}% (needs >= 50%); "
            f"10-example overfit {overfit:.3f} (< 0.1); "
            f"runtime {total_wall:.0f}s (< 600s)")
-
-
-def test_alignment_loss_values(report):
-    total, l_c, l_mse = alignment_losses(
-        AlignmentBatch(e_a=np.eye(2), e_t=np.eye(2)))
-    target = float(np.log1p(np.exp(-20.0)))
-    value_ok = abs(l_c - target) < 1e-12 and l_mse == 0.0
-
-    rng = np.random.default_rng(3)
-    identity_ok = True
-    for _ in range(20):
-        t, c, m = alignment_losses(AlignmentBatch(
-            e_a=rng.normal(size=(4, 6)), e_t=rng.normal(size=(4, 6))))
-        identity_ok &= t == c + 10.0 * m
-    report("alignment loss values", value_ok and identity_ok,
-           f"orthonormal batch contrastive term {l_c:.3e} vs "
-           f"ln(1+e^-20) (|diff| < 1e-12: {value_ok}); "
-           f"total == contrastive + 10*mse exactly on 20 random batches: "
-           f"{identity_ok}")
 
 
 def test_selection_matches_bruteforce_oracle(report):

@@ -14,9 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aqakit.evaluate import (JUDGE_PROMPT, ExactMatchProvider,
-                             HashedBagOfWordsProvider, LabelSet,
-                             RemoteEmbeddingProvider, accuracy,
+from aqakit.evaluate import (JUDGE_PROMPT, HashedBagOfWordsProvider,
+                             LabelSet, RemoteEmbeddingProvider, accuracy,
                              caption_overlap_f1, classify_corpus,
                              classify_output, cosine, counting_probe,
                              extract_first_sound, judge_instruction_following,
@@ -28,6 +27,7 @@ from aqakit.evaluate.providers import (_dense, _dot, _nonzero_terms, _norm,
                                        _token_hash, _tokens)
 from aqakit.forge import ReplayLlmClient
 from aqakit.synthetic import DEMO_CLASSES
+from exact_match import ExactMatchProvider
 
 
 class PlantedProvider:

@@ -1,5 +1,6 @@
 """Model-core contracts: LoRA algebra, decoder causality, frozen-base
-invariance, losses, gradient checking, checkpoints."""
+invariance, the next-token loss, the audio path, gradient checking,
+checkpoints."""
 
 from __future__ import annotations
 
@@ -16,12 +17,10 @@ from hypothesis import strategies as st
 from aqakit.cli import main
 from aqakit.frontend import PatchGrid, Waveform, encode_patches, pool_tokens, write_wav
 from aqakit.model import (
-    AlignmentBatch,
     AudioTextLm,
     DecoderConfig,
     GenerationConfig,
     TrainingExample,
-    alignment_losses,
     build_qa_ids,
     count_lora_params,
     decode_ids,
@@ -37,6 +36,7 @@ from aqakit.model import (
 from aqakit.model import decoder, sampling
 from aqakit.model.losses import masked_nll_and_dlogits
 from aqakit.model.tokenizer import BOS_ID, EOS_ID, SEP_ID, VOCAB_SIZE
+from aqakit.synthetic import DEMO_CLASSES
 
 
 def tiny_cfg() -> DecoderConfig:
@@ -702,50 +702,6 @@ def test_loss_rejects_length_mismatch() -> None:
             next_token_loss(logits, targets, mask)
 
 
-# -- alignment losses --------------------------------------------------------
-
-def test_alignment_identical_embeddings_zero_mse() -> None:
-    e = np.random.default_rng(0).normal(size=(3, 5))
-    total, l_c, l_mse = alignment_losses(AlignmentBatch(e_a=e.copy(), e_t=e.copy()))
-    assert l_mse == 0.0
-    assert total == l_c
-
-
-def test_alignment_orthonormal_value() -> None:
-    batch = AlignmentBatch(e_a=np.eye(2), e_t=np.eye(2), tau=0.05)
-    _, l_c, _ = alignment_losses(batch)
-    assert abs(l_c - math.log1p(math.exp(-20.0))) < 1e-12
-
-
-def test_alignment_lambda_identity_random() -> None:
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        batch = AlignmentBatch(e_a=rng.normal(size=(4, 6)),
-                               e_t=rng.normal(size=(4, 6)))
-        total, l_c, l_mse = alignment_losses(batch)
-        # the exact float identity L = L_c + lambda * L_mse, no rearrangement
-        assert total == l_c + 10.0 * l_mse
-
-
-def test_alignment_permutation_invariance() -> None:
-    rng = np.random.default_rng(4)
-    e_a, e_t = rng.normal(size=(6, 8)), rng.normal(size=(6, 8))
-    base, *_ = alignment_losses(AlignmentBatch(e_a=e_a, e_t=e_t))
-    perm = rng.permutation(6)
-    permuted, *_ = alignment_losses(AlignmentBatch(e_a=e_a[perm], e_t=e_t[perm]))
-    assert abs(base - permuted) < 1e-9
-
-
-def test_alignment_rejects_degenerate() -> None:
-    with pytest.raises(ValueError):
-        alignment_losses(AlignmentBatch(e_a=np.ones((1, 4)), e_t=np.ones((1, 4))))
-    bad = np.ones((2, 4))
-    bad_a = bad.copy()
-    bad_a[0] = 0.0
-    with pytest.raises(ValueError):
-        alignment_losses(AlignmentBatch(e_a=bad_a, e_t=bad))
-
-
 # -- audio path --------------------------------------------------------------
 
 def encode_then_pool(model: AudioTextLm, audio: PatchGrid, da: np.ndarray):
@@ -797,6 +753,51 @@ def test_pooling_before_encoding_matches_encode_then_pool(cfg, monkeypatch) -> N
         assert grads[name].shape == want.shape
         np.testing.assert_allclose(grads[name], want, rtol=0, atol=1e-12,
                                    err_msg=name)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_audio_path_carries_a_label(seed) -> None:
+    """A small model trained on oracle clips, whose every patch holds 3.0 in
+    the class's own patch value, names the held-out clip's label by
+    likelihood, and the true answer costs more on another class's clip.
+    Cutting the audio off (a zero projection) brings both to chance."""
+    labels = [c.label for c in DEMO_CLASSES]
+    rng = np.random.default_rng(seed)
+
+    def clip(c: int) -> PatchGrid:
+        patches = 0.1 * rng.normal(size=(64, 8, 256))
+        patches[:, :, 16 * c] += 3.0
+        return PatchGrid(patches)
+
+    def example(audio: PatchGrid, label: str) -> TrainingExample:
+        ids, mask = build_qa_ids("What sound is this?", label)
+        return TrainingExample(audio=audio, text_tokens=ids, loss_mask=mask)
+
+    cfg = DecoderConfig(n_layers=1, n_heads=2, d_model=32, max_seq_len=64)
+    model = AudioTextLm(cfg, seed=seed, out_scale=0.35, lora_a_scale=0.5)
+    train = [example(clip(c), label) for c, label in enumerate(labels)
+             for _ in range(3)]
+    for _ in range(150):
+        grads = [model.loss_and_grads(train[i])[1]
+                 for i in rng.choice(len(train), size=8, replace=False)]
+        model.sgd_step({name: sum(g[name] for g in grads) / 8
+                        for name in grads[0]}, lr=1e-2)
+    held_out = [(c, clip(c)) for c in range(len(labels)) for _ in range(2)]
+
+    def accuracy_and_gain() -> tuple[float, float]:
+        hits, gains = 0, []
+        for c, audio in held_out:
+            nll = [model.loss_only(example(audio, label)) for label in labels]
+            hits += int(np.argmin(nll)) == c
+            other = held_out[(2 * c + 2) % len(held_out)][1]
+            gains.append(model.loss_only(example(other, labels[c])) - nll[c])
+        return hits / len(held_out), float(np.mean(gains))
+
+    accuracy, gain = accuracy_and_gain()
+    assert accuracy >= 0.5 and gain >= 1.0, (accuracy, gain)
+    # every clip now gives the same audio rows: one prediction, no gain
+    model.audio["audio.proj.weight"][:] = 0.0
+    assert accuracy_and_gain() == (1 / len(labels), 0.0)
 
 
 # -- gradient check ----------------------------------------------------------
