@@ -1,11 +1,13 @@
-"""Decoding loop: repetition penalty, then temperature, then top-k, then
-top-p nucleus truncation, then one renormalized draw per step."""
+"""Decoding loop: repetition penalty, then temperature, then top-p nucleus
+truncation, then one renormalized draw per step. The recipe is the paper's
+and fixed (``GenerationConfig``); its top-k of 500 has no step, since a
+500-id cut keeps all 260 ids of the byte vocabulary (``VOCAB_SIZE``)."""
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,40 +17,35 @@ from .tokenizer import EOS_ID
 @dataclass
 class GenerationConfig:
     temperature: float = 0.1
-    top_k: int = 500
-    top_p: float = 0.95
-    repetition_penalty: float = 1.1
     max_new_tokens: int = 64
     seed: int = 0
+    # the paper's nucleus mass and repetition penalty; fixed, not settable
+    top_p: float = field(default=0.95, init=False)
+    repetition_penalty: float = field(default=1.1, init=False)
 
     def __post_init__(self) -> None:
-        for name in ("top_k", "max_new_tokens"):
+        for name, least in (("max_new_tokens", 1), ("seed", 0)):
             try:
-                setattr(self, name, operator.index(getattr(self, name)))
+                value = operator.index(getattr(self, name))
             except TypeError:
                 raise ValueError(
                     f"{name} must be an integer, got {getattr(self, name)}") from None
-        for name in ("temperature", "repetition_penalty"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0.0 < self.top_p <= 1.0:
-            raise ValueError("top_p must be in (0, 1]")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        if self.temperature < 0.0:
-            raise ValueError("temperature must be >= 0 (0 means greedy)")
-        if self.repetition_penalty <= 0.0:
-            raise ValueError("repetition penalty must be positive")
-        if self.max_new_tokens < 1:
-            raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+            setattr(self, name, value)
+        if not 0.0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be finite and >= 0 (0 means greedy), "
+                             f"got {self.temperature}")
 
 
 def apply_repetition_penalty(logits: np.ndarray, emitted_ids,
                              penalty: float) -> np.ndarray:
     """Discourage re-emission: divide positive logits of already-emitted ids
-    by the penalty, multiply negative ones."""
+    by the penalty, multiply negative ones; an out-of-range id raises ValueError."""
     out = np.array(logits, dtype=np.float64)
     for tid in set(int(t) for t in emitted_ids):
+        if not 0 <= tid < out.size:
+            raise ValueError(f"emitted id {tid} is outside the vocabulary (vocab_size {out.size})")
         v = out[tid]
         out[tid] = v / penalty if v > 0 else v * penalty
     return out
@@ -56,24 +53,26 @@ def apply_repetition_penalty(logits: np.ndarray, emitted_ids,
 
 def truncated_distribution(logits: np.ndarray,
                            cfg: GenerationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Temperature, top-k, then top-p, then renormalize.
+    """Temperature, then top-p, then renormalize.
 
     Returns (kept ids, their renormalized probabilities), highest
     probability first. Assumes the repetition penalty was already applied.
+    NaN logits, or logits / temperature that overflow, raise ValueError.
     """
     if cfg.temperature == 0.0:
         raise ValueError("no sampling distribution at temperature 0 (greedy)")
-    z = np.asarray(logits, dtype=np.float64) / cfg.temperature
-    z = z - z.max()
-    probs = np.exp(z)
+    logits = np.asarray(logits, dtype=np.float64)
+    top = float(logits.max()) / cfg.temperature  # checked before the array can overflow
+    if not math.isfinite(top):
+        raise ValueError("logits contain NaN" if math.isnan(top) else
+                         f"logits / temperature are infinite at temperature {cfg.temperature}")
+    probs = np.exp(logits / cfg.temperature - top)
     probs /= probs.sum()
 
     order = np.argsort(-probs, kind="stable")
-    kept = order[:min(cfg.top_k, order.size)]
-    kept_probs = probs[kept]
+    ranked = probs[order]
     # nucleus: minimal prefix whose cumulative mass reaches top_p
-    before = np.cumsum(kept_probs) - kept_probs
-    kept = kept[before < cfg.top_p]
+    kept = order[np.cumsum(ranked) - ranked < cfg.top_p]
     kept_probs = probs[kept]
     return kept, kept_probs / kept_probs.sum()
 

@@ -280,8 +280,9 @@ def test_metric_oracles(report):
 
 def test_sampling_distribution(report):
     logits = np.array([0.5, -0.3, 1.2, 0.0])
-    cfg = GenerationConfig(temperature=1.0, top_k=4, top_p=1.0,
-                           repetition_penalty=1.0)
+    # at temperature 1 the mass before the least likely id is 0.89 < top_p,
+    # so the nucleus keeps all four ids and the draw follows the softmax
+    cfg = GenerationConfig(temperature=1.0)
     rng = np.random.default_rng(123)
     counts = np.zeros(4)
     for _ in range(100_000):
@@ -292,19 +293,20 @@ def test_sampling_distribution(report):
 
     model = AudioTextLm(DecoderConfig(), seed=1)
     audio = make_demo_items(clips_per_class=2, seed=0)[0].audio
-    greedy_cfg = GenerationConfig(temperature=0.0, top_k=260, top_p=1.0,
-                                  repetition_penalty=1.0, max_new_tokens=6)
+    greedy_cfg = GenerationConfig(temperature=0.0, max_new_tokens=6)
     got = list(generate(model, audio, np.array([BOS_ID]), greedy_cfg))
     want, prefix = [], [BOS_ID]
     for _ in range(6):
-        step = model.forward(audio, np.array(prefix + want, dtype=np.int64))
-        want.append(int(np.argmax(step[-1])))
+        step = model.forward(audio, np.array(prefix + want, dtype=np.int64))[-1]
+        for tid in set(want):
+            step[tid] = step[tid] / 1.1 if step[tid] > 0 else step[tid] * 1.1
+        want.append(int(np.argmax(step)))
         if want[-1] == EOS_ID:
             break
     report("sampling distribution", tv < 0.01 and got == want,
            f"total variation {tv:.4f} over 1e5 draws on a 4-token "
            f"vocabulary (< 0.01); temperature-0 output equals stepwise "
-           f"argmax exactly: {got == want}")
+           f"argmax after the 1.1 repetition penalty exactly: {got == want}")
 
 
 def test_unanswerable_detection(report):

@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -356,25 +357,37 @@ def test_generate_merges_the_adapters_once(monkeypatch) -> None:
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("field", ["temperature", "repetition_penalty"])
+@pytest.mark.parametrize("field", ["temperature"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_generation_config_rejects_non_finite_values(field: str, value: float) -> None:
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         GenerationConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field", ["top_k", "max_new_tokens"])
+@pytest.mark.parametrize("field", ["max_new_tokens", "seed"])
 def test_generation_config_takes_only_integer_counts(field: str) -> None:
     with pytest.raises(ValueError) as err:
         GenerationConfig(**{field: 2.5})
     assert str(err.value) == f"{field} must be an integer, got 2.5"
     cfg = GenerationConfig(**{field: np.int64(3)})
     assert getattr(cfg, field) == 3 and type(getattr(cfg, field)) is int
+    least = {"max_new_tokens": 1, "seed": 0}[field]
+    with pytest.raises(ValueError) as err:
+        GenerationConfig(**{field: least - 1})
+    assert str(err.value) == f"{field} must be >= {least}, got {least - 1}"
+
+
+def test_generation_config_fixes_the_papers_recipe() -> None:
+    for field in ("top_k", "top_p", "repetition_penalty"):
+        with pytest.raises(TypeError):
+            GenerationConfig(**{field: 1.0})
+    cfg = GenerationConfig()
+    assert (cfg.top_p, cfg.repetition_penalty) == (0.95, 1.1)
 
 
 def test_sample_next_id_draws_as_generator_choice(monkeypatch) -> None:
     meta = np.random.default_rng(48)
-    cfg = GenerationConfig(temperature=1.0, repetition_penalty=1.0)
+    cfg = GenerationConfig(temperature=1.0)
     for case in range(1200):
         n = 1 if case % 8 == 0 else int(meta.integers(2, VOCAB_SIZE + 1))
         kept = meta.permutation(VOCAB_SIZE)[:n]
@@ -387,6 +400,82 @@ def test_sample_next_id_draws_as_generator_choice(monkeypatch) -> None:
             got = sampling.sample_next_id(np.zeros(VOCAB_SIZE), [], cfg, got_rng)
             assert got == int(want_rng.choice(kept, p=p))
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def reference_truncated_distribution(logits: np.ndarray, temperature: float):
+    """Reference: temperature, the paper's top-k of 500 as an explicit
+    slice, then top-p 0.95, then renormalize (highest probability first)."""
+    z = np.asarray(logits, dtype=np.float64) / temperature
+    z = z - z.max()
+    probs = np.exp(z)
+    probs /= probs.sum()
+    order = np.argsort(-probs, kind="stable")
+    kept = order[:min(500, order.size)]
+    kept_probs = probs[kept]
+    before = np.cumsum(kept_probs) - kept_probs
+    kept = kept[before < 0.95]
+    kept_probs = probs[kept]
+    return kept, kept_probs / kept_probs.sum()
+
+
+def reference_sample_next_id(logits, emitted_ids, temperature: float, rng) -> int:
+    """Reference: repetition penalty 1.1, then the top-k/top-p draw above
+    (greedy argmax at temperature 0)."""
+    logits = np.array(logits, dtype=np.float64)
+    for tid in set(emitted_ids):
+        logits[tid] = logits[tid] / 1.1 if logits[tid] > 0 else logits[tid] * 1.1
+    if temperature == 0.0:
+        return int(np.argmax(logits))
+    kept, kept_probs = reference_truncated_distribution(logits, temperature)
+    cdf = np.cumsum(kept_probs)
+    cdf /= cdf[-1]
+    return int(kept[cdf.searchsorted(rng.random(), side="right")])
+
+
+def test_sampler_without_top_k_matches_the_top_k_reference() -> None:
+    """A top-k of 500 never cuts the 260-id vocabulary: ids, distributions
+    and generator states match the reference that slices it."""
+    meta = np.random.default_rng(53)
+    nucleus_sizes = set()
+    for case in range(1200):
+        logits = meta.normal(size=VOCAB_SIZE) * math.exp(meta.uniform(-2.0, 3.0))
+        if case % 5 == 0:
+            logits = np.round(logits)   # ties exercise the stable order
+        temperature = [0.1, 0.0, float(math.exp(meta.uniform(-4.0, 2.0)))][case % 3]
+        emitted = meta.integers(0, VOCAB_SIZE, size=int(meta.integers(0, 65))).tolist()
+        cfg = GenerationConfig(temperature=temperature)
+        if temperature > 0.0:
+            penalized = sampling.apply_repetition_penalty(logits, emitted, 1.1)
+            got = sampling.truncated_distribution(penalized, cfg)
+            want = reference_truncated_distribution(penalized, temperature)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
+            nucleus_sizes.add(got[0].size)
+        seed = int(meta.integers(2**32))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got_id = sampling.sample_next_id(logits, emitted, cfg, got_rng)
+            assert got_id == reference_sample_next_id(logits, emitted, temperature, want_rng)
+            emitted.append(got_id)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    # the nucleus keeps from one id to nearly all 260
+    assert min(nucleus_sizes) == 1 and max(nucleus_sizes) > 240 and len(nucleus_sizes) > 100
+
+
+@pytest.mark.parametrize("temperature, logit, message", [
+    (1.0, math.nan, "logits contain NaN"),
+    (1e-320, 0.5, "logits / temperature are infinite at temperature 1e-320"),
+])
+def test_sampler_names_non_finite_scaled_logits(temperature: float, logit: float,
+                                                message: str) -> None:
+    logits = np.linspace(-1.0, 0.25, VOCAB_SIZE)
+    logits[7] = logit
+    cfg = GenerationConfig(temperature=temperature)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            sampling.sample_next_id(logits, [], cfg, np.random.default_rng(0))
+    assert str(err.value) == message
 
 
 def additive_softmax(scores: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
@@ -602,6 +691,13 @@ def test_repetition_penalty_returns_a_new_array_of_the_old_values() -> None:
     assert got.dtype == np.float64 and got.flags.writeable
     single = sampling.apply_repetition_penalty(logits.astype(np.float32), [], 1.3)
     assert single.dtype == np.float64
+
+
+@pytest.mark.parametrize("tid", [-1, 2, 5])
+def test_repetition_penalty_rejects_an_id_outside_the_logits(tid: int) -> None:
+    with pytest.raises(ValueError) as err:
+        sampling.apply_repetition_penalty(np.array([0.5, 0.3]), [0, tid], 1.1)
+    assert str(err.value) == f"emitted id {tid} is outside the vocabulary (vocab_size 2)"
 
 
 def test_layer_norm_matches_numpy_mean_and_var() -> None:
