@@ -24,11 +24,12 @@ MEL_FMIN_HZ = 0.0
 MEL_FMAX_HZ = 8000.0
 PATCH_SIDE = 16
 TOKEN_RATE_HZ = 3.2
-# frames per batched rfft and mel product in compute_fbank; bounds the
-# transient spectrum buffers to a few MB whatever the clip length
+# frames per batched rfft and mel product in compute_fbank; bounds its
+# two block buffers to about 1 MB whatever the clip length
 FBANK_BLOCK_FRAMES = 128
 # runs of consecutive mel rows in compute_fbank's banded mel product; at 8,
-# a 128 x 257 bank costs 4,304 multiply-adds per frame instead of 32,896
+# a 128 x 257 bank keeps 4,304 of its 32,896 weights, 8,608 multiply-adds
+# per frame over the re and im lanes
 FBANK_MEL_BANDS = 8
 
 
@@ -121,13 +122,16 @@ def mel_filterbank() -> np.ndarray:
 
 @functools.cache
 def mel_bands() -> tuple[tuple[int, int, int, int, np.ndarray], ...]:
-    """mel_filterbank cut into FBANK_MEL_BANDS runs of consecutive mel rows.
+    """mel_filterbank cut into FBANK_MEL_BANDS runs of consecutive mel rows,
+    with weights laid out for an interleaved (re, im) spectrum.
 
     Each band is (m0, m1, b0, b1, weights): mel rows m0..m1-1, the FFT bins
     b0..b1-1 that hold every nonzero weight of those rows, and weights, the
-    (bins x mels) slice bank[m0:m1, b0:b1].T. Outside its bins a band's rows
-    are zero, so the bands tile the bank. Built once from mel_filterbank and
-    shared, so the weights are read-only.
+    (2 * bins x mels) slice bank[m0:m1, b0:b1].T with each bin's row given
+    twice, once for the real and once for the imaginary part. So
+    weights[0::2] and weights[1::2] are both that slice. Outside its bins a
+    band's rows are zero, so the bands tile the bank. Built once from
+    mel_filterbank and shared, so the weights are read-only.
     """
     bank = mel_filterbank()
     n_mels = FbankConfig.n_mels
@@ -136,7 +140,7 @@ def mel_bands() -> tuple[tuple[int, int, int, int, np.ndarray], ...]:
     for m0, m1 in zip(edges, edges[1:]):
         bins = np.flatnonzero(bank[m0:m1].any(axis=0))
         b0, b1 = (int(bins[0]), int(bins[-1]) + 1) if bins.size else (0, 0)
-        weights = np.ascontiguousarray(bank[m0:m1, b0:b1].T)
+        weights = np.repeat(bank[m0:m1, b0:b1].T, 2, axis=0)
         weights.setflags(write=False)
         bands.append((m0, m1, b0, b1, weights))
     return tuple(bands)
@@ -153,13 +157,17 @@ def compute_fbank(w: Waveform) -> LogMelSpectrogram:
 
     Frames are strided views of the samples and go through the FFT and the
     mel product FBANK_BLOCK_FRAMES at a time. Each block is windowed into
-    one zero-padded (frames x n_fft) buffer and takes one rfft, which
-    matches a per-frame rfft bit for bit. The mel product is banded: each
-    of mel_bands' runs of mel rows multiplies only the FFT bins its filters
-    reach, one (frames x bins) @ (bins x mels) product per band. Its sums
-    round differently from a per-frame mel matrix-vector product, so the
-    result is not bit-identical to a frame-by-frame loop but stays within
-    1e-12 of it. It is deterministic for a fixed BLAS thread count.
+    one zero-padded (frames x n_fft) buffer and takes one rfft into one
+    complex buffer, which matches a per-frame rfft bit for bit. The buffer's
+    float64 view, re and im side by side, is squared in place, and the mel
+    product is banded: each of mel_bands' runs of mel rows multiplies only
+    the FFT bins its filters reach, one (frames x 2 * bins) @ (2 * bins x
+    mels) product per band whose weights give each bin twice, so the
+    product sums re**2 + im**2 itself and no magnitude is taken. Those
+    sums round differently from abs()**2 (by about an ulp) and from a
+    per-frame mel matrix-vector product, so the result is not bit-identical
+    to a frame-by-frame loop but stays within 1e-12 of it. It is
+    deterministic for a fixed BLAS thread count.
     """
     cfg = FbankConfig
     win = cfg.window_samples
@@ -173,18 +181,21 @@ def compute_fbank(w: Waveform) -> LogMelSpectrogram:
     segs = np.lib.stride_tricks.sliding_window_view(x, win)[::hop]
 
     n_keep = min(segs.shape[0], cfg.target_frames)
-    frames = np.full((cfg.target_frames, cfg.n_mels), np.log(cfg.log_floor),
-                     dtype=np.float64)
+    frames = np.empty((cfg.target_frames, cfg.n_mels), dtype=np.float64)
+    frames[n_keep:] = np.log(cfg.log_floor)
+    block_rows = min(FBANK_BLOCK_FRAMES, n_keep)
     # columns win.. stay zero: the FFT's right padding
-    padded = np.zeros((min(FBANK_BLOCK_FRAMES, n_keep), cfg.n_fft))
+    padded = np.zeros((block_rows, cfg.n_fft))
+    spectrum = np.empty((block_rows, cfg.n_fft // 2 + 1), dtype=np.complex128)
     for lo in range(0, n_keep, FBANK_BLOCK_FRAMES):
         hi = min(lo + FBANK_BLOCK_FRAMES, n_keep)
         block = padded[:hi - lo]
         np.multiply(segs[lo:hi], window, out=block[:, :win])
-        power = np.abs(np.fft.rfft(block, axis=1))
-        power *= power
+        # re, im side by side: columns 2b and 2b + 1 hold bin b
+        lanes = np.fft.rfft(block, axis=1, out=spectrum[:hi - lo]).view(np.float64)
+        np.multiply(lanes, lanes, out=lanes)
         for m0, m1, b0, b1, weights in bands:
-            np.matmul(power[:, b0:b1], weights, out=frames[lo:hi, m0:m1])
+            np.matmul(lanes[:, 2 * b0:2 * b1], weights, out=frames[lo:hi, m0:m1])
         energies = frames[lo:hi]
         np.log(np.maximum(energies, cfg.log_floor, out=energies), out=energies)
     return LogMelSpectrogram(frames)

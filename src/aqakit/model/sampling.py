@@ -81,7 +81,11 @@ def sample_next_id(logits: np.ndarray, emitted_ids, cfg: GenerationConfig,
                    rng: np.random.Generator) -> int:
     logits = apply_repetition_penalty(logits, emitted_ids, cfg.repetition_penalty)
     if cfg.temperature == 0.0:
-        return int(np.argmax(logits))
+        best = int(np.argmax(logits))
+        # argmax stops at the first NaN, so a NaN anywhere is the one chosen
+        if math.isnan(logits[best]):
+            raise ValueError("logits contain NaN")
+        return best
     kept, kept_probs = truncated_distribution(logits, cfg)
     # rng.choice(kept, p=kept_probs)'s own draw, without its checks of p
     cdf = np.cumsum(kept_probs)

@@ -11,6 +11,7 @@ projection, with the model's audio tensors.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import tempfile
@@ -159,19 +160,54 @@ def samples_for_frames(n_frames: int) -> int:
     return cfg.window_samples + cfg.hop_samples * (n_frames - 1)
 
 
-@pytest.mark.parametrize("n_samples", [
-    400, 401,
-    *(samples_for_frames(n) for n in (FBANK_BLOCK_FRAMES - 1, FBANK_BLOCK_FRAMES,
-                                      FBANK_BLOCK_FRAMES + 1, 2 * FBANK_BLOCK_FRAMES,
-                                      1023, 1024, 1100)),
-])
-def test_fbank_matches_per_frame_loop(n_samples: int) -> None:
+def random_level_noise(n_samples: int) -> np.ndarray:
     rng = np.random.default_rng(n_samples)
-    x = rng.uniform(-1, 1, n_samples) * 10.0 ** rng.uniform(-4, 0)
+    return rng.uniform(-1, 1, n_samples) * 10.0 ** rng.uniform(-4, 0)
+
+
+def full_scale_clipped() -> np.ndarray:
+    """A 20 Hz sine driven 10x past full scale and clipped to [-1, 1]: whole
+    windows sit at +-1, so the low bins carry the largest re**2 + im**2."""
+    t = np.arange(samples_for_frames(FBANK_BLOCK_FRAMES + 1)) / SR
+    return np.clip(10.0 * np.sin(2 * np.pi * 20.0 * t), -1.0, 1.0)
+
+
+def below_log_floor() -> np.ndarray:
+    """Noise at 1e-6 of full scale: about two thirds of the mel energies
+    fall below log_floor, so the clamp runs after the folded sum."""
+    rng = np.random.default_rng(5)
+    return rng.uniform(-1, 1, samples_for_frames(FBANK_BLOCK_FRAMES + 1)) * 1e-6
+
+
+@pytest.mark.parametrize("make_signal", [
+    *(pytest.param(functools.partial(random_level_noise, n), id=str(n))
+      for n in (400, 401,
+                *(samples_for_frames(frames) for frames in (
+                    FBANK_BLOCK_FRAMES - 1, FBANK_BLOCK_FRAMES, FBANK_BLOCK_FRAMES + 1,
+                    2 * FBANK_BLOCK_FRAMES, 1023, 1024, 1100)))),
+    pytest.param(full_scale_clipped, id="full_scale_clipped"),
+    pytest.param(below_log_floor, id="below_log_floor"),
+])
+def test_fbank_matches_per_frame_loop(make_signal) -> None:
+    x = make_signal()
     got = compute_fbank(Waveform(x)).frames
     want = per_frame_fbank(x)
     assert got.shape == want.shape == (1024, 128)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_fbank_edge_signals_reach_their_edges() -> None:
+    cfg = FbankConfig()
+    window = np.hanning(cfg.window_samples)
+    x = full_scale_clipped()
+    segs = np.lib.stride_tricks.sliding_window_view(x, cfg.window_samples)
+    power = np.abs(np.fft.rfft(segs[::cfg.hop_samples] * window, n=cfg.n_fft)) ** 2
+    # within 1% of a constant full-scale window's DC power, the largest any
+    # clip in [-1, 1] can reach
+    assert power.max() > 0.99 * window.sum() ** 2
+    n_real = FBANK_BLOCK_FRAMES + 1
+    clamped = per_frame_fbank(below_log_floor())[:n_real] == np.log(cfg.log_floor)
+    assert 0.3 < clamped.mean() < 0.9
 
 
 def test_mel_filterbank_is_built_once_and_read_only() -> None:
@@ -206,16 +242,19 @@ def test_mel_bands_tile_the_bank() -> None:
     for m0, m1, b0, b1, weights in bands:
         assert m0 == next_row < m1
         next_row = m1
-        assert weights.shape == (b1 - b0, m1 - m0)
+        # one row per bin for its re lane, then one for its im lane
+        assert weights.shape == (2 * (b1 - b0), m1 - m0)
+        assert np.array_equal(weights[0::2], weights[1::2])
         with pytest.raises(ValueError):
             weights[0, 0] = 1.0
         # the bin range covers every nonzero of the band's rows
         assert not bank[m0:m1, :b0].any() and not bank[m0:m1, b1:].any()
-        rebuilt[m0:m1, b0:b1] = weights.T
+        rebuilt[m0:m1, b0:b1] = weights[0::2].T
     assert next_row == cfg.n_mels
     assert np.array_equal(rebuilt, bank)
-    # the banded product's multiply-adds per frame, against 128 x 257 dense
-    assert sum(w.size for *_, w in bands) == 4304
+    # the banded product's multiply-adds per frame, 2 x 4,304 over the re
+    # and im lanes, against 128 x 257 dense
+    assert sum(w.size for *_, w in bands) == 2 * 4304 == 8608
 
 
 def test_fbank_sine_matches_dft_oracle() -> None:

@@ -464,6 +464,7 @@ def test_sampler_without_top_k_matches_the_top_k_reference() -> None:
 
 @pytest.mark.parametrize("temperature, logit, message", [
     (1.0, math.nan, "logits contain NaN"),
+    (0.0, math.nan, "logits contain NaN"),
     (1e-320, 0.5, "logits / temperature are infinite at temperature 1e-320"),
 ])
 def test_sampler_names_non_finite_scaled_logits(temperature: float, logit: float,
