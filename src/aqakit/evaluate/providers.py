@@ -131,31 +131,31 @@ class HashedBagOfWordsProvider:
 
 class RemoteEmbeddingProvider:
     """Embeddings-API client over remote.post_json; built only on explicit
-    request. A reply of the wrong dimension or with an entry that is not a
-    finite number is retried like a failed one."""
+    request. The first accepted reply fixes dimension; a reply of another
+    width or with an entry that is not finite is retried like a failed one."""
 
     name = "remote"
 
     def __init__(self, url: str, api_key_env: str = "LLM_API_KEY",
-                 dimension: int = 1536, session=None, sleep=time.sleep):
+                 session=None, sleep=time.sleep):
         self._key = api_key(api_key_env)
         if session is None:
             session = new_session()
-        self.dimension = dimension
+        self.dimension: int | None = None
         self._url = url
         self._session = session
         self._sleep = sleep
 
     def _parse(self, reply) -> dict[int, float]:
         vec = np.asarray(reply["data"][0]["embedding"], dtype=float)
-        if vec.shape != (self.dimension,):
-            raise ValueError(
-                f"expected dimension {self.dimension}, got {vec.shape}")
+        if vec.shape != (self.dimension or vec.size,) or not vec.size:
+            raise ValueError(f"expected dimension {self.dimension or '>= 1'}, got {vec.shape}")
         # json reads NaN and Infinity; they would score as nan
         bad = np.flatnonzero(~np.isfinite(vec))
         if bad.size:
             raise ValueError(f"embedding entry {int(bad[0])} is "
                              f"{vec[bad[0]]}, not a finite number")
+        self.dimension = vec.size
         return _nonzero_terms(vec)
 
     def terms(self, text: str) -> dict[int, float]:

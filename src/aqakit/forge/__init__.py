@@ -12,8 +12,8 @@ from .llm import RateLimiter, RealLlmClient, ReplayLlmClient, SynthLlmClient
 from .meta import (AudioMeta, SoundEvent, format_span, meta_from_dict,
                    meta_to_dict, read_meta_jsonl, serialize_meta,
                    write_meta_jsonl)
-from .qa import (CLOSED_TASKS, TASK_KINDS, QAPair, qa_from_dict, qa_to_dict,
-                 read_manifest, validate_manifest, write_manifest)
+from .qa import (TASK_KINDS, QAPair, qa_from_dict, qa_to_dict, read_manifest,
+                 validate_manifest, write_manifest)
 from .sampler import sample_audioset
 from .stats import DatasetStats, compute_dataset_stats
 
@@ -27,7 +27,7 @@ __all__ = [
     "load_feature_bank", "save_feature_bank", "RateLimiter", "RealLlmClient",
     "ReplayLlmClient", "SynthLlmClient", "AudioMeta", "SoundEvent", "format_span",
     "meta_from_dict", "meta_to_dict", "read_meta_jsonl", "serialize_meta",
-    "write_meta_jsonl", "CLOSED_TASKS", "TASK_KINDS", "QAPair",
+    "write_meta_jsonl", "TASK_KINDS", "QAPair",
     "qa_from_dict", "qa_to_dict", "read_manifest", "validate_manifest",
     "write_manifest", "sample_audioset", "DatasetStats", "compute_dataset_stats",
 ]

@@ -143,6 +143,6 @@ def parse_aig_response(text: str, audio_id: str = "") -> list[QAPair]:
             continue
         answer = answer.strip()
         pairs.append(QAPair(audio_id=audio_id, question=question.strip(),
-                            answer=answer, task="open_ended", closed=False,
+                            answer=answer, task="open_ended",
                             unanswerable=detect_unanswerable(answer)))
     return pairs

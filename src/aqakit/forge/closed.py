@@ -113,7 +113,7 @@ def gen_classification_qa(m: AudioMeta, bank: None, rng) -> QAPair:
         if ev.label not in labels:
             labels.append(ev.label)
     return QAPair(audio_id=m.audio_id, question=question,
-                  answer="; ".join(labels), task="classification", closed=True)
+                  answer="; ".join(labels), task="classification")
 
 
 def gen_acoustic_feature_qa(m: AudioMeta, rng, *,
@@ -139,8 +139,7 @@ def gen_acoustic_feature_qa(m: AudioMeta, rng, *,
                 f"{m.audio_id}: event {ev.label!r} has no acoustic feature")
         segments.append(f"{feature} → {ev.label}")
     return QAPair(audio_id=m.audio_id, question=question,
-                  answer="; ".join(segments), task="acoustic_features",
-                  closed=True)
+                  answer="; ".join(segments), task="acoustic_features")
 
 
 def gen_caption_qa(m: AudioMeta, rng) -> list[QAPair]:
@@ -150,7 +149,7 @@ def gen_caption_qa(m: AudioMeta, rng) -> list[QAPair]:
     if not captions:
         raise ValueError(f"{m.audio_id}: no caption")
     return [QAPair(audio_id=m.audio_id, question=draw("caption", rng),
-                   answer=cap, task="caption", closed=True)
+                   answer=cap, task="caption")
             for cap in captions]
 
 
@@ -176,7 +175,7 @@ def gen_temporal_qa(m: AudioMeta, rng) -> list[QAPair]:
     pairs = [QAPair(audio_id=m.audio_id,
                     question=draw("temporal_all", rng),
                     answer="; ".join(span_line(e) for e in ordered),
-                    task="temporal", closed=True)]
+                    task="temporal")]
 
     template = draw("temporal_specific", rng)
     chosen = m.events[int(rng.integers(len(m.events)))]
@@ -184,13 +183,13 @@ def gen_temporal_qa(m: AudioMeta, rng) -> list[QAPair]:
     pairs.append(QAPair(audio_id=m.audio_id,
                         question=template.format(label=chosen.label),
                         answer="; ".join(span_line(e) for e in matching),
-                        task="temporal", closed=True))
+                        task="temporal"))
 
     if len(m.events) >= 2:
         first = min(m.events, key=lambda e: (e.onset_s, e.offset_s, e.label))
         pairs.append(QAPair(audio_id=m.audio_id,
                             question=draw("temporal_order", rng),
-                            answer=first.label, task="temporal", closed=True))
+                            answer=first.label, task="temporal"))
     return pairs
 
 

@@ -10,7 +10,6 @@ from ..files import jsonl_rows, read_jsonl, write_jsonl
 
 TASK_KINDS = ("classification", "acoustic_features", "caption", "temporal",
               "open_ended")
-CLOSED_TASKS = ("classification", "acoustic_features", "caption", "temporal")
 
 # stable field order for manifest rows
 _FIELDS = ("audio_id", "question", "answer", "task", "closed", "unanswerable")
@@ -22,20 +21,26 @@ class QAPair:
     question: str
     answer: str
     task: str
-    closed: bool
     unanswerable: bool = False
 
     def __post_init__(self) -> None:
-        for f in _FIELDS:
-            want = bool if f in ("closed", "unanswerable") else str
-            if not isinstance(getattr(self, f), want):
-                raise TypeError(f"{f} must be a {want.__name__}: {getattr(self, f)!r}")
-        if self.task not in TASK_KINDS:
-            raise ValueError(f"unknown task kind {self.task!r}")
-        if not self.question or not self.answer:
-            raise ValueError("question and answer must be non-empty")
-        if self.closed != (self.task != "open_ended"):
-            raise ValueError("closed flag must mirror task != open_ended")
+        _check_row(qa_to_dict(self))
+
+    @property
+    def closed(self) -> bool:
+        return self.task != "open_ended"
+
+
+def _check_row(row: dict) -> None:
+    """Raise TypeError or ValueError at a manifest row's first fault."""
+    for f in _FIELDS:
+        want = bool if f in ("closed", "unanswerable") else str
+        if not isinstance(row[f], want):
+            raise TypeError(f"{f} must be a {want.__name__}: {row[f]!r}")
+    if row["task"] not in TASK_KINDS:
+        raise ValueError(f"unknown task kind {row['task']!r}")
+    if not row["question"] or not row["answer"]:
+        raise ValueError("question and answer must be non-empty")
 
 
 def qa_to_dict(p: QAPair) -> dict:
@@ -43,9 +48,12 @@ def qa_to_dict(p: QAPair) -> dict:
 
 
 def qa_from_dict(d: dict) -> QAPair:
-    return QAPair(audio_id=d["audio_id"], question=d["question"],
-                  answer=d["answer"], task=d["task"], closed=d["closed"],
-                  unanswerable=d.get("unanswerable", False))
+    row = {f: d[f] if f != "unanswerable" else d.get(f, False) for f in _FIELDS}
+    _check_row(row)
+    pair = QAPair(**{f: v for f, v in row.items() if f != "closed"})
+    if row["closed"] != pair.closed:
+        raise ValueError("closed flag must mirror task != open_ended")
+    return pair
 
 
 def read_manifest(path: str | Path) -> list[QAPair]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .qa import CLOSED_TASKS, QAPair
+from .qa import QAPair
 
 
 @dataclass
@@ -31,7 +31,7 @@ def compute_dataset_stats(pairs: list[QAPair]) -> DatasetStats:
     total = len(pairs)
     task_counts = dict(Counter(p.task for p in pairs))
     task_percentages = {t: 100.0 * c / total for t, c in task_counts.items()}
-    closed = sum(c for t, c in task_counts.items() if t in CLOSED_TASKS)
+    closed = sum(p.closed for p in pairs)
     return DatasetStats(
         total_pairs=total,
         task_counts=task_counts,

@@ -60,6 +60,8 @@ class FbankConfig:
     log_floor = 1e-10
     # smallest power of two >= the 400-sample window
     n_fft = 512
+    # the (time, frequency) patches patchify tiles every clip's frames into
+    patch_grid = (target_frames // PATCH_SIDE, n_mels // PATCH_SIDE)
 
 
 @dataclass

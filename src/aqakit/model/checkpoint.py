@@ -2,7 +2,7 @@
 file. Every manifest line follows from the model's config: the format line,
 lora_only=0, one config.NAME=VALUE line per config field, then one
 `tensor NAME float32 SHAPE OFFSET NBYTES` line per row of _table, the
-tensors back to back in the blob. load_checkpoint reads the integer config
+tensors back to back in the blob. load_checkpoint reads the settable config
 values, requires the blob to hold the bytes that config implies and the
 manifest to be the one save_checkpoint writes for that config, line for
 line; only then does it read each tensor into a new array, drawing none."""
@@ -109,13 +109,13 @@ def load_checkpoint(path: str | Path) -> AudioTextLm:
         key, _, value = line.partition("=")
         config[key] = (value, line_no)
     sizes = {}
-    for f in dataclasses.fields(DecoderConfig):
-        key = "config." + f.name
+    for name in (f.name for f in dataclasses.fields(DecoderConfig) if f.init):
+        key = "config." + name
         if key not in config:
             raise bad(f"manifest lacks {key}")
         value, line_no = config[key]
         try:
-            sizes[f.name] = int(value)
+            sizes[name] = int(value)
         except ValueError:
             raise bad(f"{key} is {value!r}, not an integer", line_no) from None
     try:

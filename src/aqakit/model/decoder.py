@@ -34,8 +34,7 @@ Token ids must lie in 0..vocab_size - 1: forward, prefill and step raise
 ValueError naming the first id outside that range and its text position,
 where numpy would wrap a negative id to another row or fail with a bare
 IndexError. TrainingExample checks its ids, targets included, against the
-tokenizer's VOCAB_SIZE, and loss_and_grads its last target, which forward
-never embeds, against the model's.
+tokenizer's VOCAB_SIZE.
 
 Training runs only the rows its loss reads. loss_and_grads finds the read
 span, the text rows from the first to the last supervised target (row t
@@ -77,13 +76,13 @@ starts at zero, so training starts exactly at the frozen model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from ..frontend import (PATCH_SIDE, PatchGrid, check_encoder_shapes, encode_patches,
-                        pool_tokens)
+from ..frontend import (PATCH_SIDE, FbankConfig, PatchGrid, check_encoder_shapes,
+                        encode_patches, pool_tokens)
 from .tokenizer import VOCAB_SIZE
 
 LN_EPS = 1e-5
@@ -103,17 +102,17 @@ class DecoderConfig:
     n_layers: int = 4
     n_heads: int = 4
     d_model: int = 64
-    vocab_size: int = VOCAB_SIZE
+    # fixed, not settable: VOCAB_SIZE, and the tokens pool_tokens makes of the patch grid
+    vocab_size: int = field(default=VOCAB_SIZE, init=False)
     max_seq_len: int = 192
     d_audio: int = 64
-    n_audio_tokens: int = 32
+    n_audio_tokens: int = field(default=FbankConfig.patch_grid[0] // 2, init=False)
     mlp_ratio: int = 4
 
     def __post_init__(self) -> None:
         if self.n_layers < 0:
             raise ValueError(f"n_layers must be >= 0, got {self.n_layers}")
-        for name in ("n_heads", "d_model", "vocab_size", "max_seq_len",
-                     "d_audio", "n_audio_tokens", "mlp_ratio"):
+        for name in ("n_heads", "d_model", "max_seq_len", "d_audio", "mlp_ratio"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads:
@@ -126,8 +125,7 @@ class DecoderConfig:
 
 def llama_7b_geometry() -> DecoderConfig:
     """7B-class geometry preset, used only for shape and count arithmetic."""
-    return DecoderConfig(n_layers=32, n_heads=32, d_model=4096,
-                         vocab_size=32000, max_seq_len=2048)
+    return DecoderConfig(n_layers=32, n_heads=32, d_model=4096, max_seq_len=2048)
 
 
 def count_lora_params(geom: DecoderConfig) -> int:
@@ -149,7 +147,7 @@ class TrainingExample:
             raise ValueError("loss_mask must align with text_tokens")
         if self.loss_mask[:1].any():
             raise ValueError("the leading token is never supervised")
-        _check_token_ids(self.text_tokens, VOCAB_SIZE)
+        _check_token_ids(self.text_tokens)
 
 
 class LayerWeights(NamedTuple):
@@ -202,7 +200,7 @@ def tensor_shapes(c: DecoderConfig) -> dict[str, dict[str, tuple[int, ...]]]:
             lora[p + f"attn.{t}.lora_B"] = (d, LORA_RANK)
     audio = {"audio.enc.weight": (PATCH_SIDE * PATCH_SIDE, c.d_audio),
              "audio.enc.bias": (c.d_audio,),
-             "audio.enc.pos": (2 * c.n_audio_tokens, 8, c.d_audio),
+             "audio.enc.pos": (*FbankConfig.patch_grid, c.d_audio),
              "audio.proj.weight": (c.d_audio, d), "audio.proj.bias": (d,)}
     return {"base": base, "lora": lora, "audio": audio}
 
@@ -279,12 +277,9 @@ class AudioTextLm:
         # a single matrix product instead of one per token
         tokens = encode_patches(PatchGrid(pooled[None]), weight, a["audio.enc.bias"],
                                 pool_tokens(pos)[None])[0]
-        if tokens.shape[0] != self.cfg.n_audio_tokens:
-            raise ValueError(
-                f"expected {self.cfg.n_audio_tokens} audio tokens, got {tokens.shape[0]}")
-        if tokens.shape[1] != self.cfg.d_audio:
-            raise ValueError(
-                f"audio token width {tokens.shape[1]} != d_audio {self.cfg.d_audio}")
+        if tokens.shape != (self.cfg.n_audio_tokens, self.cfg.d_audio):
+            raise ValueError(f"audio tokens of shape {tokens.shape}, expected "
+                             f"({self.cfg.n_audio_tokens}, d_audio {self.cfg.d_audio})")
         rows = tokens @ a["audio.proj.weight"] + a["audio.proj.bias"]
         return rows, {"pooled": pooled, "grid_shape": grid_shape, "tokens": tokens}
 
@@ -297,8 +292,8 @@ class AudioTextLm:
         Returns logits of shape (len(text_ids) - read_from, vocab): row t
         is the next-token distribution computed at text position
         read_from + t, so it sees text tokens 0..read_from + t and every
-        audio token. With read_from > 0 the last layer runs its queries and
-        everything after them only from that text row on; 0 runs every row.
+        audio token. The last layer runs its queries and everything after
+        them only from that text row on: the audio rows never reach the head.
         """
         na = self.cfg.n_audio_tokens
         audio_rows, audio_cache = self._audio_rows(audio)
@@ -308,10 +303,9 @@ class AudioTextLm:
             raise ValueError(f"read_from {read_from} is outside the {x.shape[0] - na} "
                              "text rows")
         weights = self._layer_weights()
-        first = na + read_from if read_from else 0
-        xf, lnf_cache, layer_caches = self._run(x, weights, first=first, keep=want_cache)
-        # the logits are the trailing rows of xf, which holds every row only
-        # when the last layer ran them all
+        xf, lnf_cache, layer_caches = self._run(x, weights, first=na + read_from,
+                                                keep=want_cache)
+        # the logits are xf's trailing rows (with no layer it holds every row)
         logits = xf[xf.shape[0] - n_out:] @ self.base["out.w"].T
         if not want_cache:
             return logits
@@ -343,7 +337,7 @@ class AudioTextLm:
         text_ids = np.asarray(text_ids, dtype=np.int64)
         if text_ids.size == 0:
             raise ValueError("at least one text token is required")
-        _check_token_ids(text_ids, self.cfg.vocab_size)
+        _check_token_ids(text_ids)
         return np.concatenate([audio_rows, self.base["tok_emb"][text_ids]])
 
     def _run(self, x: np.ndarray, weights: list[LayerWeights],
@@ -461,9 +455,8 @@ class AudioTextLm:
         was.
         """
         token_id = int(token_id)
-        if not 0 <= token_id < self.cfg.vocab_size:
-            _check_token_ids(np.array([token_id]), self.cfg.vocab_size,
-                             kv.length - self.cfg.n_audio_tokens)
+        if not 0 <= token_id < VOCAB_SIZE:
+            _check_token_ids(np.array([token_id]), kv.length - self.cfg.n_audio_tokens)
         xf, _, _ = self._run(self.base["tok_emb"][[token_id]], kv.weights, kv)
         return self._last_logits(xf)
 
@@ -509,8 +502,6 @@ class AudioTextLm:
         if read.size == 0:
             raise ValueError("empty loss mask")
         first, end = int(read[0]), int(read[-1]) + 1
-        # forward checks the ids it embeds; the last target is only a label
-        _check_token_ids(ex.text_tokens[end:end + 1], self.cfg.vocab_size, end)
         out = self.forward(ex.audio, ex.text_tokens[:end], want_cache=want_cache,
                            read_from=first)
         logits, cache = out if want_cache else (out, None)
@@ -601,13 +592,13 @@ def _check_length(total: int, max_seq_len: int) -> None:
         raise ValueError(f"sequence length {total} exceeds max {max_seq_len}")
 
 
-def _check_token_ids(ids: np.ndarray, vocab_size: int, offset: int = 0) -> None:
-    """Raise ValueError naming the first of ids outside 0..vocab_size - 1,
+def _check_token_ids(ids: np.ndarray, offset: int = 0) -> None:
+    """Raise ValueError naming the first of ids outside 0..VOCAB_SIZE - 1,
     with its text position (offset + its index in ids)."""
-    if ids.size and (np.minimum.reduce(ids) < 0 or np.maximum.reduce(ids) >= vocab_size):
-        pos = int(np.flatnonzero((ids < 0) | (ids >= vocab_size))[0])
+    if ids.size and (np.minimum.reduce(ids) < 0 or np.maximum.reduce(ids) >= VOCAB_SIZE):
+        pos = int(np.flatnonzero((ids < 0) | (ids >= VOCAB_SIZE))[0])
         raise ValueError(f"token id {int(ids[pos])} at position {offset + pos} is outside "
-                         f"the vocabulary (vocab_size {vocab_size})")
+                         f"the vocabulary (vocab_size {VOCAB_SIZE})")
 
 
 def _causal_mask(n: int, start: int) -> np.ndarray:

@@ -226,9 +226,9 @@ def test_prompt_and_meta_fidelity(report):
 
 
 def test_dataset_statistics(report):
-    closed = [QAPair("a", f"c{i}", f"x{i}", task="classification",
-                     closed=True) for i in range(1918)]
-    open_ = [QAPair("a", f"o{i}", f"y{i}", task="open_ended", closed=False)
+    closed = [QAPair("a", f"c{i}", f"x{i}", task="classification")
+              for i in range(1918)]
+    open_ = [QAPair("a", f"o{i}", f"y{i}", task="open_ended")
              for i in range(3764)]
     stats = compute_dataset_stats(closed + open_)
     split_ok = (stats.total_pairs == 5682
@@ -241,7 +241,7 @@ def test_dataset_statistics(report):
         n = int(rng.integers(1, 30))
         qs = [f"q{int(rng.integers(0, 8))}" for _ in range(n)]
         answers = [f"x{int(rng.integers(0, 8))}" for _ in range(n)]
-        pairs = [QAPair("a", q, x, task="open_ended", closed=False)
+        pairs = [QAPair("a", q, x, task="open_ended")
                  for q, x in zip(qs, answers)]
         s = compute_dataset_stats(pairs)
         unique_ok &= s.unique_question_fraction == len(set(qs)) / n
@@ -320,7 +320,7 @@ def test_unanswerable_detection(report):
                  and not any(detect_unanswerable(a) for a in negatives))
 
     answers = positives * 3 + negatives * 17   # 6 planted among 40
-    pairs = [QAPair("a", f"q{i}", a, task="open_ended", closed=False,
+    pairs = [QAPair("a", f"q{i}", a, task="open_ended",
                     unanswerable=detect_unanswerable(a))
              for i, a in enumerate(answers)]
     frac = compute_dataset_stats(pairs).unanswerable_fraction

@@ -222,7 +222,7 @@ def test_norm_beyond_float_range_raises():
 def test_embed_is_the_dense_view_of_terms(monkeypatch):
     monkeypatch.setenv("LLM_API_KEY", "k")
     remote = RemoteEmbeddingProvider(
-        "http://example.invalid/v1", dimension=6, sleep=lambda s: None,
+        "http://example.invalid/v1", sleep=lambda s: None,
         session=FlakyEmbeddingSession(0, (0.0, -0.5, -0.0, 2.0, 1e-300, 0.0)))
     cases = [(HashedBagOfWordsProvider(), t) for t in HASHED_ORACLE_TEXTS.values()]
     cases += [(_Dim97(), HASHED_ORACLE_TEXTS["long"]),
@@ -302,8 +302,7 @@ def test_remote_provider_retries_with_backoff(monkeypatch):
     sleeps = []
     session = FlakyEmbeddingSession(failures=2)
     provider = RemoteEmbeddingProvider("http://example.invalid/v1",
-                                       dimension=2, session=session,
-                                       sleep=sleeps.append)
+                                       session=session, sleep=sleeps.append)
     np.testing.assert_array_equal(provider.embed("dog"), [0.6, 0.8])
     assert session.posts == 3
     assert sleeps == [1.0, 2.0]
@@ -313,8 +312,7 @@ def test_remote_provider_gives_up_after_three_attempts(monkeypatch):
     monkeypatch.setenv("LLM_API_KEY", "k")
     session = FlakyEmbeddingSession(failures=99)
     provider = RemoteEmbeddingProvider("http://example.invalid/v1",
-                                       dimension=2, session=session,
-                                       sleep=lambda s: None)
+                                       session=session, sleep=lambda s: None)
     with pytest.raises(RuntimeError, match="after 3 attempts"):
         provider.embed("dog")
     assert session.posts == 3

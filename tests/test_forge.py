@@ -18,6 +18,7 @@ from aqakit.forge import (
     DEFAULT_QUESTION_BANK,
     QAPair,
     SoundEvent,
+    TASK_KINDS,
     build_aig_prompt,
     detect_unanswerable,
     format_span,
@@ -29,6 +30,7 @@ from aqakit.forge import (
     meta_to_dict,
     open_ended_quota,
     parse_aig_response,
+    qa_from_dict,
     qa_to_dict,
     read_manifest,
     read_meta_jsonl,
@@ -163,19 +165,34 @@ def test_meta_jsonl_reports_bad_line(tmp_path):
 
 def test_qa_pair_validation():
     with pytest.raises(ValueError):
-        QAPair("a", "q", "ans", task="riddle", closed=True)
+        QAPair("a", "q", "ans", task="riddle")
     with pytest.raises(ValueError):
-        QAPair("a", "q", "", task="caption", closed=True)
-    with pytest.raises(ValueError):
-        QAPair("a", "q", "ans", task="caption", closed=False)
-    with pytest.raises(ValueError):
-        QAPair("a", "q", "ans", task="open_ended", closed=True)
+        QAPair("a", "q", "", task="caption")
+
+
+def test_qa_pair_closedness_follows_its_task():
+    assert [QAPair("a", "q", "ans", task=t).closed for t in TASK_KINDS] == \
+        [t != "open_ended" for t in TASK_KINDS]
+    with pytest.raises(TypeError, match="closed"):
+        QAPair("a", "q", "ans", task="caption", closed=True)
+
+
+@pytest.mark.parametrize("task, closed", [("caption", False), ("open_ended", True)])
+def test_manifest_row_whose_closed_flag_disagrees_with_its_task_fails(
+        tmp_path, task, closed):
+    row = {"audio_id": "a", "question": "q", "answer": "ans", "task": task,
+           "closed": closed}
+    message = "closed flag must mirror task != open_ended"
+    with pytest.raises(ValueError, match=message):
+        qa_from_dict(row)
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    assert validate_manifest(path) == [(1, message)]
 
 
 def test_manifest_roundtrip(tmp_path):
-    pairs = [QAPair("a1", "q1", "ans1", task="classification", closed=True),
-             QAPair("a2", "q2", "ans2", task="open_ended", closed=False,
-                    unanswerable=True)]
+    pairs = [QAPair("a1", "q1", "ans1", task="classification"),
+             QAPair("a2", "q2", "ans2", task="open_ended", unanswerable=True)]
     path = tmp_path / "manifest.jsonl"
     write_manifest(path, pairs)
     assert [qa_to_dict(p) for p in read_manifest(path)] == \
@@ -185,8 +202,7 @@ def test_manifest_roundtrip(tmp_path):
 
 def test_validate_manifest_reports_planted_errors(tmp_path):
     rows = [
-        json.dumps(qa_to_dict(QAPair("a", "q", "ans", task="caption",
-                                     closed=True))),
+        json.dumps(qa_to_dict(QAPair("a", "q", "ans", task="caption"))),
         "{broken",
         '{"audio_id": "a", "question": "q"}',
         json.dumps({"audio_id": "a", "question": "q", "answer": "ans",

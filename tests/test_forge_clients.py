@@ -145,8 +145,7 @@ def test_remote_clients_send_the_same_request_shape(monkeypatch):
         "model": "", "messages": [{"role": "user", "content": "hello"}]},
         headers, 60.0)]
     emb = RecordingSession({"data": [{"embedding": [0.6, 0.8]}]})
-    RemoteEmbeddingProvider("http://x.invalid/emb", dimension=2,
-                            session=emb).embed("dog")
+    RemoteEmbeddingProvider("http://x.invalid/emb", session=emb).embed("dog")
     assert emb.posts == [("http://x.invalid/emb",
                           {"model": "", "input": "dog"}, headers, 60.0)]
 
@@ -159,13 +158,50 @@ def test_remote_embeddings_reject_an_entry_that_is_not_finite(monkeypatch,
     session = RecordingSession(json.loads(
         f'{{"data": [{{"embedding": [0.6, {entry}, 0.8]}}]}}'))
     sleeps = []
-    provider = RemoteEmbeddingProvider("http://x.invalid/emb", dimension=3,
+    provider = RemoteEmbeddingProvider("http://x.invalid/emb",
                                        session=session, sleep=sleeps.append)
     for read in (provider.terms, provider.embed):
         with pytest.raises(RuntimeError, match=r"after 3 attempts: "
                            r"embedding entry 1 is -?(nan|inf), not a finite"):
             read("dog")
     assert len(session.posts) == 6 and sleeps == [1.0, 2.0] * 2
+    # a rejected reply fixes no width
+    assert provider.dimension is None
+
+
+@pytest.mark.parametrize("width", [768, 1024, 3072])
+def test_remote_embeddings_take_their_width_from_the_first_reply(monkeypatch,
+                                                                 width):
+    monkeypatch.setenv("LLM_API_KEY", "k")
+    vector = [0.0] * width
+    vector[-1] = 2.0
+    session = RecordingSession({"data": [{"embedding": vector}]})
+    provider = RemoteEmbeddingProvider("http://x.invalid/emb",
+                                       session=session, sleep=lambda s: None)
+    assert provider.dimension is None
+    v = provider.embed("dog")
+    assert provider.dimension == width and v.shape == (width,)
+    assert provider.terms("cat") == {width - 1: 2.0}
+    # a later reply of another width is retried, then fails
+    session.reply = {"data": [{"embedding": [0.6, 0.8]}]}
+    with pytest.raises(RuntimeError, match=rf"after 3 attempts: expected "
+                       rf"dimension {width}, got \(2,\)"):
+        provider.terms("bird")
+    assert len(session.posts) == 5 and provider.dimension == width
+
+
+@pytest.mark.parametrize("embedding, shape", [([], r"\(0,\)"), ([[0.6, 0.8]], r"\(1, 2\)"),
+                                              (0.5, r"\(\)")])
+def test_remote_embeddings_reject_a_first_reply_that_is_not_a_vector(monkeypatch,
+                                                                    embedding, shape):
+    monkeypatch.setenv("LLM_API_KEY", "k")
+    session = RecordingSession({"data": [{"embedding": embedding}]})
+    provider = RemoteEmbeddingProvider("http://x.invalid/emb",
+                                       session=session, sleep=lambda s: None)
+    with pytest.raises(RuntimeError, match=r"after 3 attempts: expected "
+                       rf"dimension >= 1, got {shape}"):
+        provider.terms("dog")
+    assert len(session.posts) == 3 and provider.dimension is None
 
 
 def test_real_client_requires_api_key(monkeypatch):
@@ -405,8 +441,7 @@ def test_adding_a_sample_decreases_class_weight():
 # -- dataset statistics -----------------------------------------------------------
 
 def _pair(question, answer, task="open_ended", unanswerable=False):
-    return QAPair("a", question, answer, task=task,
-                  closed=task != "open_ended", unanswerable=unanswerable)
+    return QAPair("a", question, answer, task=task, unanswerable=unanswerable)
 
 
 def test_unique_question_fraction_worked_example():

@@ -33,6 +33,7 @@ from aqakit.frontend import (
     PATCH_SIDE,
     PatchGrid,
     Waveform,
+    check_encoder_shapes,
     compute_fbank,
     encode_patches,
     hz_to_mel,
@@ -386,10 +387,10 @@ def test_pool_commutes_with_scaling() -> None:
                                    rtol=1e-12, atol=1e-12)
 
 
-def audio_model(d_audio: int, d_model: int, n_audio_tokens: int = 32) -> AudioTextLm:
+def audio_model(d_audio: int, d_model: int) -> AudioTextLm:
     """A model for its audio path only: no decoder layers."""
     return AudioTextLm(DecoderConfig(n_layers=0, n_heads=1, d_model=d_model,
-                                     d_audio=d_audio, n_audio_tokens=n_audio_tokens))
+                                     d_audio=d_audio))
 
 
 def test_project_llama_geometry_shape() -> None:
@@ -408,20 +409,21 @@ def test_project_zero_weights() -> None:
 
 def test_project_hand_affine_oracle() -> None:
     # identity encoder, zero offsets: patch value 0 holds the grid row t and
-    # value 1 the column f, so token k pools to [(4k + 1) / 2, 3.5]
-    model = audio_model(2, 3, n_audio_tokens=2)
+    # value 1 the column f, so token k pools to [2k + 0.5, 3.5]
+    model = audio_model(2, 3)
     model.audio.update({
         "audio.enc.weight": np.eye(256)[:, :2], "audio.enc.bias": np.zeros(2),
-        "audio.enc.pos": np.zeros((4, 8, 2)),
+        "audio.enc.pos": np.zeros((64, 8, 2)),
         "audio.proj.weight": np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
         "audio.proj.bias": np.array([0.5, -0.5, 1.0])})
-    patches = np.zeros((4, 8, 256))
-    patches[..., 0] = np.arange(4.0)[:, None]
+    patches = np.zeros((64, 8, 256))
+    patches[..., 0] = np.arange(64.0)[:, None]
     patches[..., 1] = np.arange(8.0)[None, :]
     rows, _ = model._audio_rows(PatchGrid(patches))
-    # [0.5, 3.5] and [2.5, 3.5], each @ proj.weight + proj.bias
-    np.testing.assert_array_equal(rows, np.array([[15.0, 18.0, 23.5],
-                                                  [17.0, 22.0, 29.5]]))
+    # [2k + 0.5, 3.5] @ proj.weight + proj.bias: token 0 is [15, 18, 23.5]
+    # and each later token adds 2 * [1, 2, 3]
+    k = np.arange(32.0)[:, None]
+    np.testing.assert_array_equal(rows, np.array([[15.0, 18.0, 23.5]]) + 2 * k * [1, 2, 3])
 
 
 def test_project_rejects_mismatch() -> None:
@@ -460,6 +462,53 @@ def test_wav_roundtrip_and_rejections(tmp_path) -> None:
     not_wav.write_bytes(b"OggS" + b"\x00" * 64)
     with pytest.raises(ValueError):
         read_wav(not_wav)
+
+
+def wav_edited(tmp_path: Path, edit) -> Path:
+    """clip.wav in tmp_path: a written 0.1 s clip, its bytes passed through edit."""
+    path = tmp_path / "clip.wav"
+    write_wav(path, Waveform(np.zeros(SR // 10)))
+    path.write_bytes(edit(path.read_bytes()))
+    return path
+
+
+# frontend input check -> (a call given tmp_path that fails it, its message,
+# with {wav} for tmp_path / "clip.wav")
+FRONTEND_INPUT_CHECKS = {
+    "waveform_2d": (lambda tmp: Waveform(np.zeros((2, 400))),
+                    "waveform must be one-dimensional mono audio"),
+    "waveform_nan": (lambda tmp: Waveform([0.0, math.nan, 0.5]),
+                     "waveform contains non-finite samples"),
+    "spectrogram_1d": (lambda tmp: LogMelSpectrogram(np.zeros(128)),
+                       "spectrogram must be a 2-D matrix"),
+    "spectrogram_inf": (lambda tmp: LogMelSpectrogram([[0.0, -math.inf]]),
+                        "spectrogram contains non-finite entries"),
+    "grid_2d": (lambda tmp: PatchGrid(np.zeros((8, 256))),
+                "patch grid must be 3-D: time x freq x values"),
+    "grid_255_values": (lambda tmp: PatchGrid(np.zeros((2, 8, 255))),
+                        "patch value count must be 256"),
+    "offsets_shape": (lambda tmp: check_encoder_shapes((64, 8, 256), np.zeros((256, 4)),
+                                                       np.zeros((64, 7, 4))),
+                      "positional offsets shape (64, 7, 4) does not match "
+                      "embedding grid (64, 8, 4)"),
+    "pool_2d": (lambda tmp: pool_tokens(np.zeros((64, 8))),
+                "embedding grid must be 3-D: time x freq x dim"),
+    # RIFF header and the 16-byte fmt chunk end at byte 36
+    "wav_no_data": (lambda tmp: read_wav(wav_edited(tmp, lambda b: b[:36])),
+                    "{wav}: missing fmt or data chunk"),
+    # format tag 3: IEEE float
+    "wav_float": (lambda tmp: read_wav(wav_edited(
+                      tmp, lambda b: b[:20] + struct.pack("<H", 3) + b[22:])),
+                  "{wav}: only 16-bit PCM is supported"),
+}
+
+
+@pytest.mark.parametrize("case", FRONTEND_INPUT_CHECKS)
+def test_frontend_input_checks_name_the_fault(tmp_path, case) -> None:
+    call, message = FRONTEND_INPUT_CHECKS[case]
+    with pytest.raises(ValueError) as err:
+        call(tmp_path)
+    assert str(err.value) == message.format(wav=tmp_path / "clip.wav")
 
 
 @given(st.lists(st.one_of(st.sampled_from([-1.0, 1.0]),

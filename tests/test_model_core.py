@@ -16,7 +16,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aqakit.cli import main
-from aqakit.frontend import PatchGrid, Waveform, encode_patches, pool_tokens, write_wav
+from aqakit.frontend import (FbankConfig, PatchGrid, Waveform, compute_fbank,
+                             encode_patches, patchify, pool_tokens, write_wav)
 from aqakit.model import (
     AudioTextLm,
     DecoderConfig,
@@ -141,6 +142,50 @@ def test_count_lora_params_llama_and_toy() -> None:
     model = AudioTextLm(toy)
     enumerated = sum(v.size for k, v in model.lora.items())
     assert enumerated == 8192
+
+
+# -- the config's fixed values and checks --------------------------------------
+
+def test_the_vocabulary_is_the_tokenizers() -> None:
+    cfg = DecoderConfig()
+    assert cfg.vocab_size == VOCAB_SIZE
+    shapes = decoder.tensor_shapes(cfg)["base"]
+    assert shapes["tok_emb"] == shapes["out.w"] == (VOCAB_SIZE, cfg.d_model)
+
+
+@pytest.mark.parametrize("seconds", [1, 12])
+def test_the_audio_token_count_is_the_frontend_grids(seconds) -> None:
+    # a short clip is padded and a long one cut to the same grid
+    rng = np.random.default_rng(seconds)
+    grid = patchify(compute_fbank(Waveform(rng.uniform(-1, 1, 16000 * seconds))))
+    assert grid.patches.shape[:2] == FbankConfig.patch_grid == (64, 8)
+    cfg = DecoderConfig(d_audio=8)
+    assert pool_tokens(grid.patches).shape[0] == cfg.n_audio_tokens == 32
+    assert decoder.tensor_shapes(cfg)["audio"]["audio.enc.pos"] == (64, 8, 8)
+    rows, _ = AudioTextLm(cfg)._audio_rows(grid)
+    assert rows.shape == (cfg.n_audio_tokens, cfg.d_model)
+
+
+@pytest.mark.parametrize("field", ["vocab_size", "n_audio_tokens"])
+def test_the_fixed_config_values_are_not_settable(field) -> None:
+    with pytest.raises(TypeError, match=field):
+        DecoderConfig(**{field: 16})
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_layers": -1}, "n_layers must be >= 0, got -1"),
+    ({"n_heads": 0}, "n_heads must be >= 1, got 0"),
+    ({"d_model": 0}, "d_model must be >= 1, got 0"),
+    ({"max_seq_len": 0}, "max_seq_len must be >= 1, got 0"),
+    ({"d_audio": -3}, "d_audio must be >= 1, got -3"),
+    ({"mlp_ratio": 0}, "mlp_ratio must be >= 1, got 0"),
+    ({"d_model": 30, "n_heads": 4}, "d_model must be divisible by n_heads"),
+], ids=["n_layers", "n_heads", "d_model", "max_seq_len", "d_audio", "mlp_ratio",
+        "indivisible"])
+def test_config_rejects_a_bad_size(kwargs, message) -> None:
+    with pytest.raises(ValueError) as err:
+        DecoderConfig(**kwargs)
+    assert str(err.value) == message
 
 
 # -- decoder forward ---------------------------------------------------------
@@ -579,20 +624,6 @@ def test_training_example_rejects_ids_outside_the_vocabulary(bad: int) -> None:
     assert str(err.value) == vocab_message(bad, ids.size - 1)
 
 
-def test_loss_and_grads_rejects_a_target_outside_the_model_vocabulary() -> None:
-    # 250 is in the tokenizer's vocabulary, not in the model's, and as the
-    # last target it is never an input row
-    cfg = dataclasses.replace(tiny_cfg(), vocab_size=200)
-    ex = TrainingExample(random_audio(cfg), np.array([104, 105, 97, 250]),
-                         np.array([False, False, True, True]))
-    model = AudioTextLm(cfg)
-    for run in (model.loss_and_grads, model.loss_only):
-        with pytest.raises(ValueError) as err:
-            run(ex)
-        assert str(err.value) == ("token id 250 at position 3 is outside the "
-                                  "vocabulary (vocab_size 200)")
-
-
 def test_the_weight_table_is_built_per_call(monkeypatch) -> None:
     model = adapted_model()
     audio = random_audio(model.cfg, 54)
@@ -823,9 +854,8 @@ def encode_then_pool(model: AudioTextLm, audio: PatchGrid, da: np.ndarray):
                   "audio.enc.pos": demb}
 
 
-@pytest.mark.parametrize("cfg", [DecoderConfig(),
-                                 DecoderConfig(d_audio=24, n_audio_tokens=2)],
-                         ids=["default", "d_audio_24_two_tokens"])
+@pytest.mark.parametrize("cfg", [DecoderConfig(), DecoderConfig(d_audio=24)],
+                         ids=["default", "d_audio_24"])
 def test_pooling_before_encoding_matches_encode_then_pool(cfg, monkeypatch) -> None:
     model = AudioTextLm(cfg, seed=41)
     rng = np.random.default_rng(42)
@@ -1351,8 +1381,11 @@ def test_load_rejects_a_tensor_table_that_does_not_fit(tmp_path, capsys, edit,
 
 
 # the config lines whose values build the model the manifest is checked
-# against; without one of them there is nothing to compare
-INTEGER_CONFIG_KEYS = {f"config.{f.name}" for f in dataclasses.fields(DecoderConfig)}
+# against; without one of them there is nothing to compare. vocab_size and
+# n_audio_tokens are fixed, so their lines are compared like the adapter
+# layout's
+INTEGER_CONFIG_KEYS = {f"config.{f.name}" for f in dataclasses.fields(DecoderConfig)
+                       if f.init}
 
 # one line of the written manifest (lines, index) -> the edited lines
 LINE_EDITS = {
@@ -1529,20 +1562,17 @@ def test_load_rejects_a_truncated_blob(tmp_path, capsys) -> None:
 def test_load_checks_the_blob_size_before_building_the_model(tmp_path, capsys,
                                                              monkeypatch,
                                                              field) -> None:
-    # a config of 1e12 tokens or layers would allocate terabytes, or build
-    # its shape table for ever, before any check
+    # a config of 1e12 layers would allocate terabytes, or build its shape
+    # table for ever, before any check; vocab_size is fixed, so a line of
+    # 1e12 tokens fails the comparison with the written manifest instead
     cfg = tiny_cfg()
     ckpt, empty = tmp_path / "ckpt", tmp_path / "no_layers"
     save_checkpoint(ckpt, AudioTextLm(cfg, seed=35))
     save_checkpoint(empty, AudioTextLm(dataclasses.replace(cfg, n_layers=0), seed=35))
     blob = ckpt / "tensors.bin"
     size = blob.stat().st_size
-    if field == "vocab_size":
-        # tok_emb and out.w each hold vocab_size rows of d_model floats
-        want = size + 2 * 4 * cfg.d_model * (10**12 - cfg.vocab_size)
-    else:
-        per_layer = (size - (empty / "tensors.bin").stat().st_size) // cfg.n_layers
-        want = size + per_layer * (10**12 - cfg.n_layers)
+    per_layer = (size - (empty / "tensors.bin").stat().st_size) // cfg.n_layers
+    want = size + per_layer * (10**12 - cfg.n_layers)
     manifest = ckpt / "manifest.txt"
     text = manifest.read_text(encoding="utf-8")
     old = f"config.{field}={getattr(cfg, field)}\n"
@@ -1554,6 +1584,9 @@ def test_load_checks_the_blob_size_before_building_the_model(tmp_path, capsys,
 
     monkeypatch.setattr(AudioTextLm, "__init__", no_model)
     message = f"{manifest}: the tensor table spans {want} bytes, but {blob} holds {size}"
+    if field == "vocab_size":
+        message = (f"{manifest}:6: expected 'config.vocab_size=260', "
+                   f"got 'config.vocab_size={10**12}'")
     with pytest.raises(ValueError) as err:
         load_checkpoint(ckpt)
     assert str(err.value) == message

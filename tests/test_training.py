@@ -123,8 +123,7 @@ def _manifest_20_per_kind():
     rows = []
     for kind in ("classification", "acoustic_features", "caption",
                  "temporal", "open_ended"):
-        rows += [QAPair(f"a{i}", f"q{kind}{i}", "ans", task=kind,
-                        closed=kind != "open_ended") for i in range(20)]
+        rows += [QAPair(f"a{i}", f"q{kind}{i}", "ans", task=kind) for i in range(20)]
     return rows
 
 
@@ -142,7 +141,7 @@ def test_filter_counts_on_balanced_manifest():
 
 
 def test_filter_rejects_empty_result():
-    rows = [QAPair("a", "q", "ans", task="open_ended", closed=False)]
+    rows = [QAPair("a", "q", "ans", task="open_ended")]
     with pytest.raises(ValueError, match="stage 1"):
         filter_tasks(rows, StageConfig(1, "clf_and_desc", 10, 1e-3, 1))
 
