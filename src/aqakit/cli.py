@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .files import (atomic_write, read_json, read_jsonl, read_names, read_text,
-                    string_list)
+from .files import (atomic_write, naming, read_json, read_jsonl, read_names,
+                    read_text, string_list)
 
 __all__ = ["main"]
 
@@ -54,27 +54,6 @@ def _emit(text: str, out: str | None) -> None:
         atomic_write(out, text if text.endswith("\n") else text + "\n")
     else:
         print(text)
-
-
-@contextlib.contextmanager
-def _naming(*paths):
-    """A ValueError raised in the block names the given input files (None
-    skipped), unless its message already starts with one of them."""
-    try:
-        yield
-    except ValueError as exc:
-        msg = str(exc)
-        if any(p and msg.startswith(f"{p}:") for p in paths):
-            raise
-        named = ", ".join(str(p) for p in paths if p)
-        raise ValueError(f"{named}: {msg}") from exc
-
-
-def _clip_grid(path):
-    """WAV file -> fbank -> patch grid; a ValueError names the file."""
-    from .frontend import compute_fbank, patchify, read_wav
-    with _naming(path):
-        return patchify(compute_fbank(read_wav(path)))
 
 
 def _row_parser(strings=(), texts=()):
@@ -125,7 +104,7 @@ def _cmd_forge_closed(args) -> int:
                         read_meta_jsonl, write_manifest)
     metas = read_meta_jsonl(args.meta)
     bank = load_feature_bank(args.feature_bank) if args.feature_bank else None
-    with _naming(args.meta):
+    with naming(args.meta):
         pairs = gen_closed_manifest(metas, args.seed, feature_bank=bank)
     skipped = len(metas) - sum(p.task == "acoustic_features" for p in pairs)
     if skipped:
@@ -197,7 +176,7 @@ def _cmd_sample_audioset(args) -> int:
 
 def _cmd_stats(args) -> int:
     from .forge import compute_dataset_stats, read_manifest
-    with _naming(args.manifest):
+    with naming(args.manifest):
         stats = compute_dataset_stats(read_manifest(args.manifest))
     _emit(json.dumps(dataclasses.asdict(stats), indent=2, sort_keys=True),
           args.out)
@@ -214,22 +193,17 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .forge import read_manifest
     from .model import AudioTextLm, DecoderConfig
-    from .synthetic import corpus_items
+    from .synthetic import read_corpus
     from .training import (TrainerConfig, default_curriculum, read_curriculum,
                            run_curriculum, scale_curriculum)
     if args.curriculum:
         stages = read_curriculum(args.curriculum)
     else:
         stages = scale_curriculum(default_curriculum(), args.factor)
-    pairs = read_manifest(args.manifest)
-    audio_dir = Path(args.audio_dir)
-    grids = {}
-    for audio_id in sorted({p.audio_id for p in pairs}):
-        grids[audio_id] = _clip_grid(audio_dir / f"{audio_id}.wav")
-    items = corpus_items(pairs, grids)
-    _eprint(f"train: {len(items)} pairs, {len(grids)} clips, stage budgets "
+    items = read_corpus(args.manifest, args.audio_dir)
+    n_clips = len({it.pair.audio_id for it in items})
+    _eprint(f"train: {len(items)} pairs, {n_clips} clips, stage budgets "
             f"{[s.n_samples for s in stages]}")
     # desk-scale init: wider output head and LoRA-A so the frozen-base model
     # can actually move at toy scale
@@ -254,11 +228,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_answer(args) -> int:
+    from .frontend import read_grid
     from .model import (GenerationConfig, decode_ids, generate,
                         load_checkpoint, prompt_ids)
     cfg = GenerationConfig(max_new_tokens=args.max_new_tokens, seed=args.seed)
     model = load_checkpoint(args.ckpt)
-    grid = _clip_grid(args.audio)
+    grid = read_grid(args.audio)
     prompt = np.array(prompt_ids(args.question), dtype=np.int64)
     new_ids = generate(model, grid, prompt, cfg)
     output = decode_ids(new_ids)
@@ -296,7 +271,7 @@ def _join_truths(args, field: str, texts: bool = False):
 def _cmd_eval_classify(args) -> int:
     from .evaluate import (LabelSet, accuracy, classify_corpus,
                            mean_average_precision, micro_f1)
-    with _naming(args.labels):
+    with naming(args.labels):
         labels = LabelSet(tuple(read_names(args.labels)))
     joined = _join_truths(args, "labels", texts=True)
     provider = _make_provider(args)
@@ -356,7 +331,7 @@ def _cmd_eval_judge(args) -> int:
     pairs = [(p["question"], p["output"])
              for p in read_jsonl(args.pred, _row_parser(("question", "output")))]
     client = _make_llm_client(args)
-    with _naming(args.pred, args.responses):
+    with naming(args.pred, args.responses):
         report = judge_rate(pairs, client)
     _emit(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True),
           args.out)
@@ -373,7 +348,7 @@ def _cmd_probe(args) -> int:
                 raise ValueError(f"{args.truth}: order truth of "
                                  f"{p['audio_id']!r} must be two distinct "
                                  f"labels [first, second], got {order!r}")
-        with _naming(args.pred, args.truth):
+        with naming(args.pred, args.truth):
             results = [order_probe(p["output"], first, second, provider)
                        for p, (first, second) in joined]
             acc, n_followed, n_excluded = order_accuracy(results)
@@ -389,7 +364,7 @@ def _cmd_probe(args) -> int:
                                  f"{p['audio_id']!r} must be an integer, "
                                  f"got {count!r}")
             truths.append(count)
-        with _naming(args.pred, args.truth):
+        with naming(args.pred, args.truth):
             report = dataclasses.asdict(counting_probe(answers, truths))
     _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
     return 0

@@ -137,6 +137,7 @@ def mean_average_precision(scores: np.ndarray, truths: np.ndarray) -> float:
 
     Samples are ranked by descending score with ties broken by ascending
     sample index; classes without a positive are excluded with a warning.
+    Every truth must be 0 or 1 (or a bool).
     """
     scores = np.asarray(scores, dtype=float)
     truths = np.asarray(truths)
@@ -146,6 +147,8 @@ def mean_average_precision(scores: np.ndarray, truths: np.ndarray) -> float:
         raise ValueError("expected a samples x classes matrix")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
+    if not np.all((truths == 0) | (truths == 1)):
+        raise ValueError("truths must be 0 or 1")
     if not truths.any():
         raise ValueError("no positive labels in truths")
 

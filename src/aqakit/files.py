@@ -5,6 +5,7 @@ checkpoint and curriculum parsers), so each error names its file."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from pathlib import Path
@@ -30,6 +31,20 @@ def atomic_write(path: str | Path, data: str | bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+@contextlib.contextmanager
+def naming(*paths):
+    """A ValueError raised in the block names the given input files (None
+    skipped), unless its message already starts with one of them."""
+    try:
+        yield
+    except ValueError as exc:
+        msg = str(exc)
+        if any(p and msg.startswith(f"{p}:") for p in paths):
+            raise
+        named = ", ".join(str(p) for p in paths if p)
+        raise ValueError(f"{named}: {msg}") from exc
 
 
 def string_list(value, what: str) -> list[str]:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .files import atomic_write
+from .files import atomic_write, naming
 
 SAMPLE_RATE_HZ = 16000
 MEL_FMIN_HZ = 0.0
@@ -317,6 +317,14 @@ def read_wav(path: str | Path) -> Waveform:
         raise ValueError(f"{path}: odd data length {len(data)} for 16-bit samples")
     ints = np.frombuffer(data, dtype="<i2")
     return Waveform(np.multiply(ints, 2.0 ** -15, dtype=np.float64))
+
+
+def read_grid(path: str | Path) -> PatchGrid:
+    """WAV file -> compute_fbank -> patchify: the one way a clip on disk
+    becomes model input. A ValueError names the file unless its message
+    already starts with it."""
+    with naming(path):
+        return patchify(compute_fbank(read_wav(path)))
 
 
 def write_wav(path: str | Path, w: Waveform) -> None:

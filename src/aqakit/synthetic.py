@@ -7,6 +7,10 @@ class has its own tone frequency, feature string, and caption. Running
 the closed-ended generators over one clip yields exactly five QA pairs
 (classification, acoustic feature, caption, and two temporal questions),
 so 8 classes x 5 clips x 5 pairs gives the standard 200-pair corpus.
+
+write_demo_corpus puts it on disk as 16-bit WAVs, a meta JSONL and a QA
+manifest; read_corpus reads a manifest and its clips back as trainer-ready
+items, the one way from files to training input.
 """
 
 from __future__ import annotations
@@ -17,10 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from .forge import (AudioMeta, QAPair, SoundEvent, gen_closed_manifest,
-                    write_manifest, write_meta_jsonl)
-from .frontend import (PatchGrid, SAMPLE_RATE_HZ, Waveform, compute_fbank,
-                       patchify, write_wav)
+                    read_manifest, write_manifest, write_meta_jsonl)
+from .frontend import (PatchGrid, SAMPLE_RATE_HZ, Waveform, read_grid,
+                       write_wav)
 from .training.trainer import CorpusItem
+
+# a second binding of compute_fbank, swapped by bench/tests/test_tracing.py
+from .frontend import compute_fbank  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -56,43 +63,21 @@ def make_demo_wave(tone_hz: float, seed: int,
     return Waveform(np.clip(samples, -1.0, 1.0))
 
 
-def make_demo_meta(cls: DemoClass, clip_index: int) -> AudioMeta:
-    return AudioMeta(
-        audio_id=f"{cls.label}{clip_index:02d}",
-        events=[SoundEvent(cls.label, cls.feature, 0.0, CLIP_SECONDS)],
-        caption=cls.caption,
-    )
-
-
-def build_demo_corpus(clips_per_class: int = 5, seed: int = 0,
-                      ) -> tuple[list[AudioMeta], dict[str, Waveform]]:
-    metas = []
-    waves = {}
-    for c, cls in enumerate(DEMO_CLASSES):
-        for k in range(clips_per_class):
-            meta = make_demo_meta(cls, k)
-            metas.append(meta)
-            waves[meta.audio_id] = make_demo_wave(
-                cls.tone_hz, seed=seed * 100_003 + c * 101 + k)
-    return metas, waves
-
-
-def patch_grids_for(waves: dict[str, Waveform]) -> dict[str, PatchGrid]:
-    return {audio_id: patchify(compute_fbank(w))
-            for audio_id, w in waves.items()}
-
-
 def corpus_items(pairs: list[QAPair],
                  grids: dict[str, PatchGrid]) -> list[CorpusItem]:
     return [CorpusItem(pair=p, audio=grids[p.audio_id]) for p in pairs]
 
 
-def make_demo_items(clips_per_class: int = 5, seed: int = 0,
-                    ) -> list[CorpusItem]:
-    """One call from corpus design to trainer-ready items."""
-    metas, waves = build_demo_corpus(clips_per_class, seed)
-    pairs = gen_closed_manifest(metas, seed)
-    return corpus_items(pairs, patch_grids_for(waves))
+def read_corpus(manifest: str | Path, audio_dir: str | Path,
+                ) -> list[CorpusItem]:
+    """Trainer-ready items from a QA manifest and a directory of
+    <audio_id>.wav clips, in manifest order; each clip is read once,
+    through read_grid, in sorted audio_id order."""
+    pairs = read_manifest(manifest)
+    audio_dir = Path(audio_dir)
+    grids = {audio_id: read_grid(audio_dir / f"{audio_id}.wav")
+             for audio_id in sorted({p.audio_id for p in pairs})}
+    return corpus_items(pairs, grids)
 
 
 def write_demo_corpus(out_dir: str | Path, clips_per_class: int = 5,
@@ -100,11 +85,17 @@ def write_demo_corpus(out_dir: str | Path, clips_per_class: int = 5,
     """Materialize the corpus on disk: WAV files, meta JSONL, QA manifest.
     Returns counts for reporting."""
     out = Path(out_dir)
-    audio_dir = out / "audio"
-    metas, waves = build_demo_corpus(clips_per_class, seed)
-    for audio_id, wave in waves.items():
-        write_wav(audio_dir / f"{audio_id}.wav", wave)
+    metas = []
+    for c, cls in enumerate(DEMO_CLASSES):
+        for k in range(clips_per_class):
+            meta = AudioMeta(
+                audio_id=f"{cls.label}{k:02d}",
+                events=[SoundEvent(cls.label, cls.feature, 0.0, CLIP_SECONDS)],
+                caption=cls.caption)
+            metas.append(meta)
+            write_wav(out / "audio" / f"{meta.audio_id}.wav", make_demo_wave(
+                cls.tone_hz, seed=seed * 100_003 + c * 101 + k))
     pairs = gen_closed_manifest(metas, seed)
     write_meta_jsonl(out / "meta.jsonl", metas)
     write_manifest(out / "manifest.jsonl", pairs)
-    return {"clips": len(waves), "pairs": len(pairs)}
+    return {"clips": len(metas), "pairs": len(pairs)}

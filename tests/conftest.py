@@ -2,8 +2,37 @@
 
 import errno
 import os
+from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
+
+from aqakit.synthetic import read_corpus, write_demo_corpus
+from aqakit.training import CorpusItem
+
+
+@dataclass(frozen=True)
+class DemoCorpus:
+    root: Path      # manifest.jsonl, meta.jsonl and audio/<audio_id>.wav
+    items: list[CorpusItem]
+
+
+@pytest.fixture(scope="session")
+def demo_corpus(tmp_path_factory):
+    """demo_corpus(clips_per_class) is the seed-0 demo corpus of that size,
+    written once per session and read back through read_corpus, as
+    `aqakit train` reads it. Tests must not write into its directory."""
+    made = {}
+
+    def get(clips_per_class: int = 5) -> DemoCorpus:
+        if clips_per_class not in made:
+            root = tmp_path_factory.mktemp(f"demo{clips_per_class}")
+            write_demo_corpus(root, clips_per_class)
+            made[clips_per_class] = DemoCorpus(
+                root, read_corpus(root / "manifest.jsonl", root / "audio"))
+        return made[clips_per_class]
+
+    return get
 
 
 @pytest.fixture

@@ -23,7 +23,6 @@ from aqakit.model import (AudioTextLm, BOS_ID, DecoderConfig, EOS_ID,
                           GenerationConfig, count_lora_params,
                           finite_diff_check, generate, llama_7b_geometry,
                           sample_next_id)
-from aqakit.synthetic import make_demo_items
 from aqakit.training import (StageConfig, TrainerConfig, default_curriculum,
                              make_example, run_curriculum, run_stage,
                              scale_curriculum)
@@ -42,9 +41,10 @@ def report(capsys):
 
 
 @pytest.fixture(scope="module")
-def curriculum_run():
-    """One full scaled curriculum on the 200-pair closed-ended demo corpus."""
-    items = make_demo_items(seed=0)
+def curriculum_run(demo_corpus):
+    """One full scaled curriculum on the 200-pair closed-ended demo corpus,
+    read back from its WAV files as `aqakit train` reads it."""
+    items = demo_corpus().items
     assert len(items) == 200 and all(it.pair.closed for it in items)
     model = AudioTextLm(DecoderConfig(), seed=0,
                         out_scale=0.35, lora_a_scale=0.5)
@@ -84,9 +84,9 @@ def test_adapter_param_count_7b_geometry(report):
            f"{count:,} (expected 4,194,304 exactly)")
 
 
-def test_gradient_check_toy_model(report):
+def test_gradient_check_toy_model(report, demo_corpus):
     model = AudioTextLm(DecoderConfig(), seed=1)
-    ex = make_example(make_demo_items(clips_per_class=2, seed=0)[0], 108)
+    ex = make_example(demo_corpus(2).items[0], 108)
     t0 = time.perf_counter()
     err = finite_diff_check(model, ex, epsilon=1e-5)
     wall = time.perf_counter() - t0
@@ -95,14 +95,14 @@ def test_gradient_check_toy_model(report):
            f"max relative error {err:.2e} (< 1e-4) in {wall:.1f}s (< 60s)")
 
 
-def test_frozen_base_invariance(report, curriculum_run):
+def test_frozen_base_invariance(report, curriculum_run, demo_corpus):
     model, base0 = curriculum_run["model"], curriculum_run["base0"]
     frozen_ok = all(np.array_equal(model.base[k], base0[k]) for k in base0)
 
     # with every B still zero, scrambling or zeroing A must not move a bit
     cfg = DecoderConfig()
     fresh = AudioTextLm(cfg, seed=6)
-    audio = make_demo_items(clips_per_class=2, seed=0)[0].audio
+    audio = demo_corpus(2).items[0].audio
     ids = np.array([BOS_ID, 104, 105, 106])
     ref = fresh.forward(audio, ids)
     rng = np.random.default_rng(8)
@@ -137,14 +137,14 @@ def test_curriculum_table(report):
            if got == want else f"got {got}")
 
 
-def test_desk_scale_training(report, curriculum_run):
+def test_desk_scale_training(report, curriculum_run, demo_corpus):
     reports = curriculum_run["reports"]
     first = reports[0].epoch_mean_losses[0]
     last = reports[-1].epoch_mean_losses[-1]
     reduction = 1.0 - last / first
 
     # frozen memorization recipe: 10 examples, single-example steps
-    items = make_demo_items(clips_per_class=2, seed=0)[:10]
+    items = demo_corpus(2).items[:10]
     model = AudioTextLm(DecoderConfig(), seed=0,
                         out_scale=0.35, lora_a_scale=0.5)
     stage = StageConfig(4, "all", 10, 2e-2, 200)
@@ -278,7 +278,7 @@ def test_metric_oracles(report):
            f"exact-match provider score accuracy {exact_acc}")
 
 
-def test_sampling_distribution(report):
+def test_sampling_distribution(report, demo_corpus):
     logits = np.array([0.5, -0.3, 1.2, 0.0])
     # at temperature 1 the mass before the least likely id is 0.89 < top_p,
     # so the nucleus keeps all four ids and the draw follows the softmax
@@ -292,7 +292,7 @@ def test_sampling_distribution(report):
     tv = 0.5 * float(np.abs(counts / counts.sum() - probs).sum())
 
     model = AudioTextLm(DecoderConfig(), seed=1)
-    audio = make_demo_items(clips_per_class=2, seed=0)[0].audio
+    audio = demo_corpus(2).items[0].audio
     greedy_cfg = GenerationConfig(temperature=0.0, max_new_tokens=6)
     got = list(generate(model, audio, np.array([BOS_ID]), greedy_cfg))
     want, prefix = [], [BOS_ID]

@@ -15,21 +15,18 @@ import numpy as np
 import pytest
 
 import aqakit
-from aqakit import cli
+from aqakit import frontend, synthetic
 from aqakit.cli import _build_parser, main
 from aqakit.evaluate import JUDGE_PROMPT
 from aqakit.files import atomic_write
 from aqakit.forge import build_aig_prompt, feature_prompt, read_meta_jsonl
 from aqakit.frontend import Waveform, write_wav
 from aqakit.model import AudioTextLm, DecoderConfig, save_checkpoint
-from aqakit.synthetic import write_demo_corpus
 
 
 @pytest.fixture(scope="module")
-def demo_dir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("demo")
-    write_demo_corpus(root)
-    return root
+def demo_dir(demo_corpus):
+    return demo_corpus().root
 
 
 def _sha(path):
@@ -599,11 +596,11 @@ def test_train_then_answer_roundtrip(demo_dir, tmp_path, capsys):
     assert isinstance(record["output"], str)
 
 
-def test_train_refuses_a_checkpoint_past_float32_range(tmp_path, capsys):
+def test_train_refuses_a_checkpoint_past_float32_range(demo_corpus, tmp_path,
+                                                       capsys):
     # lr = 1e300 keeps the batch loss finite (layer norms absorb the scale),
     # but the projection bias no longer fits float32
-    demo = tmp_path / "demo"
-    write_demo_corpus(demo, clips_per_class=1)
+    demo = demo_corpus(1).root
     curriculum = tmp_path / "curriculum.ini"
     curriculum.write_text("[stage1]\ntasks = clf_and_desc\nn_samples = 8\n"
                           "lr = 1e300\nepochs = 1\n", encoding="utf-8")
@@ -620,11 +617,11 @@ def test_train_refuses_a_checkpoint_past_float32_range(tmp_path, capsys):
     assert (run / "stage_reports.jsonl").read_text(encoding="utf-8") == ""
 
 
-def test_train_reports_a_stage_only_after_its_checkpoint(tmp_path, capsys):
+def test_train_reports_a_stage_only_after_its_checkpoint(demo_corpus, tmp_path,
+                                                        capsys):
     # stage 2 takes one step at the full lr = 1e300, and its checkpoint
     # save raises: stage 1 keeps its checkpoint and its report line
-    demo = tmp_path / "demo"
-    write_demo_corpus(demo, clips_per_class=1)
+    demo = demo_corpus(1).root
     curriculum = tmp_path / "curriculum.ini"
     curriculum.write_text("[stage1]\ntasks = clf_and_desc\nn_samples = 8\n"
                           "lr = 1e-3\nepochs = 1\n"
@@ -737,7 +734,8 @@ def test_integer_flags_fail_as_usage_before_any_file(demo_dir, tmp_path, capsys,
     def no_clip(path):
         raise AssertionError(f"{path} was read")
 
-    monkeypatch.setattr(cli, "_clip_grid", no_clip)
+    monkeypatch.setattr(frontend, "read_grid", no_clip)
+    monkeypatch.setattr(synthetic, "read_grid", no_clip)
     out = tmp_path / "out"
     assert main([command, *inputs[command], flag, value, "--out", str(out)]) == 1
     captured = capsys.readouterr()

@@ -724,6 +724,14 @@ def test_map_rejects_all_zero_truths():
         mean_average_precision(np.ones((2, 2)), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("truth", [[[2], [0]], [[0.5], [0]], [[1], [-1]]])
+def test_map_rejects_truths_that_are_not_binary(truth):
+    # as counts, 2 would read a perfect ranking as 0.5, 0.5 would read it
+    # as 2.0, and -1 would cancel the positive and drop its class
+    with pytest.raises(ValueError, match="truths must be 0 or 1"):
+        mean_average_precision(np.array([[0.9], [0.1]]), np.array(truth))
+
+
 def test_map_monotone_transform_invariance():
     rng = np.random.default_rng(3)
     scores = rng.normal(size=(12, 4))

@@ -40,7 +40,6 @@ from aqakit.forge import (
     write_meta_jsonl,
 )
 from aqakit.forge.llm import ReplayLlmClient
-from aqakit.synthetic import write_demo_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -418,10 +417,10 @@ def test_closed_generators_deterministic_per_seed():
     assert run() == run()
 
 
-def test_demo_corpus_matches_golden_hashes(tmp_path):
+def test_demo_corpus_matches_golden_hashes(demo_corpus):
     # pins the question table's order and every draw of the forged corpus,
     # which two runs in one process cannot tell apart
-    write_demo_corpus(tmp_path, seed=0)
+    root = demo_corpus().root
     want = {
         "meta.jsonl":
             "24764b97b9683217a08fb65584224127f8bd9228ff90bd4c74273e0356227422",
@@ -429,14 +428,14 @@ def test_demo_corpus_matches_golden_hashes(tmp_path):
             "a74f567245d1b0cba1426d9df0083dc46a450b93d2ac91e14dec97144ba852b3",
     }
     for name, digest in want.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
+        assert hashlib.sha256((root / name).read_bytes()).hexdigest() \
             == digest, name
 
 
-def test_demo_clip_matches_golden_hash(tmp_path):
+def test_demo_clip_matches_golden_hash(demo_corpus):
     # pins the bytes write_wav stores: header, sample scaling and rounding
-    write_demo_corpus(tmp_path, seed=0)
-    assert hashlib.sha256((tmp_path / "audio" / "ant00.wav").read_bytes()).hexdigest() \
+    root = demo_corpus().root
+    assert hashlib.sha256((root / "audio" / "ant00.wav").read_bytes()).hexdigest() \
         == "3e9341377cd6b353edaf70bdcdd1262894b9ee497299a9a20376ddc30bf6c475"
 
 

@@ -42,6 +42,7 @@ from aqakit.frontend import (
     mel_to_hz,
     patchify,
     pool_tokens,
+    read_grid,
     read_wav,
     reassemble_patches,
     write_wav,
@@ -574,3 +575,18 @@ def test_read_wav_names_the_file_on_malformed_chunks(tmp_path, fmt, data,
     with pytest.raises(ValueError, match=problem) as info:
         read_wav(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("blob, problem", [
+    (_riff(struct.pack("<HHIIHH", 1, 1, SR, 2 * SR, 2, 16), bytes(200)),
+     "waveform shorter than one window (400 samples)"),
+    (_riff(struct.pack("<HHIIHH", 1, 1, SR, 2 * SR, 2, 16), b""),
+     "empty waveform"),
+    (b"not audio", "not a RIFF/WAVE file"),
+], ids=["short", "empty", "not_riff"])
+def test_read_grid_names_the_file_once(tmp_path, blob, problem) -> None:
+    path = tmp_path / "clip.wav"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError) as info:
+        read_grid(path)
+    assert str(info.value) == f"{path}: {problem}"

@@ -6,14 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from aqakit import synthetic
+from aqakit.frontend import compute_fbank, patchify, read_wav
 from aqakit.model import AudioTextLm, DecoderConfig, load_checkpoint
-from aqakit.synthetic import make_demo_items
 from aqakit.training import (CorpusItem, StageConfig, TrainerConfig,
                              default_curriculum, filter_tasks, lr_at,
                              make_example, read_curriculum, run_curriculum,
                              run_stage, scale_curriculum, validate_curriculum,
                              warmup_steps)
-from aqakit.forge import QAPair
+from aqakit.forge import QAPair, read_manifest
 
 
 # -- curriculum table -----------------------------------------------------------
@@ -194,9 +195,30 @@ def test_trainer_config_validation():
 # -- the training loop -------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def demo_items():
+def demo_items(demo_corpus):
     # 8 classes x 2 clips x 5 pairs = 80 QA pairs
-    return make_demo_items(clips_per_class=2, seed=0)
+    return demo_corpus(2).items
+
+
+def test_read_corpus_reads_each_clip_once_for_the_manifest_pairs(
+        demo_corpus, monkeypatch):
+    root = demo_corpus(2).root
+    read = []
+    read_grid = synthetic.read_grid
+
+    def recording_read_grid(path):
+        read.append(path.name)
+        return read_grid(path)
+
+    monkeypatch.setattr(synthetic, "read_grid", recording_read_grid)
+    items = synthetic.read_corpus(root / "manifest.jsonl", root / "audio")
+    pairs = read_manifest(root / "manifest.jsonl")
+    assert [it.pair for it in items] == pairs
+    assert read == sorted({f"{p.audio_id}.wav" for p in pairs})
+    for it in items:
+        wav = root / "audio" / f"{it.pair.audio_id}.wav"
+        want = patchify(compute_fbank(read_wav(wav)))
+        assert it.audio.patches.tobytes() == want.patches.tobytes()
 
 
 def _model(seed=0):
