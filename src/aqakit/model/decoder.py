@@ -12,7 +12,7 @@ queries, attention and MLP, the final norm and the head on the prompt's
 last row alone, as forward's read_from does; every row still gets its keys
 and values in every layer. A layer's intermediates are kept only for a
 backward (forward's want_cache): on the cached path and in a plain forward
-each layer's are freed when its block returns.
+they are never built.
 
 Each forward or prefill builds one weight table per layer (LayerWeights):
 the adapters merged into their frozen projections, so that the layer gets
@@ -352,7 +352,7 @@ class AudioTextLm:
         after them only on the rows from first on, so only those leave it.
         Returns the normed rows, the final norm's intermediates and, with
         keep, every layer's intermediates for the backward; without keep
-        the list is empty and each layer's are freed when its block returns.
+        the list is empty and no block builds them.
         """
         c = self.cfg
         n = x.shape[0]
@@ -369,7 +369,7 @@ class AudioTextLm:
             skip = first if i == c.n_layers - 1 else 0
             x, layer_cache = self._block(i, x, weights[i],
                                          None if causal is None else causal[skip:],
-                                         past, skip)
+                                         past, skip, keep)
             if keep:
                 layer_caches.append(layer_cache)
         if past is not None:
@@ -380,9 +380,11 @@ class AudioTextLm:
 
     def _block(self, i: int, x: np.ndarray, lw: LayerWeights,
                causal: np.ndarray | None,
-               past: KvCache | None = None, first: int = 0) -> tuple[np.ndarray, dict]:
+               past: KvCache | None = None, first: int = 0,
+               keep: bool = True) -> tuple[np.ndarray, dict | None]:
         """Decoder layer i over the rows x; returns the layer's output rows
-        and the intermediates the backward pass reads.
+        and, with keep, the intermediates the backward pass reads (None
+        without).
 
         lw is the layer's table from _layer_weights. Without past the rows
         attend among themselves. With past they follow its first
@@ -420,6 +422,8 @@ class AudioTextLm:
         out = t @ lw.w2.T
         out += lw.b2
         out += x_mid
+        if not keep:
+            return out, None
         return out, {
             "h1": h1, "ln1": ln1_cache, "qh": qh, "kh": kh, "vh": vh,
             "probs": probs, "ctx": ctx, "ln2": ln2_cache, "t": t, "first": first,
@@ -457,7 +461,8 @@ class AudioTextLm:
         token_id = int(token_id)
         if not 0 <= token_id < VOCAB_SIZE:
             _check_token_ids(np.array([token_id]), kv.length - self.cfg.n_audio_tokens)
-        xf, _, _ = self._run(self.base["tok_emb"][[token_id]], kv.weights, kv)
+        # a one-row view of the embedding: _run adds the position into a new array
+        xf, _, _ = self._run(self.base["tok_emb"][token_id:token_id + 1], kv.weights, kv)
         return self._last_logits(xf)
 
     def _last_logits(self, xf: np.ndarray) -> np.ndarray:

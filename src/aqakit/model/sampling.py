@@ -1,7 +1,19 @@
 """Decoding loop: repetition penalty, then temperature, then top-p nucleus
 truncation, then one renormalized draw per step. The recipe is the paper's
 and fixed (``GenerationConfig``); its top-k of 500 has no step, since a
-500-id cut keeps all 260 ids of the byte vocabulary (``VOCAB_SIZE``)."""
+500-id cut keeps all 260 ids of the byte vocabulary (``VOCAB_SIZE``).
+
+Many sampled tokens have a one-id nucleus: the most probable id alone
+holds the top-p mass. When its probability p satisfies p - 2**-51 >= top_p
+in float64, truncated_distribution returns that id with probability 1.0
+without ranking the vocabulary, and sample_next_id draws its uniform and
+returns the id without building a cdf. This is bit for bit the full path:
+there every entry of cumsum(ranked) - ranked after the first is, before
+its own rounding, at least p - 2**-53 (the running sum already holds p,
+and rounding a sum below 2 loses at most 2**-53 of it). The margin keeps
+p - 2**-53 above top_p despite the check's own rounding, so rounding the
+entry cannot take it below top_p either: the full path's nucleus is that
+one id too."""
 
 from __future__ import annotations
 
@@ -43,7 +55,7 @@ def apply_repetition_penalty(logits: np.ndarray, emitted_ids,
     """Discourage re-emission: divide positive logits of already-emitted ids
     by the penalty, multiply negative ones; an out-of-range id raises ValueError."""
     out = np.array(logits, dtype=np.float64)
-    for tid in set(int(t) for t in emitted_ids):
+    for tid in set(map(int, emitted_ids)):
         if not 0 <= tid < out.size:
             raise ValueError(f"emitted id {tid} is outside the vocabulary (vocab_size {out.size})")
         v = out[tid]
@@ -56,8 +68,10 @@ def truncated_distribution(logits: np.ndarray,
     """Temperature, then top-p, then renormalize.
 
     Returns (kept ids, their renormalized probabilities), highest
-    probability first. Assumes the repetition penalty was already applied.
-    NaN logits, or logits / temperature that overflow, raise ValueError.
+    probability first; a one-id nucleus (see the module docstring) is
+    returned without ranking the ids. Assumes the repetition penalty was
+    already applied. NaN logits, or logits / temperature that overflow,
+    raise ValueError.
     """
     if cfg.temperature == 0.0:
         raise ValueError("no sampling distribution at temperature 0 (greedy)")
@@ -68,6 +82,9 @@ def truncated_distribution(logits: np.ndarray,
                          f"logits / temperature are infinite at temperature {cfg.temperature}")
     probs = np.exp(logits / cfg.temperature - top)
     probs /= probs.sum()
+    best = int(probs.argmax())
+    if probs[best] - 2**-51 >= cfg.top_p:
+        return np.array([best]), np.array([1.0])
 
     order = np.argsort(-probs, kind="stable")
     ranked = probs[order]
@@ -87,10 +104,14 @@ def sample_next_id(logits: np.ndarray, emitted_ids, cfg: GenerationConfig,
             raise ValueError("logits contain NaN")
         return best
     kept, kept_probs = truncated_distribution(logits, cfg)
-    # rng.choice(kept, p=kept_probs)'s own draw, without its checks of p
+    # rng.choice(kept, p=kept_probs)'s own draw, without its checks of p;
+    # a one-id nucleus still takes its uniform
+    u = rng.random()
+    if kept.size == 1:
+        return int(kept[0])
     cdf = np.cumsum(kept_probs)
     cdf /= cdf[-1]
-    return int(kept[cdf.searchsorted(rng.random(), side="right")])
+    return int(kept[cdf.searchsorted(u, side="right")])
 
 
 def generate(model, audio, prompt_ids, cfg: GenerationConfig) -> np.ndarray:
@@ -101,7 +122,7 @@ def generate(model, audio, prompt_ids, cfg: GenerationConfig) -> np.ndarray:
     returns the next-token logits of the prompt's last row only: its last
     layer's queries, attention and MLP, the final norm and the head run on
     that row alone. Each later token is one ``model.step`` over the cached
-    keys and values. Neither keeps backward intermediates. Running
+    keys and values. Neither builds backward intermediates. Running
     past the model's context raises ValueError("sequence length N exceeds
     max M") at the token where a full-recompute forward over the whole
     sequence would: the budget is not checked up front, since decoding may

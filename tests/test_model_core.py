@@ -524,6 +524,105 @@ def test_sampler_names_non_finite_scaled_logits(temperature: float, logit: float
     assert str(err.value) == message
 
 
+def reference_top_probability(logits: np.ndarray, temperature: float) -> float:
+    """The largest probability after temperature, in the reference's arithmetic."""
+    z = logits / temperature
+    z = z - z.max()
+    probs = np.exp(z)
+    probs /= probs.sum()
+    return float(probs.max())
+
+
+def float_bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def logits_with_top_probability(target: float, temperature: float) -> np.ndarray:
+    """Logits whose top probability after temperature is exactly target
+    (just under 1). Id 137 leads at 0 and the rest put the top 1e-6 above
+    target; then id 3's logit rises from -60 temperatures until the top
+    falls to target, found by bisection over its float bits, where one
+    step moves the top by far less than an ulp."""
+    rng = np.random.default_rng(58)
+    scaled = -rng.uniform(0.0, 1.0, VOCAB_SIZE)
+    rest = np.ones(VOCAB_SIZE, dtype=bool)
+    rest[[3, 137]] = False
+    scaled[rest] += math.log((1.0 / (target + 1e-6) - 1.0) / np.exp(scaled[rest]).sum())
+    scaled[137] = 0.0
+
+    def top(knob_bits: int) -> float:
+        # id 3 sits at -x temperatures for the x of these bits
+        scaled[3] = -float(np.int64(knob_bits).view(np.float64))
+        return reference_top_probability(scaled * temperature, temperature)
+
+    low, high = float_bits(5.0), float_bits(60.0)  # the top reads below, then above
+    assert top(low) < target <= top(high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if top(mid) >= target else (mid, high)
+    assert top(high) == target
+    return scaled * temperature
+
+
+# top_p and the probabilities near it are on a grid of 2**-53. The top
+# probability is 1 / s for the sum s of the exponentials, and 1 / s skips
+# top_p itself: -1 and +1 ulp are the tops nearest it
+NUCLEUS_EDGE_ULPS = [-3, -1, 1, 3, 4, 6]
+
+
+def test_no_top_probability_lands_on_top_p() -> None:
+    top_p = GenerationConfig().top_p
+    sums = [1.0 / top_p + k * 2**-52 for k in range(-8, 9)]
+    tops = sorted(round((1.0 / s - top_p) / 2**-53) for s in sums)
+    assert 0 not in tops and set(NUCLEUS_EDGE_ULPS) <= set(tops)
+
+
+@pytest.mark.parametrize("temperature", [0.1, 1.0])
+@pytest.mark.parametrize("ulps", NUCLEUS_EDGE_ULPS)
+def test_one_id_nucleus_matches_the_reference_at_its_edge(temperature: float,
+                                                          ulps: int) -> None:
+    # top_p + 4 ulps is top_p + 2**-51, the first top the one-id path takes
+    top_p = GenerationConfig().top_p
+    target = top_p + ulps * 2**-53
+    logits = logits_with_top_probability(target, temperature)
+    cfg = GenerationConfig(temperature=temperature)
+    got = sampling.truncated_distribution(logits, cfg)
+    want = reference_truncated_distribution(logits, temperature)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
+    if ulps >= 4:
+        assert got[0].tolist() == [137] and got[1].tolist() == [1.0]
+    if ulps <= -3:
+        assert got[0].size > 1
+    got_rng, want_rng = np.random.default_rng(ulps + 10), np.random.default_rng(ulps + 10)
+    for _ in range(3):
+        assert sampling.sample_next_id(logits, [], cfg, got_rng) == \
+            reference_sample_next_id(logits, [], temperature, want_rng)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("temperature", [0.1, 1.0])
+def test_a_one_id_nucleus_ranks_nothing(temperature: float, monkeypatch) -> None:
+    def no_ranking(*args, **kwargs):
+        raise AssertionError("the vocabulary was ranked")
+
+    cfg = GenerationConfig(temperature=temperature)
+    top_p = cfg.top_p
+    clear = np.full(VOCAB_SIZE, -20.0 * temperature)
+    clear[9] = 0.0
+    answered = [clear] + [logits_with_top_probability(top_p + ulps * 2**-53, temperature)
+                          for ulps in (4, 6)]
+    ranked = [logits_with_top_probability(top_p + ulps * 2**-53, temperature)
+              for ulps in (-3, 1, 3)]
+    monkeypatch.setattr(np, "argsort", no_ranking)
+    for logits in answered:
+        kept, kept_probs = sampling.truncated_distribution(logits, cfg)
+        assert kept.tolist() == [int(logits.argmax())] and kept_probs.tolist() == [1.0]
+    for logits in ranked:
+        with pytest.raises(AssertionError, match="the vocabulary was ranked"):
+            sampling.truncated_distribution(logits, cfg)
+
+
 def additive_softmax(scores: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
     """Reference: softmax with -inf added to the lanes keep drops."""
     if keep is not None:
@@ -707,6 +806,66 @@ def test_prefill_keeps_no_backward_intermediates() -> None:
     finally:
         tracemalloc.stop()
     assert peak < 6.5e6
+
+
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("first", [0, 4])
+def test_a_block_without_keep_returns_the_same_rows_and_no_intermediates(
+        cached: bool, first: int) -> None:
+    model = adapted_model()
+    c, n, start = model.cfg, 6, 5
+    rng = np.random.default_rng(59)
+    x = rng.normal(size=(n, c.d_model))
+    shape = (c.n_layers, c.n_heads, c.max_seq_len, c.d_head)
+    old_keys, old_values = rng.normal(size=shape), rng.normal(size=shape)
+    lw = model._layer_weights()[1]
+    runs = []
+    for keep in (True, False):
+        past = decoder.KvCache(old_keys.copy(), old_values.copy(), start, []) \
+            if cached else None
+        causal = decoder._causal_mask(n, start if cached else 0)[first:]
+        out, cache = model._block(1, x, lw, causal, past, first, keep)
+        runs.append((out, cache, past))
+    (kept_out, kept_cache, kept_past), (out, cache, past) = runs
+    assert isinstance(kept_cache, dict) and cache is None
+    assert out.shape == (n - first, c.d_model)
+    assert np.array_equal(out.view(np.uint64), kept_out.view(np.uint64))
+    if cached:
+        assert past.length == kept_past.length == start
+        assert np.array_equal(past.keys.view(np.uint64), kept_past.keys.view(np.uint64))
+        assert np.array_equal(past.values.view(np.uint64), kept_past.values.view(np.uint64))
+
+
+def test_forward_with_want_cache_keeps_one_cache_per_layer() -> None:
+    model = adapted_model()
+    audio = random_audio(model.cfg, 60)
+    ids = np.array([BOS_ID] + encode_text("what sound") + [SEP_ID, 97])
+    logits, cache = model.forward(audio, ids, want_cache=True)
+    assert len(cache["layers"]) == model.cfg.n_layers
+    assert all(isinstance(lc, dict) and "probs" in lc for lc in cache["layers"])
+    plain = model.forward(audio, ids)
+    assert np.array_equal(logits.view(np.uint64), plain.view(np.uint64))
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.5])
+def test_generate_leaves_every_base_tensor_as_it_was(temperature: float) -> None:
+    # step embeds its token through a view of tok_emb
+    model = adapted_model()
+    before = {name: arr.copy() for name, arr in model.base.items()}
+    cfg = GenerationConfig(temperature=temperature, max_new_tokens=24, seed=4)
+    generate(model, random_audio(model.cfg, 61), np.array(prompt_ids("what is it?")), cfg)
+    for name, arr in model.base.items():
+        assert np.array_equal(arr.view(np.uint64), before[name].view(np.uint64)), name
+
+
+def test_repetition_penalty_reads_numpy_ids_as_python_ones() -> None:
+    rng = np.random.default_rng(62)
+    logits = rng.normal(size=VOCAB_SIZE)
+    emitted = rng.integers(0, VOCAB_SIZE, size=40)
+    want = sampling.apply_repetition_penalty(logits, emitted.tolist(), 1.1)
+    for ids in (emitted, list(emitted)):
+        got = sampling.apply_repetition_penalty(logits, ids, 1.1)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_repetition_penalty_returns_a_new_array_of_the_old_values() -> None:
